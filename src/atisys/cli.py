@@ -1,10 +1,18 @@
 """Command-line front end.
 
 Every subcommand prints a machine-readable JSON document on stdout (floats
-rendered with 12 significant digits, exact rationals as ``num/den`` strings);
-``--table`` switches condition-style commands to a fixed-column summary.
+rendered with 12 significant digits, exact rationals as ``num/den`` strings).
 Exit codes: 0 when the command succeeds and any checked condition holds,
 2 when a checked condition fails, 1 on usage or data errors.
+
+Subcommands accept only the options they read:
+
+- ``--tol`` (a positive, finite rank or residual tolerance): pe, gape,
+  rank-check, complete, ident-kernel, invariants, consistency, example-sec7;
+- ``--table`` (a fixed-column summary in place of JSON): pe, gape,
+  rank-check, example-sec7;
+- ``--out`` (a directory for file artifacts): complete, ident-kernel,
+  simulate, linearize.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 from . import io_formats
 from .affine_ss import char_poly_at_one, lift, simulate
 from .datadriven import (
+    DEFAULT_RESIDUAL_TOL,
     DataDrivenRep,
     complete,
     invariants_from_data,
@@ -104,15 +113,30 @@ def _read_traj(args, attr="trajectory", all_inputs=False) -> Trajectory:
     return io_formats.read_trajectory_csv(path, m=m, all_inputs=all_inputs and m is None)
 
 
-def _report_payload(report, extra: dict) -> dict:
-    doc = dict(extra)
-    doc.update(
+def _verdict(args, doc, rows: list[dict], ok: bool) -> int:
+    """Print a verdict as JSON, or with ``--table`` as one table row per dict."""
+    if args.table:
+        print(format_table(list(rows[0]), [list(row.values()) for row in rows]))
+    else:
+        _emit(doc)
+    return 0 if ok else 2
+
+
+def _pass_fail(ok) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _report_verdict(args, report, extra: dict, lead: dict) -> int:
+    """One rank verdict: ``extra`` leads the JSON document, ``lead`` the table row."""
+    doc = dict(
+        extra,
         rank=report.rank,
         target=report.target,
         ok=bool(report.ok),
         singular_values=[_fmt(float(s)) for s in report.singular_values],
     )
-    return doc
+    row = dict(lead, rank=report.rank, target=report.target, verdict=_pass_fail(report.ok))
+    return _verdict(args, doc, [row], report.ok)
 
 
 # -- subcommand handlers -----------------------------------------------
@@ -138,38 +162,23 @@ def _cmd_pe(args) -> int:
         pe_order_linear_report if args.model_class == "linear" else pe_order_affine_report
     )
     report = report_fn(u, args.order, args.tol)
-    payload = _report_payload(
-        report, {"condition": "persistence-of-excitation", "model_class": args.model_class, "order": args.order}
+    return _report_verdict(
+        args,
+        report,
+        {"condition": "persistence-of-excitation", "model_class": args.model_class, "order": args.order},
+        {"class": args.model_class, "order": args.order},
     )
-    if args.table:
-        print(
-            format_table(
-                ["class", "order", "rank", "target", "verdict"],
-                [[args.model_class, args.order, report.rank, report.target, "PASS" if report.ok else "FAIL"]],
-            )
-        )
-    else:
-        _emit(payload)
-    return 0 if report.ok else 2
 
 
 def _cmd_gape(args) -> int:
     w = _read_traj(args)
     report = gape_report(w, args.order, args.n, args.tol, d_L=args.d_l)
-    payload = _report_payload(
+    return _report_verdict(
+        args,
         report,
         {"condition": "generalized-affine-excitation", "order": args.order, "n": args.n, "m": w.m},
+        {"order": args.order, "n": args.n},
     )
-    if args.table:
-        print(
-            format_table(
-                ["order", "n", "rank", "target", "verdict"],
-                [[args.order, args.n, report.rank, report.target, "PASS" if report.ok else "FAIL"]],
-            )
-        )
-    else:
-        _emit(payload)
-    return 0 if report.ok else 2
 
 
 def _cmd_rank_check(args) -> int:
@@ -180,20 +189,12 @@ def _cmd_rank_check(args) -> int:
             f"--n {args.n} contradicts the state file with {x.q} components"
         )
     report = rank_condition_affine_report(x, u, args.depth, args.tol)
-    payload = _report_payload(
+    return _report_verdict(
+        args,
         report,
         {"condition": "data-driven-rank", "depth": args.depth, "n": x.q, "m": u.q},
+        {"L": args.depth, "n": x.q},
     )
-    if args.table:
-        print(
-            format_table(
-                ["L", "n", "rank", "target", "verdict"],
-                [[args.depth, x.q, report.rank, report.target, "PASS" if report.ok else "FAIL"]],
-            )
-        )
-    else:
-        _emit(payload)
-    return 0 if report.ok else 2
 
 
 def _cmd_complete(args) -> int:
@@ -207,7 +208,7 @@ def _cmd_complete(args) -> int:
             )
     u_f = io_formats.read_trajectory_csv(args.future_inputs, all_inputs=True)
     rep = DataDrivenRep(data, args.depth)
-    result = complete(rep, prefix, u_f, args.tol if args.tol else 1e-8)
+    result = complete(rep, prefix, u_f, DEFAULT_RESIDUAL_TOL if args.tol is None else args.tol)
     _emit(
         {
             "y_f": result.y_f.data,
@@ -373,47 +374,59 @@ def _cmd_smith(args) -> int:
 
 def _cmd_example_sec7(args) -> int:
     results = run_reference_experiments(args.tol)
-    if args.table:
-        rows = [
-            [r.name, r.length, r.window, r.rank, r.target, r.gap_ratio, "PASS" if r.ok else "FAIL"]
-            for r in results
-        ]
-        print(format_table(["experiment", "T", "L", "rank", "target", "gap", "verdict"], rows))
-    else:
-        _emit(
-            [
-                {
-                    "experiment": r.name,
-                    "T": r.length,
-                    "L": r.window,
-                    "rank": r.rank,
-                    "target": r.target,
-                    "gap_ratio": r.gap_ratio,
-                    "ok": r.ok,
-                    "singular_values": list(r.singular_values),
-                }
-                for r in results
-            ]
-        )
-    return 0 if all(r.ok for r in results) else 2
+    doc = [
+        {
+            "experiment": r.name,
+            "T": r.length,
+            "L": r.window,
+            "rank": r.rank,
+            "target": r.target,
+            "gap_ratio": r.gap_ratio,
+            "ok": r.ok,
+            "singular_values": list(r.singular_values),
+        }
+        for r in results
+    ]
+    rows = [
+        {
+            "experiment": r.name,
+            "T": r.length,
+            "L": r.window,
+            "rank": r.rank,
+            "target": r.target,
+            "gap": r.gap_ratio,
+            "verdict": _pass_fail(r.ok),
+        }
+        for r in results
+    ]
+    return _verdict(args, doc, rows, all(r.ok for r in results))
 
 
 # -- parser --------------------------------------------------------------
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="atisys", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    common = {
+        "--tol": dict(type=_tolerance, default=None, help="rank/residual tolerance (positive, finite)"),
+        "--out": dict(default=None, help="directory for file artifacts"),
+        "--table": dict(action="store_true", help="human-readable table output"),
+    }
+
+    def add(name, handler, help_text, *flags):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
-        p.add_argument("--tol", type=float, default=None, help="rank/residual tolerance")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (bundled commands are deterministic; accepted for scripting)")
-        p.add_argument("--out", default=None, help="directory for file artifacts")
-        p.add_argument("--json", action="store_true", help="JSON output (the default)")
-        p.add_argument("--table", action="store_true", help="human-readable table output")
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
         return p
 
     p = add("hankel", _cmd_hankel, "build the depth-L Hankel matrix of a trajectory")
@@ -421,12 +434,12 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("trajectory")
 
-    p = add("pe", _cmd_pe, "persistence-of-excitation test (all columns are inputs)")
+    p = add("pe", _cmd_pe, "persistence-of-excitation test (all columns are inputs)", "--tol", "--table")
     p.add_argument("--class", dest="model_class", choices=["linear", "affine"], required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("trajectory")
 
-    p = add("gape", _cmd_gape, "generalized affine excitation test on io data")
+    p = add("gape", _cmd_gape, "generalized affine excitation test on io data", "--tol", "--table")
     p.add_argument("--order", "--L", dest="order", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--d-l", dest="d_l", type=int, default=None,
@@ -434,13 +447,13 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("trajectory")
 
-    p = add("rank-check", _cmd_rank_check, "data-driven rank condition from inputs and states")
+    p = add("rank-check", _cmd_rank_check, "data-driven rank condition from inputs and states", "--tol", "--table")
     p.add_argument("--L", dest="depth", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("inputs")
     p.add_argument("states")
 
-    p = add("complete", _cmd_complete, "continue a prefix through the data-driven representation")
+    p = add("complete", _cmd_complete, "continue a prefix through the data-driven representation", "--tol", "--out")
     p.add_argument("--tini", type=int, required=True)
     p.add_argument("--L", dest="depth", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
@@ -448,19 +461,19 @@ def build_parser() -> _Parser:
     p.add_argument("prefix")
     p.add_argument("future_inputs")
 
-    p = add("ident-kernel", _cmd_ident_kernel, "recover a kernel representation from data")
+    p = add("ident-kernel", _cmd_ident_kernel, "recover a kernel representation from data", "--tol", "--out")
     p.add_argument("--L", dest="depth", type=int, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--method", choices=["svd", "exact"], default="svd")
     p.add_argument("--m", type=int, default=None)
     p.add_argument("data")
 
-    p = add("invariants", _cmd_invariants, "integer invariants from a rich experiment")
+    p = add("invariants", _cmd_invariants, "integer invariants from a rich experiment", "--tol")
     p.add_argument("--tmax", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("data")
 
-    p = add("simulate", _cmd_simulate, "simulate a state-space model")
+    p = add("simulate", _cmd_simulate, "simulate a state-space model", "--out")
     p.add_argument("--system", required=True)
     p.add_argument("--x0", default=None, help="comma-separated initial state (default zeros)")
     p.add_argument("--horizon", type=int, default=None, help="steps when the model has no inputs")
@@ -469,12 +482,12 @@ def build_parser() -> _Parser:
     p = add("lift", _cmd_lift, "lift an affine model to its linear form")
     p.add_argument("--system", required=True)
 
-    p = add("linearize", _cmd_linearize, "linearize a plant around an operating point")
+    p = add("linearize", _cmd_linearize, "linearize a plant around an operating point", "--out")
     p.add_argument("--plant", required=True)
     p.add_argument("--at", required=True, help="operating point 'x1,..;u1,..;y1,..'")
     p.add_argument("--mode", default="analytic", help="'analytic' or 'fd:<step>'")
 
-    p = add("consistency", _cmd_consistency, "decide consistency of a kernel representation")
+    p = add("consistency", _cmd_consistency, "decide consistency of a kernel representation", "--tol")
     p.add_argument("kernel")
 
     p = add("equiv", _cmd_equiv, "decide equivalence of two kernel representations")
@@ -487,7 +500,7 @@ def build_parser() -> _Parser:
     p = add("smith", _cmd_smith, "Smith decomposition of a polynomial matrix")
     p.add_argument("matrix")
 
-    add("example-sec7", _cmd_example_sec7, "run the bundled three-experiment reference scenario")
+    add("example-sec7", _cmd_example_sec7, "run the bundled three-experiment reference scenario", "--tol", "--table")
 
     return parser
 

@@ -25,9 +25,10 @@ from .errors import (
     EmptyRepresentation,
     ExcitationDeficient,
     Infeasible,
+    InvalidArgument,
     NotConverged,
 )
-from .excitation import ExcitationReport, ones_augmented
+from .excitation import ExcitationReport, ones_augmented, rank_verdict
 from .kernelrep import AffineKernelRep
 from .polymatrix import PolyMatrix
 from .trajectories import HankelMatrix, Trajectory, hankel, numerical_rank, restrict
@@ -79,9 +80,7 @@ def rank_condition_affine_report(
     Hu = hankel(u_d, depth).entries
     Hx = hankel(restrict(x_d, 1, T - depth + 1), 1).entries
     stacked = ones_augmented(np.vstack([Hx, Hu]))
-    target = u_d.q * depth + x_d.q + 1
-    rank, svals = numerical_rank(stacked, tol)
-    return ExcitationReport(rank == target, rank, target, svals)
+    return rank_verdict(stacked, u_d.q * depth + x_d.q + 1, tol)
 
 
 def rank_condition_affine(
@@ -277,7 +276,7 @@ def recover_kernel(
             )
         rows = [_normalize_largest(v) for v in exact_rows]
     else:
-        raise ValueError(f"method must be 'svd' or 'exact', got {method!r}")
+        raise InvalidArgument(f"method must be 'svd' or 'exact', got {method!r}")
     return _kernel_from_rows(rows, rep.q, rep.depth)
 
 
@@ -319,7 +318,7 @@ def invariants_from_data(
     raised.
     """
     if t_max < 2:
-        raise ValueError(f"t_max must be at least 2, got {t_max}")
+        raise InvalidArgument(f"t_max must be at least 2, got {t_max}")
     q = w_d.q
     d = []
     for t in range(1, t_max + 1):

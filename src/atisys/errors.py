@@ -10,6 +10,10 @@ class AtisysError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidArgument(AtisysError, ValueError):
+    """An argument lies outside its documented domain (tolerance, order, method)."""
+
+
 class EmptyTrajectory(AtisysError):
     """A trajectory with zero samples was supplied."""
 

@@ -14,7 +14,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidArgument
 from .trajectories import Trajectory, hankel, numerical_rank
 
 ModelClass = Literal["linear", "affine"]
@@ -27,6 +27,23 @@ class ExcitationReport(NamedTuple):
     rank: int
     target: int
     singular_values: np.ndarray
+
+    @property
+    def gap_ratio(self) -> float:
+        """sigma_rank / sigma_(rank+1), the singular-value gap at the rank cut.
+
+        Infinite when no singular value falls below the cut, zero at rank 0.
+        """
+        svals = self.singular_values
+        if self.rank >= len(svals):
+            return float("inf")
+        return float(svals[self.rank - 1] / svals[self.rank]) if self.rank else 0.0
+
+
+def rank_verdict(matrix, target: int, tol: float | None = None) -> ExcitationReport:
+    """Numerical rank of ``matrix`` compared with the rank a condition requires."""
+    rank, svals = numerical_rank(matrix, tol)
+    return ExcitationReport(rank == target, rank, target, svals)
 
 
 def _require_all_inputs(u: Trajectory):
@@ -41,12 +58,14 @@ def ones_augmented(H: np.ndarray) -> np.ndarray:
     return np.vstack([H, np.ones((1, H.shape[1]))])
 
 
+def _check_class(model_class: ModelClass):
+    if model_class not in _CLASSES:
+        raise InvalidArgument(f"model class must be one of {_CLASSES}, got {model_class!r}")
+
+
 def pe_order_linear_report(u: Trajectory, order: int, tol: float | None = None) -> ExcitationReport:
     _require_all_inputs(u)
-    H = hankel(u, order).entries
-    target = u.q * order
-    rank, svals = numerical_rank(H, tol)
-    return ExcitationReport(rank == target, rank, target, svals)
+    return rank_verdict(hankel(u, order).entries, u.q * order, tol)
 
 
 def pe_order_linear(u: Trajectory, order: int, tol: float | None = None) -> bool:
@@ -56,10 +75,7 @@ def pe_order_linear(u: Trajectory, order: int, tol: float | None = None) -> bool
 
 def pe_order_affine_report(u: Trajectory, order: int, tol: float | None = None) -> ExcitationReport:
     _require_all_inputs(u)
-    H = ones_augmented(hankel(u, order).entries)
-    target = u.q * order + 1
-    rank, svals = numerical_rank(H, tol)
-    return ExcitationReport(rank == target, rank, target, svals)
+    return rank_verdict(ones_augmented(hankel(u, order).entries), u.q * order + 1, tol)
 
 
 def pe_order_affine(u: Trajectory, order: int, tol: float | None = None) -> bool:
@@ -68,8 +84,7 @@ def pe_order_affine(u: Trajectory, order: int, tol: float | None = None) -> bool
 
 
 def _pe_test(model_class: ModelClass):
-    if model_class not in _CLASSES:
-        raise ValueError(f"model class must be one of {_CLASSES}, got {model_class!r}")
+    _check_class(model_class)
     return pe_order_linear if model_class == "linear" else pe_order_affine
 
 
@@ -84,12 +99,16 @@ def pe_profile(u: Trajectory, model_class: ModelClass, tol: float | None = None)
 
 
 def max_pe_order(u: Trajectory, model_class: ModelClass, tol: float | None = None) -> int:
-    """Largest order L such that all orders up to L pass; 0 if the first fails."""
-    profile = pe_profile(u, model_class, tol)
-    for i, ok in enumerate(profile):
-        if not ok:
-            return i
-    return len(profile)
+    """Largest order L such that all orders up to L pass; 0 if the first fails.
+
+    Stops at the first failing order, so it equals the index of the first
+    ``False`` in :func:`pe_profile` without computing the orders beyond it.
+    """
+    test = _pe_test(model_class)
+    for L in range(1, u.length + 1):
+        if not test(u, L, tol):
+            return L - 1
+    return u.length
 
 
 def gape_report(
@@ -108,16 +127,14 @@ def gape_report(
     behavior at depth L.
     """
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise InvalidArgument(f"order must be >= 1, got {order}")
     if d_L is None:
         if n is None or n < 0:
-            raise ValueError("a nonnegative order n is required unless d_L is given")
+            raise InvalidArgument("a nonnegative order n is required unless d_L is given")
         target = w.m * order + n + 1
     else:
         target = d_L + 1
-    H = ones_augmented(hankel(w, order).entries)
-    rank, svals = numerical_rank(H, tol)
-    return ExcitationReport(rank == target, rank, target, svals)
+    return rank_verdict(ones_augmented(hankel(w, order).entries), target, tol)
 
 
 def gape_check(
@@ -138,15 +155,14 @@ def min_data_length(m: int, order: int, model_class: ModelClass = "linear") -> i
     the affine route comes from the lower order it needs, not from a shorter
     per-order length (see :func:`sampling_gap`).
     """
-    if model_class not in _CLASSES:
-        raise ValueError(f"model class must be one of {_CLASSES}, got {model_class!r}")
+    _check_class(model_class)
     if m < 1 or order < 1:
-        raise ValueError("m and order must be positive")
+        raise InvalidArgument("m and order must be positive")
     return (m + 1) * order - 1
 
 
 def sampling_gap(m: int) -> int:
     """Sample-count reduction T_{n+L+1}(linear) - T_{n+L}(affine) = m + 1."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise InvalidArgument("m must be positive")
     return m + 1

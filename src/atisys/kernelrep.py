@@ -118,22 +118,10 @@ def consistent_constant(rep: AffineKernelRep) -> bool:
     A constant sequence is fixed by the shift, so each syzygy constraint
     lambda(sigma) c = 0 collapses to the scalar test at 1.
     """
-    if rep.R.is_zero:
-        return all(v == 0 for v in rep.c)
-    dec = smith_form(rep.R)
-    residuals = []
-    for i in range(dec.rank, rep.g):
-        row_at_one = [e(Fraction(1)) for e in dec.U.rows[i]]
-        residuals.append(sum(a * b for a, b in zip(row_at_one, rep.c)))
-    ok = all(v == 0 for v in residuals)
-    # same decision read off the scaled syzygy generators; they differ from
-    # the U rows only by nonzero constants, so the two must always agree
-    gens = [tuple(clear_denominators(dec.U.rows[i])) for i in range(dec.rank, rep.g)]
-    ok_gens = all(
-        sum(e(Fraction(1)) * v for e, v in zip(gen, rep.c)) == 0 for gen in gens
+    return all(
+        sum(e(Fraction(1)) * v for e, v in zip(gen, rep.c)) == 0
+        for gen in syzygy_basis(rep.R)
     )
-    assert ok == ok_gens
-    return ok
 
 
 def block_toeplitz(R: PolyMatrix, window: int) -> list[list[Fraction]]:
@@ -164,17 +152,18 @@ def consistent_sequence_report(
 ) -> ConsistencyReport:
     """Finite-window consistency test for a general offset sequence.
 
-    Solvability of the stacked window system is decided by comparing the
-    rank of the block-Toeplitz truncation with that of its augmentation by
-    the offset window.  A solution on [1, T] restricts to every sub-window,
-    so all shorter shifts inside the window are covered.  The verdict is
+    Solvability of the stacked window system M w = c is decided by one
+    elimination of [M | c]: its pivots in M's columns are M's own, so the
+    system is solvable exactly when no pivot lands in the offset column,
+    i.e. when rank M = rank [M | c].  A solution on [1, T] restricts to
+    every sub-window, so all shorter shifts inside the window are covered.  The verdict is
     certified (decides membership of any extension of c built from windows of
     this length at every shift) when T is at least one more than the maximal
     syzygy degree; a finitely specified offset cannot certify more.
 
-    Ranks are exact by default, which treats the offsets as the exact
-    rationals they encode.  Pass ``tol`` to rank numerically instead, the
-    right reading for measured offsets known only to float accuracy.
+    Elimination is exact by default, which treats the offsets as the exact
+    rationals they encode.  Pass ``tol`` to compare numerical ranks instead,
+    the right reading for measured offsets known only to float accuracy.
     """
     if R.shape[0] != c.g:
         raise DimensionMismatch(f"offset width {c.g} != row count {R.shape[0]}")
@@ -184,19 +173,18 @@ def consistent_sequence_report(
         raise WindowTooShort(f"window {T} shorter than degree bound {d + 1}")
     M = block_toeplitz(R, T)
     rhs = [c.values[t][i] for t in range(T) for i in range(R.shape[0])]
-    augmented = [row + [val] for row, val in zip(M, rhs)]
     if tol is None:
-        base_rank = exactla.rank(M)
-        aug_rank = exactla.rank(augmented)
+        consistent = exactla.solve(M, rhs) is not None
     else:
         from .trajectories import numerical_rank
 
-        base_rank = numerical_rank(np.array(M, dtype=float), tol).rank
-        aug_rank = numerical_rank(np.array(augmented, dtype=float), tol).rank
+        M_float = np.array(M, dtype=float)
+        augmented = np.column_stack([M_float, np.array(rhs, dtype=float)])
+        consistent = numerical_rank(M_float, tol).rank == numerical_rank(augmented, tol).rank
     syz = syzygy_basis(R)
     delta = max((max(e.degree for e in gen) for gen in syz), default=-1)
     return ConsistencyReport(
-        consistent=base_rank == aug_rank,
+        consistent=consistent,
         certified=T >= delta + 1,
         syzygy_degree=delta,
         window_length=T,

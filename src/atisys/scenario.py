@@ -71,11 +71,6 @@ def run_reference_experiments(tol: float | None = None) -> list[ExperimentResult
         u = restrict(reference_input(name), 1, T)
         sim = simulate(sys, np.zeros(2), u)
         report = rank_condition_affine_report(sim.x, u, WINDOW_LENGTH, tol)
-        svals = report.singular_values
-        if report.rank < len(svals):
-            gap = float(svals[report.rank - 1] / svals[report.rank]) if report.rank else 0.0
-        else:
-            gap = float("inf")
         results.append(
             ExperimentResult(
                 name=name,
@@ -84,8 +79,8 @@ def run_reference_experiments(tol: float | None = None) -> list[ExperimentResult
                 rank=report.rank,
                 target=report.target,
                 ok=report.ok,
-                gap_ratio=gap,
-                singular_values=tuple(float(s) for s in svals),
+                gap_ratio=report.gap_ratio,
+                singular_values=tuple(float(s) for s in report.singular_values),
             )
         )
     return results

@@ -20,6 +20,7 @@ from .errors import (
     DepthExceedsLength,
     DimensionMismatch,
     EmptyTrajectory,
+    InvalidArgument,
     NonFiniteEntry,
     OutOfRange,
     ShiftTooLarge,
@@ -217,7 +218,9 @@ def numerical_rank(matrix, tol: float | None = None) -> RankResult:
 
     The rank is the number of singular values exceeding ``tol * sigma_max``;
     ``tol`` defaults to ``max(rows, cols) * eps``.  The full singular-value
-    list is returned for diagnostics.
+    list is returned for diagnostics.  An explicit ``tol`` must be positive
+    and finite: NaN or infinity would cut every singular value and report
+    rank 0 as if it were measured.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.size == 0:
@@ -226,8 +229,8 @@ def numerical_rank(matrix, tol: float | None = None) -> RankResult:
         raise NonFiniteEntry("matrix contains non-finite entries")
     if tol is None:
         tol = default_rank_tolerance(M.shape)
-    elif tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    elif not 0 < tol < np.inf:
+        raise InvalidArgument(f"tolerance must be positive and finite, got {tol}")
     svals = np.linalg.svd(M, compute_uv=False)
     rank = int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
     return RankResult(rank, svals)

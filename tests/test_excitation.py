@@ -79,6 +79,23 @@ class TestMaxOrder:
                 hits += 1
         assert hits == 20
 
+    def test_equals_first_failure_of_profile(self, rng):
+        # small alphabets and periodic pieces make the first failure land at
+        # varying orders, including order 1 and none at all
+        for _ in range(30):
+            T = int(rng.integers(2, 12))
+            m = int(rng.integers(1, 3))
+            for data in (
+                rng.integers(-1, 2, size=(T, m)).astype(float),
+                rng.normal(size=(T, m)),
+                np.tile(rng.normal(size=(2, m)), (T, 1))[:T],
+            ):
+                u = Trajectory.inputs(data)
+                for model_class in ("linear", "affine"):
+                    profile = pe_profile(u, model_class)
+                    first_fail = profile.index(False) if False in profile else len(profile)
+                    assert max_pe_order(u, model_class) == first_fail
+
     def test_profile_reported_for_all_depths(self):
         profile = pe_profile(ALTERNATING, "affine")
         assert profile == [True, False, False, False, False, False]

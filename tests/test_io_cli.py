@@ -97,6 +97,40 @@ class TestCli:
         assert main(["pe", "--class", "cubic", "--order", "1", "u.csv"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pe", "--class", "linear", "--order", "2", "--tol", "0", "u.csv"],
+            ["pe", "--class", "linear", "--order", "2", "--tol", "nan", "u.csv"],
+            ["pe", "--class", "linear", "--order", "2", "--tol", "inf", "u.csv"],
+            ["complete", "--tini", "0", "--L", "1", "--tol", "0", "w.csv", "none.csv", "u1.csv"],
+            ["gape", "--order", "0", "--n", "1", "u.csv"],
+            ["invariants", "--tmax", "1", "u.csv"],
+        ],
+    )
+    def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
+        write_inputs("u.csv", [1, 2, 1, 2, 1, 2])
+        write_inputs("u1.csv", [3])
+        # static law y = u: without --tol, complete answers y_f = 3
+        io_formats.write_trajectory_csv("w.csv", Trajectory(np.repeat([[1.0], [2.0], [4.0]], 2, axis=1), m=1))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["smith", "--tol", "1e-3", "m.json"],
+            ["hankel", "--table", "--depth", "2", "u.csv"],
+            ["pe", "--seed", "1", "--class", "linear", "--order", "2", "u.csv"],
+            ["pe", "--json", "--class", "linear", "--order", "2", "u.csv"],
+            ["invariants", "--out", "art", "--tmax", "3", "u.csv"],
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, workdir, capsys, argv):
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_file_is_exit_one(self, workdir, capsys):
         assert main(["pe", "--class", "linear", "--order", "1", "nope.csv"]) == 1
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atisys import (
     AffineKernelRep,
@@ -18,7 +20,9 @@ from atisys import (
     minimize,
     syzygy_basis,
 )
+from atisys import exactla
 from atisys.errors import InconsistentRepresentation, WindowTooShort
+from atisys.kernelrep import block_toeplitz
 from conftest import random_poly_matrix, random_unimodular
 
 X = Poly.x()
@@ -137,6 +141,41 @@ class TestConsistencySequence:
             assert consistent_constant(rep) == consistent_sequence(R, seq)
             checked += 1
         assert checked >= 190
+
+
+small_int = st.integers(-3, 3)
+small_poly = st.lists(small_int, min_size=1, max_size=3).map(Poly)
+
+
+@st.composite
+def kernel_windows(draw):
+    """Small integer R, often rank deficient, with a consistent or perturbed window."""
+    g = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))
+    rows = [draw(st.lists(small_poly, min_size=q, max_size=q)) for _ in range(g)]
+    if g > 1 and draw(st.booleans()):
+        # the last row is a polynomial combination of the others
+        mults = draw(st.lists(small_poly, min_size=g - 1, max_size=g - 1))
+        rows[-1] = list((PolyMatrix([mults]) @ PolyMatrix(rows[:-1])).rows[0])
+    R = PolyMatrix(rows)
+    T = draw(st.integers(R.degree + 1, R.degree + 4))
+    w = draw(st.lists(small_int, min_size=q * (T + R.degree), max_size=q * (T + R.degree)))
+    c = [sum(a * b for a, b in zip(row, w)) for row in block_toeplitz(R, T)]
+    if draw(st.booleans()):
+        c[draw(st.integers(0, g * T - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return R, OffsetSequence(tuple(tuple(c[t * g : (t + 1) * g]) for t in range(T)))
+
+
+class TestConsistencyElimination:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_windows())
+    def test_matches_two_rank_oracle(self, case):
+        R, seq = case
+        M = block_toeplitz(R, seq.length)
+        rhs = [v for row in seq.values for v in row]
+        augmented = [row + [v] for row, v in zip(M, rhs)]
+        oracle = exactla.rank(M) == exactla.rank(augmented)
+        assert consistent_sequence_report(R, seq).consistent == oracle
 
 
 class TestMinimize:

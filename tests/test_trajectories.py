@@ -146,8 +146,10 @@ class TestNumericalRank:
             numerical_rank([[np.inf, 0], [0, 1]])
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), tol=0.0)
+        # nan and inf would otherwise cut every singular value: rank 0
+        for tol in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                numerical_rank(np.eye(2), tol=tol)
 
     def test_permutation_invariance(self, rng):
         M = rng.normal(size=(5, 7))
