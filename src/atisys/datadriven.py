@@ -7,6 +7,10 @@ module checks the rank condition, solves membership and completion problems
 over that affine span, recovers an explicit kernel representation from the
 left null space of the data matrix, and reads the integer invariants (input
 cardinality, order, lag) off the dimension profile of the data.
+
+The constraint 1^T g = 1 is eliminated by the difference parametrisation
+g = e_1 + D z with D = [-1^T; I]: every z is feasible and H D = H[:, 1:] - H[:, :1],
+so a constrained fit is one least-squares solve, linear in the record length.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import exactla
 from .errors import (
@@ -31,7 +34,8 @@ from .errors import (
 from .excitation import ExcitationReport, ones_augmented, rank_verdict
 from .kernelrep import AffineKernelRep
 from .polymatrix import PolyMatrix
-from .trajectories import HankelMatrix, Trajectory, hankel, numerical_rank, restrict
+from .trajectories import HankelMatrix, Trajectory, check_tolerance, hankel, numerical_rank
+from .trajectories import rank_of, restrict
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -89,16 +93,19 @@ def rank_condition_affine(
     return rank_condition_affine_report(x_d, u_d, depth, tol).ok
 
 
-def _affine_basis(n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Particular vector and null-space basis of the constraint 1^T g = 1.
+def _affine_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimise ||A g - b|| subject to 1^T g = 1.
 
-    Substituting g = g0 + N z turns the constraint into an identity, so any
-    least-squares solve in z returns an exactly feasible g.
+    With g = e_1 + D z the residual is (A[:, 1:] - A[:, :1]) z - (b - A[:, 0]),
+    so z comes from one least-squares solve on the column differences.
     """
-    g0 = np.zeros(n_cols)
-    g0[0] = 1.0
-    N = sla.null_space(np.ones((1, n_cols)))
-    return g0, N
+    g = np.zeros(A.shape[1])
+    g[0] = 1.0
+    if A.shape[1] > 1:
+        z = np.linalg.lstsq(A[:, 1:] - A[:, :1], b - A[:, 0], rcond=None)[0]
+        g[0] -= z.sum()
+        g[1:] = z
+    return g
 
 
 class MembershipResult(NamedTuple):
@@ -112,20 +119,16 @@ def membership(rep: DataDrivenRep, window, tol: float = DEFAULT_RESIDUAL_TOL) ->
 
     Solves min ||H g - w|| subject to 1^T g = 1 by eliminating the
     constraint; the window is a member when the optimal residual is below
-    ``tol * (1 + ||w||)``.
+    ``tol * (1 + ||w||)``.  ``tol`` must be positive and finite.
     """
+    check_tolerance(tol)
     H = rep.hankel.entries
     if H.shape[1] == 0:
         raise EmptyRepresentation("the data matrix has no columns")
     w = np.asarray(getattr(window, "data", window), dtype=float).ravel()
     if w.size != H.shape[0]:
         raise DimensionMismatch(f"window has {w.size} entries, expected {H.shape[0]}")
-    g0, N = _affine_basis(H.shape[1])
-    if N.shape[1] == 0:
-        g = g0
-    else:
-        z = np.linalg.lstsq(H @ N, w - H @ g0, rcond=None)[0]
-        g = g0 + N @ z
+    g = _affine_lstsq(H, w)
     residual = float(np.linalg.norm(H @ g - w))
     return MembershipResult(residual <= tol * (1 + np.linalg.norm(w)), g, residual)
 
@@ -147,12 +150,12 @@ def complete(
     Matches the full prefix samples and the future input rows of H g under
     1^T g = 1, then reads the future output rows off H g.  The prefix must
     cover at least the lag of the underlying behavior for the continuation
-    to be unique; non-unique output rows are detected by projecting the
-    solution set's free directions onto them and raise
-    :class:`AmbiguousContinuation`.
+    to be unique: output rows that move along null [C; 1^T], C the matched
+    rows of H, raise :class:`AmbiguousContinuation`.  ``tol`` must be
+    positive and finite.
     """
+    check_tolerance(tol)
     q, m, L = rep.q, rep.m, rep.depth
-    p = q - m
     t_ini = 0 if w_ini is None else w_ini.length
     if w_ini is not None and w_ini.q != q:
         raise DimensionMismatch(f"prefix has {w_ini.q} variables, expected {q}")
@@ -162,43 +165,33 @@ def complete(
         raise DimensionMismatch(
             f"prefix ({t_ini}) plus future ({u_f.length}) must equal the depth {L}"
         )
-    t_f = u_f.length
 
     H = rep.hankel.entries
     if H.shape[1] == 0:
         raise EmptyRepresentation("the data matrix has no columns")
-    constraint_rows = list(range(q * t_ini))
-    rhs_parts = [] if w_ini is None else [w_ini.data.ravel()]
-    for t in range(t_ini, L):
-        constraint_rows.extend(range(t * q, t * q + m))
-    if t_f and m:
-        rhs_parts.append(u_f.data.ravel())
-    output_rows = [t * q + mi for t in range(t_ini, L) for mi in range(m, q)]
+    # rows of H by (time, variable): the prefix samples and future inputs are matched
+    blocks = H.reshape(L, q, -1)
+    C = np.vstack([H[: q * t_ini], blocks[t_ini:, :m].reshape(-1, H.shape[1])])
+    prefix = [] if w_ini is None else [w_ini.data.ravel()]
+    b = np.concatenate(prefix + [u_f.data.ravel()])
+    Y = blocks[t_ini:, m:].reshape(-1, H.shape[1])
 
-    C = H[constraint_rows]
-    b = np.concatenate(rhs_parts) if rhs_parts else np.zeros(0)
-    Y = H[output_rows]
-
-    g0, N = _affine_basis(H.shape[1])
-    if N.shape[1] == 0:
-        g = g0
-    else:
-        z = np.linalg.lstsq(C @ N, b - C @ g0, rcond=None)[0]
-        g = g0 + N @ z
+    g = _affine_lstsq(C, b)
     residual = float(np.linalg.norm(C @ g - b))
     if residual > tol * (1 + np.linalg.norm(b)):
         raise Infeasible(
             f"constraint residual {residual:.3e} exceeds the tolerance"
         )
-    if N.shape[1] > 0:
-        K = sla.null_space(C @ N)
-        if K.shape[1] > 0:
-            spread = float(np.linalg.norm(Y @ (N @ K)))
-            if spread > tol * (1 + np.linalg.norm(Y)):
-                raise AmbiguousContinuation(
-                    f"future outputs vary by {spread:.3e} over the solution set"
-                )
-    y_f = (H @ g)[output_rows].reshape(t_f, p)
+    S = ones_augmented(C)
+    _, svals, Vt = np.linalg.svd(S, full_matrices=False)
+    V = Vt[: rank_of(svals, S.shape)]
+    if V.shape[0] < S.shape[1]:
+        spread = float(np.linalg.norm(Y - (Y @ V.T) @ V))
+        if spread > tol * (1 + np.linalg.norm(Y)):
+            raise AmbiguousContinuation(
+                f"future outputs vary by {spread:.3e} over the solution set"
+            )
+    y_f = (H @ g).reshape(L, q)[t_ini:, m:]
     return CompletionResult(Trajectory(y_f, m=0), g, residual)
 
 
@@ -249,35 +242,20 @@ def recover_kernel(
     qL = rep.q * rep.depth
     target = None if n is None else rep.m * rep.depth + n + 1
     if method == "svd":
-        rank, svals = numerical_rank(S, tol)
-        if target is not None and rank != target:
-            raise ExcitationDeficient(
-                f"measured rank {rank} != required {target}"
-            )
-        if rank - rep.m * rep.depth - 1 < 0:
-            raise ExcitationDeficient(
-                f"measured rank {rank} below the affine excitation floor"
-            )
-        U, _, _ = np.linalg.svd(S)
-        basis = [U[:, k] for k in range(rank, qL + 1)]
-        rows = [_normalize_largest(list(v)) for v in basis]
+        # complete U (null directions included) but never the T x T right factor
+        U, svals, _ = np.linalg.svd(S, full_matrices=S.shape[1] < S.shape[0])
+        rank, kind = rank_of(svals, S.shape, tol), "measured"
+        null_rows = [list(U[:, k]) for k in range(rank, qL + 1)]
     elif method == "exact":
-        exact_rows = exactla.left_null_space(
-            [[Fraction(x) for x in row] for row in S]
-        )
-        rank = qL + 1 - len(exact_rows)
-        if target is not None and rank != target:
-            raise ExcitationDeficient(
-                f"exact rank {rank} != required {target}"
-            )
-        if rank - rep.m * rep.depth - 1 < 0:
-            raise ExcitationDeficient(
-                f"exact rank {rank} below the affine excitation floor"
-            )
-        rows = [_normalize_largest(v) for v in exact_rows]
+        null_rows = exactla.left_null_space(S)
+        rank, kind = qL + 1 - len(null_rows), "exact"
     else:
         raise InvalidArgument(f"method must be 'svd' or 'exact', got {method!r}")
-    return _kernel_from_rows(rows, rep.q, rep.depth)
+    if target is not None and rank != target:
+        raise ExcitationDeficient(f"{kind} rank {rank} != required {target}")
+    if rank - rep.m * rep.depth - 1 < 0:
+        raise ExcitationDeficient(f"{kind} rank {rank} below the affine excitation floor")
+    return _kernel_from_rows([_normalize_largest(v) for v in null_rows], rep.q, rep.depth)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .poly import Poly
 from .polymatrix import PolyMatrix, clear_denominators, row_hermite, smith_form
+from .trajectories import window_matrix
 
 OffsetVector = tuple[Fraction, ...]
 
@@ -246,20 +247,11 @@ def behavior_apply(rep: AffineKernelRep, window) -> np.ndarray:
     L = w.shape[0]
     if L < d + 1:
         raise WindowTooShort(f"window {L} shorter than degree bound {d + 1}")
-    blocks = [
-        np.array([[float(v) for v in row] for row in block], dtype=float).reshape(
-            rep.g, rep.q
-        )
-        for block in rep.R.coefficient_blocks()
-    ]
-    c = rep.offset_floats()
-    out = np.empty((L - d, rep.g))
-    for t in range(L - d):
-        acc = -c.copy()
-        for k, block in enumerate(blocks):
-            acc += block @ w[t + k]
-        out[t] = acc
-    return out
+    # [R_0 ... R_d] @ (column t: w(t), ..., w(t+d) stacked) - c
+    stacked = np.array(
+        [[float(v) for block in rep.R.coefficient_blocks() for v in block[i]] for i in range(rep.g)]
+    ).reshape(rep.g, rep.q * (d + 1))
+    return (stacked @ window_matrix(w, d + 1)).T - rep.offset_floats()
 
 
 def controllable_kernel(rep: AffineKernelRep) -> bool:

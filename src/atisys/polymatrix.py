@@ -154,54 +154,55 @@ class PolyMatrix:
 
     # -- exact decisions ----------------------------------------------
 
-    def rank(self) -> int:
-        """Rank over the rational-function field by fraction-free elimination."""
+    def _bareiss(self) -> tuple[int, int, Poly]:
+        """Fraction-free forward elimination (Bareiss 1968).
+
+        Below and right of a minimum-degree pivot, a_ij becomes
+        (pivot * a_ij - a_ic * a_rj) / previous pivot; every entry is then a
+        minor of the input, so the division is exact.  Returns the rank, the
+        sign of the row permutation and the last pivot (+-det when nonsingular).
+        """
         g, q = self.shape
         M = [list(row) for row in self.rows]
+        prev = Poly.one()
+        sign = 1
         r = 0
         for col in range(q):
-            best = None
-            for i in range(r, g):
-                if not M[i][col].is_zero and (
-                    best is None or M[i][col].degree < M[best][col].degree
-                ):
-                    best = i
-            if best is None:
-                continue
-            M[r], M[best] = M[best], M[r]
-            pivot = M[r][col]
-            for i in range(r + 1, g):
-                if not M[i][col].is_zero:
-                    factor = M[i][col]
-                    M[i] = [pivot * a - factor * b for a, b in zip(M[i], M[r])]
-            r += 1
             if r == g:
                 break
-        return r
+            candidates = [i for i in range(r, g) if not M[i][col].is_zero]
+            if not candidates:
+                continue
+            best = min(candidates, key=lambda i: M[i][col].degree)
+            if best != r:
+                M[r], M[best] = M[best], M[r]
+                sign = -sign
+            top = M[r]
+            pivot = top[col]
+            for i in range(r + 1, g):
+                row = M[i]
+                factor = row[col]
+                for j in range(col + 1, q):
+                    e = pivot * row[j]
+                    if not factor.is_zero and not top[j].is_zero:
+                        e = e - factor * top[j]
+                    row[j] = e.exact_div(prev)
+            prev = pivot
+            r += 1
+        return r, sign, prev
+
+    def rank(self) -> int:
+        """Rank over the rational-function field."""
+        return self._bareiss()[0]
 
     def determinant(self) -> Poly:
         g, q = self.shape
         if g != q:
             raise DimensionMismatch("determinant requires a square matrix")
-        if g == 0:
-            return Poly.one()
-        if g == 1:
-            return self.rows[0][0]
-        # cofactor expansion along the first column; fine at kernel-rep sizes
-        total = Poly.zero()
-        for i in range(g):
-            if self.rows[i][0].is_zero:
-                continue
-            minor = PolyMatrix(
-                [
-                    [self.rows[a][b] for b in range(1, q)]
-                    for a in range(g)
-                    if a != i
-                ]
-            )
-            term = self.rows[i][0] * minor.determinant()
-            total = total + term if i % 2 == 0 else total - term
-        return total
+        rank, sign, last_pivot = self._bareiss()
+        if rank < g:
+            return Poly.zero()
+        return last_pivot if sign > 0 else -last_pivot
 
     def is_unimodular(self) -> bool:
         g, q = self.shape

@@ -178,11 +178,16 @@ def hankel(w: Trajectory, depth: int) -> HankelMatrix:
         raise EmptyTrajectory("cannot build a Hankel matrix from no samples")
     if depth > T:
         raise DepthExceedsLength(f"depth {depth} exceeds trajectory length {T}")
-    cols = T - depth + 1
-    H = np.empty((q * depth, cols))
-    for j in range(cols):
-        H[:, j] = w.data[j : j + depth].ravel()
-    return HankelMatrix(H, depth=depth, block_rows=q)
+    return HankelMatrix(window_matrix(w.data, depth), depth=depth, block_rows=q)
+
+
+def window_matrix(data: np.ndarray, depth: int) -> np.ndarray:
+    """Stack every length-``depth`` window of a T x q array as a column.
+
+    Row ``k*q + i`` of column ``j`` holds ``data[j + k, i]``.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(data, depth, axis=0)
+    return windows.transpose(2, 1, 0).reshape(depth * data.shape[1], -1)
 
 
 def restrict(w: Trajectory, t0: int, t1: int) -> Trajectory:
@@ -227,10 +232,18 @@ def numerical_rank(matrix, tol: float | None = None) -> RankResult:
         raise DimensionMismatch(f"expected a nonempty matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise NonFiniteEntry("matrix contains non-finite entries")
-    if tol is None:
-        tol = default_rank_tolerance(M.shape)
-    elif not 0 < tol < np.inf:
-        raise InvalidArgument(f"tolerance must be positive and finite, got {tol}")
     svals = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
-    return RankResult(rank, svals)
+    return RankResult(rank_of(svals, M.shape, tol), svals)
+
+
+def check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is positive and finite, else raise InvalidArgument."""
+    if not 0 < tol < np.inf:
+        raise InvalidArgument(f"tolerance must be positive and finite, got {tol}")
+    return tol
+
+
+def rank_of(svals: np.ndarray, shape: Sequence[int], tol: float | None = None) -> int:
+    """The cut of :func:`numerical_rank` applied to given singular values."""
+    tol = default_rank_tolerance(shape) if tol is None else check_tolerance(tol)
+    return int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0

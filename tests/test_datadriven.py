@@ -21,10 +21,11 @@ from atisys.errors import (
     AmbiguousContinuation,
     DimensionMismatch,
     ExcitationDeficient,
+    InvalidArgument,
     NotConverged,
 )
 from atisys.scenario import reference_input, reference_system
-from conftest import pe_affine_input, random_minimal_integer_system, random_system
+from conftest import experiment, pe_affine_input, random_minimal_integer_system, random_system
 
 
 def reference_data(name, length, rng=None, x0=None):
@@ -123,6 +124,70 @@ class TestComplete:
         bad_prefix = Trajectory(np.full((2, 3), 1e6), m=1)
         with pytest.raises(Infeasible):
             complete(rep, bad_prefix, Trajectory.inputs([[0.0]]))
+
+
+class TestResidualTolerance:
+    # nan compares false and inf true against every residual, so either
+    # would turn the residual test into a fixed answer
+    BAD = [float("nan"), float("inf"), 0.0, -1.0]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_membership_rejects_bad_tolerance(self, tol):
+        _, u, result = reference_data("experiment-1", 9)
+        rep = DataDrivenRep(result.io(u), 2)
+        with pytest.raises(InvalidArgument):
+            membership(rep, rep.hankel.column(3), tol)
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_complete_rejects_bad_tolerance(self, tol):
+        _, u, result = reference_data("experiment-1", 9)
+        w = result.io(u)
+        window = restrict(w, 2, 4)
+        with pytest.raises(InvalidArgument):
+            complete(
+                DataDrivenRep(w, 3),
+                restrict(window, 1, 2),
+                Trajectory.inputs(window.data[2:, : w.m]),
+                tol,
+            )
+
+
+class TestCompleteAmbiguityOracle:
+    def test_matches_full_svd_null_basis(self, rng):
+        """Ambiguous exactly when the outputs move along null [C; 1^T].
+
+        The reference null basis comes from a full numpy SVD and
+        ``np.linalg.matrix_rank``; prefixes shorter than the lag leave the
+        outputs free, prefixes of at least the lag fix them.
+        """
+        tol = 1e-8
+        verdicts = []
+        for _ in range(8):
+            n, m, p = (int(v) for v in rng.integers(1, 3, size=3))
+            q, L = m + p, n + 2
+            T = (m + 1) * L + n + 4
+            w, _ = experiment(random_system(rng, n, m, p), rng, Trajectory.inputs(rng.normal(size=(T, m))))
+            rep = DataDrivenRep(w, L)
+            H = rep.hankel.entries
+            for t_ini in range(L):
+                start = int(rng.integers(1, T - L + 2))
+                window = restrict(w, start, start + L - 1)
+                prefix = restrict(window, 1, t_ini) if t_ini else None
+                u_f = Trajectory.inputs(window.data[t_ini:, :m])
+                matched = list(range(q * t_ini)) + [t * q + i for t in range(t_ini, L) for i in range(m)]
+                outputs = [t * q + i for t in range(t_ini, L) for i in range(m, q)]
+                S = np.vstack([H[matched], np.ones(H.shape[1])])
+                null = np.linalg.svd(S)[2][np.linalg.matrix_rank(S) :]
+                Y = H[outputs]
+                ambiguous = np.linalg.norm(Y @ null.T) > tol * (1 + np.linalg.norm(Y))
+                if ambiguous:
+                    with pytest.raises(AmbiguousContinuation):
+                        complete(rep, prefix, u_f, tol)
+                else:
+                    outcome = complete(rep, prefix, u_f, tol)
+                    assert np.allclose(outcome.y_f.data, window.data[t_ini:, m:], atol=1e-6)
+                verdicts.append(ambiguous)
+        assert any(verdicts) and not all(verdicts)
 
 
 class TestRecoverKernel:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import atisys
 from atisys import Poly, PolyMatrix, Trajectory, io_formats
 from atisys.cli import main
 from atisys.kernelrep import AffineKernelRep, OffsetSequence
@@ -314,3 +319,12 @@ class TestPublishedSchemas:
             assert code in (0, 2), f"{command} errored"
             payload = json.loads(capsys.readouterr().out)
             jsonschema.validate(payload, cli_output_schema(command))
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows it
+    src = str(Path(atisys.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, atisys, atisys.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

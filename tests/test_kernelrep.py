@@ -275,6 +275,22 @@ class TestBehaviorApply:
         reduced = minimize(rep)
         assert np.allclose(behavior_apply(reduced, w), 0.0)
 
+    def test_matches_sample_loop(self, rng):
+        # reference: sum_k R_k w(t+k) - c accumulated sample by sample; the
+        # product sums in another order, so agreement is to rounding only
+        for _ in range(20):
+            g, q = (int(v) for v in rng.integers(1, 4, size=2))
+            R = random_poly_matrix(rng, g, q)
+            c = tuple(int(v) for v in rng.integers(-3, 4, size=g))
+            w = rng.normal(size=(R.degree + 1 + int(rng.integers(0, 5)), q))
+            blocks = [np.array(block, dtype=float) for block in R.coefficient_blocks()]
+            expected = [
+                sum(B @ w[t + k] for k, B in enumerate(blocks)) - np.array(c, dtype=float)
+                for t in range(len(w) - R.degree)
+            ]
+            got = behavior_apply(AffineKernelRep(R, c), w)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
     def test_residual_preserved_by_unimodular_maps(self, rng):
         # windows satisfying (R, c) satisfy (U R, U(1) c) for any polynomial U
         R = PolyMatrix([[Poly([-1, 1]), 0], [0, Poly([-2, 1])]])

@@ -13,6 +13,21 @@ def worked_deficient_matrix() -> PolyMatrix:
     return PolyMatrix([[X + 1, X, X + 2], [X * X - 1, X * X - X, X * X + X - 2]])
 
 
+def cofactor_determinant(M: PolyMatrix) -> Poly:
+    """Reference determinant by cofactor expansion along the first column."""
+    n = M.shape[0]
+    if n == 0:
+        return Poly.one()
+    total = Poly.zero()
+    for i in range(n):
+        if M.rows[i][0].is_zero:
+            continue
+        minor = PolyMatrix([row[1:] for a, row in enumerate(M.rows) if a != i], ncols=n - 1)
+        term = M.rows[i][0] * cofactor_determinant(minor)
+        total = total + term if i % 2 == 0 else total - term
+    return total
+
+
 class TestRank:
     def test_full_row_rank_case(self):
         R = PolyMatrix([[1, 0, 0], [0, Poly([1, -1]), 0]])
@@ -79,6 +94,20 @@ class TestDeterminant:
             A = random_poly_matrix(rng, 3, 3, max_degree=1)
             B = random_poly_matrix(rng, 3, 3, max_degree=1)
             assert (A @ B).determinant() == A.determinant() * B.determinant()
+
+    def test_matches_cofactor_expansion(self, rng):
+        for n in range(1, 6):
+            for _ in range(6):
+                R = random_poly_matrix(rng, n, n, max_degree=2)
+                assert R.determinant() == cofactor_determinant(R)
+        singular = PolyMatrix([[X, X * X, 1], [1, X, 0], [X + 1, X * X + X, 1]])
+        assert singular.determinant() == cofactor_determinant(singular) == Poly.zero()
+
+    def test_eight_by_eight_unimodular_product(self, rng):
+        U = random_unimodular(rng, 8, ops=12) @ random_unimodular(rng, 8, ops=12)
+        d = U.determinant()
+        assert d.is_constant and not d.is_zero
+        assert d == cofactor_determinant(U)
 
 
 class TestRowHermite:

@@ -165,3 +165,62 @@ class TestNumericalRank:
         for L in range(1, 11):
             H = hankel(w, L)
             assert numerical_rank(H.entries).rank <= min(w.q * L, w.length - L + 1)
+
+
+small_entry = st.integers(-3, 3)
+
+
+@st.composite
+def integer_systems(draw):
+    """Small integer M and b: square, tall or wide, often rank deficient.
+
+    Deficiency comes from overwriting rows or columns with copies or
+    negations of others, which keeps every entry in [-3, 3].
+    """
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.one_of(st.just(nrows), st.integers(1, 6)))
+    M = [draw(st.lists(small_entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        s = draw(st.sampled_from([-1, 1]))
+        M[dst] = [s * v for v in M[src]]
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        s = draw(st.sampled_from([-1, 1]))
+        for row in M:
+            row[dst] = s * row[src]
+    if draw(st.booleans()):
+        b = [row[0] - row[-1] for row in M]  # consistent by construction
+    else:
+        b = draw(st.lists(small_entry, min_size=nrows, max_size=nrows))
+    return M, b
+
+
+def float_rank(rows) -> int:
+    return int(np.linalg.matrix_rank(np.array(rows, dtype=float)))
+
+
+class TestExactElimination:
+    """exactla against float references on integer data, where both are exact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_systems())
+    def test_against_float_references(self, case):
+        M, b = case
+        nrows, ncols = len(M), len(M[0])
+        r = float_rank(M)
+        assert exactla.rank(M) == r
+        if nrows == ncols:
+            assert exactla.det(M) == round(np.linalg.det(np.array(M, dtype=float)))
+        null = exactla.null_space(M)
+        assert len(null) == ncols - r
+        for v in null:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in M)
+        left = exactla.left_null_space(M)
+        assert len(left) == nrows - r
+        for v in left:
+            assert all(sum(v[i] * M[i][j] for i in range(nrows)) == 0 for j in range(ncols))
+        x = exactla.solve(M, b)
+        assert (x is None) == (float_rank([row + [v] for row, v in zip(M, b)]) != r)
+        if x is not None:
+            assert all(sum(a * xi for a, xi in zip(row, x)) == v for row, v in zip(M, b))
