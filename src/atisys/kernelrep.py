@@ -175,7 +175,7 @@ def consistent_sequence_report(
     M = block_toeplitz(R, T)
     rhs = [c.values[t][i] for t in range(T) for i in range(R.shape[0])]
     if tol is None:
-        consistent = exactla.solve(M, rhs) is not None
+        consistent = exactla.solvable(M, rhs)
     else:
         from .trajectories import numerical_rank
 
@@ -218,15 +218,19 @@ def equivalent(rep1: AffineKernelRep, rep2: AffineKernelRep) -> bool:
     Both are reduced to the canonical minimal form; the canonical matrices
     are equal exactly when the offset-free row modules agree, and then the
     connecting unimodular transform is the identity, so the offsets must
-    match entrywise.
+    match entrywise.  Consistency is checked by the reduction itself: the
+    rows of the Hermite transform U against the zero rows span the left
+    syzygies, so their offsets U(1) c vanish exactly when
+    :func:`consistent_constant` holds.
     """
-    if not consistent_constant(rep1) or not consistent_constant(rep2):
-        raise InconsistentRepresentation("equivalence is defined for consistent representations")
-    if rep1.q != rep2.q:
-        return False
-    min1 = minimize(rep1)
-    min2 = minimize(rep2)
-    return min1.R == min2.R and min1.c == min2.c
+    try:
+        min1 = minimize(rep1)
+        min2 = minimize(rep2)
+    except InconsistentRepresentation:
+        raise InconsistentRepresentation(
+            "equivalence is defined for consistent representations"
+        ) from None
+    return rep1.q == rep2.q and min1.R == min2.R and min1.c == min2.c
 
 
 def behavior_apply(rep: AffineKernelRep, window) -> np.ndarray:

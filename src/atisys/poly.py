@@ -42,6 +42,15 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @classmethod
+    def _from_fractions(cls, coeffs: list[Fraction]) -> "Poly":
+        """Build from a list of Fractions, trimming trailing zeros, without coercion."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        p = object.__new__(cls)
+        object.__setattr__(p, "coefficients", tuple(coeffs))
+        return p
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -92,32 +101,45 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _as_poly(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return Poly(self.coefficient(k) + other.coefficient(k) for k in range(n))
+        a, b = self.coefficients, _as_poly(other).coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b) :])
+        return Poly._from_fractions(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coefficients)
+        return Poly._from_fractions([-c for c in self.coefficients])
 
     def __sub__(self, other) -> "Poly":
-        return self + (-_as_poly(other))
+        a, b = self.coefficients, _as_poly(other).coefficients
+        out = [x - y for x, y in zip(a, b)]
+        out.extend(a[len(b) :])
+        out.extend(-y for y in b[len(a) :])
+        return Poly._from_fractions(out)
 
     def __rsub__(self, other) -> "Poly":
-        return _as_poly(other) + (-self)
+        return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
-        other = _as_poly(other)
-        if self.is_zero or other.is_zero:
+        a, b = self.coefficients, _as_poly(other).coefficients
+        if not a or not b:
             return Poly.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a == 0:
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            return Poly._from_fractions([x * c for x in a])
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Poly(out)
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+        return Poly._from_fractions(out)
 
     __rmul__ = __mul__
 
@@ -136,13 +158,13 @@ class Poly:
 
     def scale(self, value) -> "Poly":
         c = _coerce(value)
-        return Poly(c * a for a in self.coefficients)
+        return Poly._from_fractions([c * a for a in self.coefficients])
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
         if self.is_zero:
             return self
-        return Poly([Fraction(0)] * k + list(self.coefficients))
+        return Poly._from_fractions([Fraction(0)] * k + list(self.coefficients))
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         other = _as_poly(other)
@@ -162,7 +184,7 @@ class Poly:
             for i, c in enumerate(other.coefficients):
                 remainder[k + i] -= factor * c
             remainder.pop()
-        return Poly(quotient), Poly(remainder)
+        return Poly._from_fractions(quotient), Poly._from_fractions(remainder)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]

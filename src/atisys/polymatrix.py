@@ -217,31 +217,35 @@ def poly_rank(matrix: PolyMatrix) -> int:
 
 
 class _Transform:
-    """Square matrix under elementary row ops, with its inverse maintained."""
+    """Square matrix under elementary row ops, optionally with its inverse maintained."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, inverse: bool):
         self.fwd = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
-        self.inv = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
+        self.inv = (
+            [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
+            if inverse
+            else None
+        )
 
     def swap(self, i: int, j: int):
         self.fwd[i], self.fwd[j] = self.fwd[j], self.fwd[i]
-        for row in self.inv:
-            row[i], row[j] = row[j], row[i]
+        if self.inv is not None:
+            for row in self.inv:
+                row[i], row[j] = row[j], row[i]
 
     def add(self, src: int, dst: int, factor: Poly):
-        """Row dst += factor * row src (and the inverse column update)."""
+        """Row dst += factor * row src (and, when kept, the inverse column update)."""
         self.fwd[dst] = [a + factor * b for a, b in zip(self.fwd[dst], self.fwd[src])]
-        for row in self.inv:
-            row[src] = row[src] - factor * row[dst]
+        if self.inv is not None:
+            for row in self.inv:
+                row[src] = row[src] - factor * row[dst]
 
     def scale(self, i: int, c: Fraction):
         self.fwd[i] = [e.scale(c) for e in self.fwd[i]]
-        inv_c = 1 / c
-        for row in self.inv:
-            row[i] = row[i].scale(inv_c)
-
-    def matrices(self) -> tuple[PolyMatrix, PolyMatrix]:
-        return PolyMatrix(self.fwd), PolyMatrix(self.inv)
+        if self.inv is not None:
+            inv_c = 1 / c
+            for row in self.inv:
+                row[i] = row[i].scale(inv_c)
 
 
 @dataclass(frozen=True)
@@ -275,8 +279,9 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
         raise ZeroMatrix("the zero matrix has no Smith pivots")
     g, q = matrix.shape
     M = [list(row) for row in matrix.rows]
-    row_t = _Transform(g)
-    col_t = _Transform(q)
+    # only the forward transforms are returned, so no inverse is kept
+    row_t = _Transform(g, inverse=False)
+    col_t = _Transform(q, inverse=False)
 
     def row_swap(i, j):
         if i != j:
@@ -354,11 +359,9 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
             M[k][k] = M[k][k].monic()
             row_t.scale(k, 1 / lead)
         factors.append(M[k][k])
-    U, _ = row_t.matrices()
     # column ops were recorded as row ops on the transpose, so transpose back
-    col_ops, _ = col_t.matrices()
-    V = col_ops.transpose()
-    return SmithDecomposition(U, V, tuple(factors), matrix.shape)
+    V = PolyMatrix(col_t.fwd).transpose()
+    return SmithDecomposition(PolyMatrix(row_t.fwd), V, tuple(factors), matrix.shape)
 
 
 @dataclass(frozen=True)
@@ -384,7 +387,7 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
     """
     g, q = matrix.shape
     M = [list(row) for row in matrix.rows]
-    t = _Transform(g)
+    t = _Transform(g, inverse=True)
 
     def swap(i, j):
         if i != j:
@@ -428,8 +431,7 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
             if not M[i][col].is_zero and M[i][col].degree >= M[r][col].degree:
                 quo = M[i][col] // M[r][col]
                 add(r, i, -quo)
-    U, U_inv = t.matrices()
-    return RowHermite(PolyMatrix(M), U, U_inv, tuple(pivots))
+    return RowHermite(PolyMatrix(M), PolyMatrix(t.fwd), PolyMatrix(t.inv), tuple(pivots))
 
 
 def clear_denominators(polys: Sequence[Poly]) -> list[Poly]:

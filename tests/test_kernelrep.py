@@ -251,6 +251,37 @@ class TestEquivalent:
                 assert equivalent(reps[0], reps[2])
 
 
+@st.composite
+def deficient_kernels(draw):
+    """Small integer R whose last row is a polynomial combination of the
+    others, with the offset of a constant trajectory, often perturbed."""
+    g = draw(st.integers(2, 3))
+    q = draw(st.integers(1, 3))
+    rows = [draw(st.lists(small_poly, min_size=q, max_size=q)) for _ in range(g - 1)]
+    mults = draw(st.lists(small_poly, min_size=g - 1, max_size=g - 1))
+    rows.append(list((PolyMatrix([mults]) @ PolyMatrix(rows)).rows[0]))
+    R = PolyMatrix(rows)
+    c = list(consistent_offset(R, draw(st.lists(small_int, min_size=q, max_size=q))))
+    if draw(st.booleans()):
+        c[draw(st.integers(0, g - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return AffineKernelRep(R, tuple(c))
+
+
+class TestEquivalentConsistency:
+    @settings(max_examples=150, deadline=None)
+    @given(deficient_kernels())
+    def test_rejects_exactly_the_inconsistent(self, rep):
+        # minimize's zero-row offsets carry the syzygy constraints lambda(1) c = 0
+        if consistent_constant(rep):
+            assert equivalent(rep, rep)
+        else:
+            with pytest.raises(
+                InconsistentRepresentation,
+                match=r"^equivalence is defined for consistent representations$",
+            ):
+                equivalent(rep, rep)
+
+
 class TestBehaviorApply:
     def test_increment_law_zero_residual(self):
         rep = AffineKernelRep(PolyMatrix([[Poly([-1, 1])]]), (1,))

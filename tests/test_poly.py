@@ -87,3 +87,74 @@ def test_gcd_divides_both(a, b):
         assert pa.is_zero and pb.is_zero
     else:
         assert g.divides(pa) and g.divides(pb)
+
+
+# -- arithmetic results against a dict reference -----------------------------
+
+fraction_coeffs = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=0, max_size=5
+)
+
+
+def as_dict(p: Poly) -> dict:
+    return {k: c for k, c in enumerate(p.coefficients)}
+
+
+def from_dict(d: dict) -> tuple:
+    """Reference coefficients: ascending, trailing zeros dropped."""
+    top = max((k for k, c in d.items() if c != 0), default=-1)
+    return tuple(d.get(k, Fraction(0)) for k in range(top + 1))
+
+
+def dict_add(a: dict, b: dict, sign=1) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + sign * c
+    return out
+
+
+def dict_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, Fraction(0)) + x * y
+    return out
+
+
+def exact_fractions(p: Poly) -> bool:
+    return all(type(c) is Fraction for c in p.coefficients) and (
+        not p.coefficients or p.coefficients[-1] != 0
+    )
+
+
+def test_trimming_after_cancellation():
+    p = Poly([1, 2, 3])
+    assert (p - p) == Poly.zero() and (p - p).coefficients == ()
+    x = Poly.x()
+    assert ((x + 1) - x).coefficients == (1,)
+    assert (x + (-x)).coefficients == ()
+    assert (3 - Poly([3])).coefficients == ()
+
+
+@given(fraction_coeffs, fraction_coeffs, st.fractions(min_value=-3, max_value=3, max_denominator=5))
+@settings(max_examples=200, deadline=None)
+def test_results_match_dict_reference(a, b, s):
+    pa, pb = Poly(a), Poly(b)
+    da, db = as_dict(pa), as_dict(pb)
+    cases = {
+        "add": (pa + pb, from_dict(dict_add(da, db))),
+        "sub": (pa - pb, from_dict(dict_add(da, db, -1))),
+        "rsub": (1 - pa, from_dict(dict_add({0: Fraction(1)}, da, -1))),
+        "neg": (-pa, from_dict({k: -c for k, c in da.items()})),
+        "mul": (pa * pb, from_dict(dict_mul(da, db))),
+        "scale": (pa.scale(s), from_dict({k: s * c for k, c in da.items()})),
+        "shift": (pa.shift(2), from_dict({k + 2: c for k, c in da.items()})),
+    }
+    if not pb.is_zero:
+        q, r = divmod(pa, pb)
+        cases["divmod"] = (q * pb + r, from_dict(da))
+        assert r.is_zero or r.degree < pb.degree
+        assert exact_fractions(q) and exact_fractions(r)
+    for name, (result, expected) in cases.items():
+        assert result.coefficients == expected, name
+        assert exact_fractions(result), name

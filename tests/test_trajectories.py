@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,3 +226,190 @@ class TestExactElimination:
         assert (x is None) == (float_rank([row + [v] for row, v in zip(M, b)]) != r)
         if x is not None:
             assert all(sum(a * xi for a, xi in zip(row, x)) == v for row, v in zip(M, b))
+
+
+# -- reference: elimination over Fractions --------------------------------
+#
+# The rational forward elimination and back-substitution exactla ran before
+# it moved to integer rows, kept as the oracle for bit-identical results.
+
+
+def _ref_matrix(rows):
+    # Fraction keeps a numpy int64 numerator, which overflows; go through int
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _ref_echelon(M):
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    pivots = []
+    sign = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if M[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            M[r], M[pivot] = M[pivot], M[r]
+            sign = -sign
+        top = M[r][c:]
+        inv = 1 / top[0]
+        for i in range(r + 1, nrows):
+            row = M[i]
+            if row[c]:
+                f = row[c] * inv
+                row[c:] = [a - f * b if b else a for a, b in zip(row[c:], top)]
+        pivots.append(c)
+    return pivots, sign
+
+
+def _ref_back_substitute(R, pivots, x, rhs):
+    ncols = len(x)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        row = R[r]
+        acc = rhs[r] - sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
+        x[c] = acc / row[c]
+    return x
+
+
+def ref_rank(matrix):
+    return len(_ref_echelon(_ref_matrix(matrix))[0])
+
+
+def ref_null_space(matrix, ncols=None):
+    M = _ref_matrix(matrix)
+    if ncols is None:
+        ncols = len(M[0])
+    pivots, _ = _ref_echelon(M)
+    zeros = [Fraction(0)] * len(pivots)
+    basis = []
+    for c in range(ncols):
+        if c not in pivots:
+            v = [Fraction(0)] * ncols
+            v[c] = Fraction(1)
+            basis.append(_ref_back_substitute(M, pivots, v, zeros))
+    return basis
+
+
+def ref_left_null_space(matrix):
+    M = _ref_matrix(matrix)
+    return ref_null_space([list(col) for col in zip(*M)], ncols=len(M))
+
+
+def ref_det(matrix):
+    M = _ref_matrix(matrix)
+    pivots, sign = _ref_echelon(M)
+    if len(pivots) < len(M):
+        return Fraction(0)
+    out = Fraction(sign)
+    for k in range(len(M)):
+        out *= M[k][k]
+    return out
+
+
+def ref_solve(matrix, rhs):
+    M = _ref_matrix(matrix)
+    ncols = len(M[0])
+    rhs = rhs.tolist() if isinstance(rhs, np.ndarray) else rhs
+    augmented = [row + [Fraction(v)] for row, v in zip(M, rhs)]
+    pivots, _ = _ref_echelon(augmented)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [Fraction(0)] * ncols
+    return _ref_back_substitute(augmented, pivots, x, [row[ncols] for row in augmented])
+
+
+BIG = 2**40  # the benchmark's bound on integer samples
+ENTRY_KINDS = {
+    "small": small_entry,
+    "big": st.one_of(
+        st.just(0), st.builds(lambda s, k: s * BIG + k, st.sampled_from([-1, 1]), small_entry)
+    ),
+    "fraction": st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    "float": st.one_of(
+        st.sampled_from([0.0, 0.1, -0.1, 2.0**-30, -(2.0**-30), 1.5, 1e-14]),
+        small_entry.map(float),
+    ),
+}
+
+
+@st.composite
+def mixed_systems(draw):
+    """M and b of one entry kind, as nested lists or numpy arrays.
+
+    Shapes are square, tall or wide; copied and negated rows and columns
+    make many of them rank deficient.
+    """
+    kind = draw(st.sampled_from(sorted(ENTRY_KINDS)))
+    entry = ENTRY_KINDS[kind]
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.one_of(st.just(nrows), st.integers(1, 5)))
+    M = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+        M[dst] = [-v for v in M[src]] if draw(st.booleans()) else list(M[src])
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
+        for row in M:
+            row[dst] = -row[src]
+    if draw(st.booleans()):
+        b = [row[0] - row[-1] for row in M]
+    else:
+        b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    if kind in ("small", "big") and draw(st.booleans()):
+        M, b = np.array(M, dtype=np.int64), np.array(b, dtype=np.int64)
+    elif kind == "float" and draw(st.booleans()):
+        M, b = np.array(M, dtype=np.float64), np.array(b, dtype=np.float64)
+    return M, b
+
+
+def all_fractions(vectors) -> bool:
+    return all(type(v) is Fraction for vec in vectors for v in vec)
+
+
+class TestIntegerRowElimination:
+    """exactla on integer rows against the rational reference, entry for entry."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mixed_systems())
+    def test_matches_rational_reference(self, case):
+        M, b = case
+        nrows, ncols = len(M), len(M[0])
+        assert exactla.rank(M) == ref_rank(M)
+        null = exactla.null_space(M)
+        assert null == ref_null_space(M) and all_fractions(null)
+        left = exactla.left_null_space(M)
+        assert left == ref_left_null_space(M) and all_fractions(left)
+        x = exactla.solve(M, b)
+        assert x == ref_solve(M, b)
+        assert exactla.solvable(M, b) == (x is not None)
+        if x is not None:
+            assert all_fractions([x])
+        if nrows == ncols:
+            d = exactla.det(M)
+            assert d == ref_det(M) and type(d) is Fraction
+
+    def test_numpy_int64_entries_do_not_overflow(self):
+        M = np.array([[BIG, 1], [1, BIG]], dtype=np.int64)
+        assert exactla.det(M) == BIG * BIG - 1
+        assert exactla.det([list(row) for row in M]) == BIG * BIG - 1  # numpy scalars
+        assert exactla.solve(M, np.array([BIG + 1, BIG + 1])) == [1, 1]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_entry_is_typed(self, bad):
+        M = [[1.0, bad], [0.0, 2.0]]
+        for call in (
+            lambda: exactla.rank(M),
+            lambda: exactla.det(M),
+            lambda: exactla.solve(M, [1, 1]),
+            lambda: exactla.solve([[1, 0], [0, 1]], [bad, 1]),
+            lambda: exactla.null_space(M),
+            lambda: exactla.left_null_space(M),
+            lambda: exactla.rank(np.array(M)),
+        ):
+            with pytest.raises(NonFiniteEntry):
+                call()
