@@ -15,7 +15,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
-from .trajectories import Trajectory, hankel, numerical_rank
+from .trajectories import Trajectory, check_tolerance, hankel, numerical_rank
 
 ModelClass = Literal["linear", "affine"]
 
@@ -91,8 +91,14 @@ def _pe_test(model_class: ModelClass):
 def pe_profile(u: Trajectory, model_class: ModelClass, tol: float | None = None) -> list[bool]:
     """Pass/fail of the excitation test for every order L = 1..T.
 
-    Monotonicity of the condition in L is not assumed; the full vector is
-    reported so non-monotone cases surface in diagnostics.
+    In exact arithmetic the condition is monotone in L.  Dropping the last
+    block row of [H_L(u); 1ᵀ] leaves [H_(L-1)(u); 1ᵀ] without its last
+    column.  So if the former has full row rank, so does the latter, and
+    with the column put back, order L-1 passes too; the same holds without
+    the ones row.  This scan does not rely on that and tests every order:
+    it is the reference that :func:`max_pe_order` is checked against, and a
+    numerical rank verdict that breaks monotonicity near the tolerance
+    surfaces here.
     """
     test = _pe_test(model_class)
     return [test(u, L, tol) for L in range(1, u.length + 1)]
@@ -101,14 +107,30 @@ def pe_profile(u: Trajectory, model_class: ModelClass, tol: float | None = None)
 def max_pe_order(u: Trajectory, model_class: ModelClass, tol: float | None = None) -> int:
     """Largest order L such that all orders up to L pass; 0 if the first fails.
 
-    Stops at the first failing order, so it equals the index of the first
-    ``False`` in :func:`pe_profile` without computing the orders beyond it.
+    No order above the column cap can pass: the matrix has T - L + 1 columns
+    for qL rows (linear) or qL + 1 rows (affine), so L is at most
+    floor((T+1)/(q+1)) or floor(T/(q+1)).  The condition is monotone in L
+    (full row rank at order L implies it at L-1, see :func:`pe_profile`),
+    so the cap is tested first, which settles a generic input in one rank
+    test, and otherwise the largest passing order is bisected below it: at
+    most ceil(log2 cap) + 1 rank tests in all.
     """
     test = _pe_test(model_class)
-    for L in range(1, u.length + 1):
-        if not test(u, L, tol):
-            return L - 1
-    return u.length
+    _require_all_inputs(u)
+    if tol is not None:
+        check_tolerance(tol)
+    # the largest L with min_data_length(q, L, model_class) <= T
+    cap = (u.length + (model_class == "linear")) // (u.q + 1)
+    if cap == 0 or test(u, cap, tol):
+        return cap
+    passing, failing = 0, cap
+    while failing - passing > 1:
+        mid = (passing + failing) // 2
+        if test(u, mid, tol):
+            passing = mid
+        else:
+            failing = mid
+    return passing
 
 
 def gape_report(
@@ -149,20 +171,23 @@ def gape_check(
 
 
 def min_data_length(m: int, order: int, model_class: ModelClass = "linear") -> int:
-    """Minimal sequence length T_L = (m+1)L - 1 for excitation of order L.
+    """Minimal sequence length T_L for excitation of order L.
 
-    The accounting formula is the same for both model classes; the saving of
-    the affine route comes from the lower order it needs, not from a shorter
-    per-order length (see :func:`sampling_gap`).
+    The rank test can pass only when its matrix has at least as many columns
+    (T - L + 1) as rows: m L for the linear class, so T_L = (m+1)L - 1, and
+    m L + 1 for the affine class, so T_L = (m+1)L.  A generic input passes
+    at exactly that length.  The saving of the affine route comes from the
+    lower order it needs (see :func:`sampling_gap`).
     """
     _check_class(model_class)
     if m < 1 or order < 1:
         raise InvalidArgument("m and order must be positive")
-    return (m + 1) * order - 1
+    rows = m * order + (model_class == "affine")
+    return rows + order - 1
 
 
 def sampling_gap(m: int) -> int:
-    """Sample-count reduction T_{n+L+1}(linear) - T_{n+L}(affine) = m + 1."""
+    """Sample-count reduction T_{n+L+1}(linear) - T_{n+L}(affine) = m."""
     if m < 1:
         raise InvalidArgument("m must be positive")
-    return m + 1
+    return m

@@ -15,7 +15,9 @@ sequence on a window.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,13 +49,14 @@ def read_trajectory_csv(
     """Load a trajectory; the split ``m`` falls back to the sidecar, then 0.
 
     ``all_inputs=True`` treats every variable as an input, which is what the
-    excitation tests expect.
+    excitation tests expect.  Blank lines are skipped; ``#`` starts no
+    comment.  Every failure raises :class:`FormatError`, naming the 1-based
+    data row where there is one.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with path.open() as fh:  # universal newlines: loadtxt sees "\n" line ends only
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
         if not header or header[0].strip() != "t":
@@ -61,24 +64,26 @@ def read_trajectory_csv(
         q = len(header) - 1
         if q < 1:
             raise FormatError(f"{path}: no variable columns")
-        rows = []
-        for t_expected, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != q + 1:
-                raise FormatError(f"{path}: row {t_expected} has {len(row)} fields")
-            try:
-                t_val = int(float(row[0]))
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise FormatError(f"{path}: row {t_expected}: {exc}") from None
-            if t_val != t_expected:
-                raise FormatError(
-                    f"{path}: time column must run 1..T, found {t_val} at row {t_expected}"
-                )
-            rows.append(values)
-    if not rows:
+        body = fh.read()
+    if not body.strip():
         raise FormatError(f"{path}: no samples")
+    # loadtxt takes its field count from the first row; hold that row to the header
+    fields = len(next(csv.reader([body.lstrip("\n").partition("\n")[0]])))
+    if fields != q + 1:
+        raise FormatError(f"{path}: row 1 has {fields} fields, the header has {q + 1}")
+    try:
+        table = np.loadtxt(
+            io.StringIO(body), delimiter=",", comments=None, quotechar='"', ndmin=2
+        )
+    except ValueError as exc:
+        raise _body_error(path, exc) from None
+    t = table[:, 0]
+    bad = np.flatnonzero(np.trunc(t) != np.arange(1, len(t) + 1))
+    if bad.size:
+        row = int(bad[0]) + 1
+        raise FormatError(
+            f"{path}: time column must run 1..T, found {t[row - 1]:g} at row {row}"
+        )
     labels = None
     if m is None and not all_inputs:
         side = sidecar_path(path)
@@ -86,10 +91,27 @@ def read_trajectory_csv(
             meta = json.loads(side.read_text())
             m = meta.get("m")
             labels = meta.get("labels")
-    data = np.array(rows)
+    data = table[:, 1:]
     if all_inputs:
         return Trajectory.inputs(data, labels=labels)
     return Trajectory(data, m=0 if m is None else int(m), labels=labels)
+
+
+# numpy names the data row in its loadtxt errors, counting from 0 in a failed
+# conversion and from 1 in a changed field count
+_NUMPY_ROW = re.compile(r"(.*?) at row (\d+)")
+
+
+def _body_error(path, exc: ValueError) -> FormatError:
+    """The FormatError for a loadtxt failure, with a 1-based data row."""
+    message = str(exc)
+    found = _NUMPY_ROW.match(message)
+    if found is None:
+        return FormatError(f"{path}: {message}")
+    reason, row = found.group(1), int(found.group(2))
+    if reason.startswith("could not convert"):
+        row += 1
+    return FormatError(f"{path}: row {row}: {reason}")
 
 
 def write_trajectory_csv(path, w: Trajectory, write_sidecar: bool = True):

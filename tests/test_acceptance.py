@@ -83,10 +83,10 @@ def test_criterion_2_excitation_classification():
 def test_criterion_3_data_requirement_identities():
     ok = True
     for m in range(1, 11):
-        ok = ok and sampling_gap(m) == m + 1
+        ok = ok and sampling_gap(m) == m
         for L in range(1, 11):
             ok = ok and min_data_length(m, L, "linear") == (m + 1) * L - 1
-            ok = ok and min_data_length(m, L, "affine") == (m + 1) * L - 1
+            ok = ok and min_data_length(m, L, "affine") == (m + 1) * L
     report("3 data-requirement identities", ok)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atisys import (
     AffineStateSpace,
@@ -77,6 +79,116 @@ class TestSimulate:
             assert np.linalg.norm(x_next - x_mix[t + 1]) < 1e-10
             y_now = sys.C @ x_mix[t] + sys.D @ u_mix[t] + sys.F
             assert np.linalg.norm(y_now - y_mix[t]) < 1e-10
+
+
+def per_sample_reference(sys, x0, u_data):
+    """The plain recursion, one sample at a time: states x(1..T+1) and outputs."""
+    T = u_data.shape[0]
+    x = np.empty((T + 1, sys.n))
+    y = np.empty((T, sys.p))
+    x[0] = x0
+    for t in range(T):
+        y[t] = sys.C @ x[t] + sys.D @ u_data[t] + sys.F
+        x[t + 1] = sys.A @ x[t] + sys.B @ u_data[t] + sys.E
+    return x, y
+
+
+def normal_transition(rng, n, radius):
+    """Q R Qᵀ with Q orthogonal and R block diagonal of scaled rotations and
+    reals, the largest of modulus ``radius``: a normal matrix, so rounding is
+    not amplified beyond the states' own growth."""
+    R = np.zeros((n, n))
+    i = 0
+    while i < n:
+        r = radius if i == 0 else rng.uniform(0, radius)
+        if i + 1 < n and rng.random() < 0.5:
+            angle = rng.uniform(0, np.pi)
+            c, s = np.cos(angle), np.sin(angle)
+            R[i : i + 2, i : i + 2] = r * np.array([[c, -s], [s, c]])
+            i += 2
+        else:
+            R[i, i] = r * rng.choice([-1.0, 1.0])
+            i += 1
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return Q @ R @ Q.T
+
+
+def assert_close(got, want, rtol=1e-12):
+    scale = np.max(np.abs(want)) if want.size else 0.0
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
+
+
+class TestSimulateBlocks:
+    """The block recursion against the per-sample loop (blocks are 64 samples)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        p=st.integers(1, 2),
+        radius=st.sampled_from([0.3, 0.9, 0.99, 1.0, 1.1, 1.2]),
+        T=st.sampled_from([1, 2, 5, 63, 64, 65, 127, 128, 129, 200, 300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_sample_loop(self, n, m, p, radius, T, seed):
+        rng = np.random.default_rng(seed)
+        sys = AffineStateSpace(
+            normal_transition(rng, n, radius),
+            rng.normal(size=(n, m)),
+            rng.normal(size=(p, n)),
+            rng.normal(size=(p, m)),
+            rng.normal(size=n),
+            rng.normal(size=p),
+        )
+        u = rng.normal(size=(T, m))
+        x0 = rng.normal(size=n)
+        result = simulate(sys, x0, Trajectory.inputs(u))
+        x_ref, y_ref = per_sample_reference(sys, x0, u)
+        assert_close(np.vstack([result.x.data, result.final_state]), x_ref)
+        assert_close(result.y.data, y_ref)
+
+    def test_long_stable_record(self, rng):
+        sys = random_system(rng, 3, 1, 2)
+        u = rng.normal(size=(5000, 1))
+        x0 = rng.normal(size=3)
+        result = simulate(sys, x0, Trajectory.inputs(u))
+        x_ref, y_ref = per_sample_reference(sys, x0, u)
+        assert_close(np.vstack([result.x.data, result.final_state]), x_ref)
+        assert_close(result.y.data, y_ref)
+
+    @pytest.mark.parametrize("T", [1, 64, 100])
+    def test_order_zero(self, rng, T):
+        sys = AffineStateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)), [[2.0, -1.0]], [], [3.0])
+        u = rng.normal(size=(T, 2))
+        result = simulate(sys, np.zeros(0), Trajectory.inputs(u))
+        assert result.x is None and result.final_state.shape == (0,)
+        assert_close(result.y.data, per_sample_reference(sys, np.zeros(0), u)[1])
+
+    @pytest.mark.parametrize("T", [1, 64, 100])
+    def test_no_outputs(self, rng, T):
+        sys = AffineStateSpace(np.eye(2) * 0.5, rng.normal(size=(2, 1)), np.zeros((0, 2)), np.zeros((0, 1)), [1.0, -1.0], [])
+        u = rng.normal(size=(T, 1))
+        result = simulate(sys, [1.0, 2.0], Trajectory.inputs(u))
+        assert result.y is None
+        x_ref, _ = per_sample_reference(sys, [1.0, 2.0], u)
+        assert_close(np.vstack([result.x.data, result.final_state]), x_ref)
+
+    @pytest.mark.parametrize("T", [1, 64, 100])
+    def test_no_inputs_with_horizon(self, rng, T):
+        sys = AffineStateSpace(normal_transition(rng, 3, 1.1), np.zeros((3, 0)), rng.normal(size=(1, 3)), np.zeros((1, 0)), rng.normal(size=3), [0.5])
+        x0 = rng.normal(size=3)
+        result = simulate(sys, x0, horizon=T)
+        x_ref, y_ref = per_sample_reference(sys, x0, np.zeros((T, 0)))
+        assert result.x.length == T
+        assert_close(np.vstack([result.x.data, result.final_state]), x_ref)
+        assert_close(result.y.data, y_ref)
+
+    def test_zero_state_kept_when_powers_overflow(self):
+        # A^64 overflows here; the plain recursion keeps x = 0 exactly
+        sys = AffineStateSpace.linear([[1e6]], [[1.0]], [[1.0]], [[0.0]])
+        result = simulate(sys, [0.0], Trajectory.inputs(np.zeros(100)))
+        assert not np.any(result.x.data) and not np.any(result.y.data)
+        assert result.final_state.tolist() == [0.0]
 
 
 class TestControllable:

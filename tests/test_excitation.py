@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atisys import (
     Trajectory,
@@ -14,7 +18,8 @@ from atisys import (
     pe_profile,
     sampling_gap,
 )
-from atisys.errors import DepthExceedsLength, DimensionMismatch
+from atisys import excitation
+from atisys.errors import DepthExceedsLength, DimensionMismatch, InvalidArgument
 from atisys.scenario import reference_input, reference_system
 from atisys import restrict, simulate
 
@@ -96,6 +101,66 @@ class TestMaxOrder:
                     first_fail = profile.index(False) if False in profile else len(profile)
                     assert max_pe_order(u, model_class) == first_fail
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        T=st.integers(1, 60),
+        m=st.integers(1, 3),
+        kind=st.sampled_from(["integer", "periodic", "normal", "offset"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_profile_scan(self, T, m, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "integer":
+            data = rng.integers(-1, 2, size=(T, m)).astype(float)
+        elif kind == "periodic":
+            period = int(rng.integers(1, 6))
+            data = np.tile(rng.normal(size=(period, m)), (T // period + 1, 1))[:T]
+        elif kind == "normal":
+            data = rng.normal(size=(T, m))
+        else:
+            data = 1e3 + 1e-3 * rng.integers(-2, 3, size=(T, m))
+        u = Trajectory.inputs(data)
+        for model_class in ("linear", "affine"):
+            profile = pe_profile(u, model_class)
+            first_fail = profile.index(False) if False in profile else len(profile)
+            assert max_pe_order(u, model_class) == first_fail
+
+    @pytest.mark.parametrize("model_class", ["linear", "affine"])
+    @pytest.mark.parametrize("T,m", [(1, 1), (2, 1), (9, 1), (40, 2), (61, 3), (200, 1)])
+    def test_rank_tests_bounded_by_bisection(self, monkeypatch, model_class, T, m):
+        calls = []
+        real = excitation.rank_verdict
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(excitation, "rank_verdict", counted)
+        cap = (T + (model_class == "linear")) // (m + 1)
+        inputs = (
+            np.random.default_rng(T).normal(size=(T, m)),  # passes at the cap
+            np.tile([[1.0] * m, [2.0] * m, [4.0] * m], (T, 1))[:T],  # fails below it
+        )
+        for data in inputs:
+            calls.clear()
+            max_pe_order(Trajectory.inputs(data), model_class)
+            assert len(calls) <= (math.ceil(math.log2(cap)) + 1 if cap else 0)
+
+    def test_long_generic_record_reaches_cap(self):
+        u = Trajectory.inputs(np.random.default_rng(5).normal(size=2000))
+        assert max_pe_order(u, "affine") == 1000
+
+    def test_errors_typed_before_the_cap(self):
+        # too short for order 1 (the cap is 0), yet the argument errors stay
+        short = np.ones((1, 2))
+        with pytest.raises(DimensionMismatch):
+            max_pe_order(Trajectory(short, m=1), "affine")
+        with pytest.raises(InvalidArgument):
+            max_pe_order(Trajectory.inputs(short), "quadratic")
+        with pytest.raises(InvalidArgument):
+            max_pe_order(Trajectory.inputs(short), "affine", tol=0.0)
+        assert max_pe_order(Trajectory.inputs(short), "affine") == 0
+
     def test_profile_reported_for_all_depths(self):
         profile = pe_profile(ALTERNATING, "affine")
         assert profile == [True, False, False, False, False, False]
@@ -138,17 +203,34 @@ class TestGape:
 
 
 class TestDataRequirements:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 3),
+        L=st.integers(1, 6),
+        model_class=st.sampled_from(["linear", "affine"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shortest_passing_record_is_min_data_length(self, m, L, model_class, seed):
+        # oracle: grow a generic record one sample at a time until the rank
+        # test passes at order L; the length it stops at is the minimal one
+        u = np.random.default_rng(seed).normal(size=((m + 1) * L + 1, m))
+        test = pe_order_linear if model_class == "linear" else pe_order_affine
+        for T in range(L, len(u) + 1):
+            if test(Trajectory.inputs(u[:T]), L):
+                break
+        assert T == min_data_length(m, L, model_class)
+
     def test_reference_values(self):
         assert min_data_length(1, 5) == 9
-        assert min_data_length(1, 4, "affine") == 7
-        assert sampling_gap(3) == 4
+        assert min_data_length(1, 4, "affine") == 8
+        assert sampling_gap(3) == 3
 
     def test_identities_exhaustive(self):
         for m in range(1, 11):
-            assert sampling_gap(m) == m + 1
+            assert sampling_gap(m) == m
             for L in range(1, 11):
                 assert min_data_length(m, L, "linear") == (m + 1) * L - 1
-                assert min_data_length(m, L, "affine") == (m + 1) * L - 1
+                assert min_data_length(m, L, "affine") == (m + 1) * L
 
     def test_gap_is_length_difference_at_shifted_orders(self):
         for m in range(1, 11):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,6 +50,51 @@ class TestTrajectoryCsv:
         (workdir / "bad.csv").write_text("time,w1\n1,1.0\n")
         with pytest.raises(io_formats.FormatError):
             io_formats.read_trajectory_csv("bad.csv")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1,1.0\n2,2.0\n3,3.0,4.0\n",  # too many fields
+            "1,1.0\n2,2.0\n3\n",  # too few fields
+            "1,1.0\n2,2.0\n3,abc\n",  # non-numeric cell
+            "1,1.0\n2,2.0\n3,\n",  # empty cell
+            "1,1.0\n2,2.0\n3,#\n",  # '#' is a value, not a comment
+        ],
+    )
+    def test_bad_row_named_one_based(self, workdir, body):
+        (workdir / "bad.csv").write_text("t,w1\n" + body)
+        with pytest.raises(io_formats.FormatError, match=r"\brow 3\b"):
+            io_formats.read_trajectory_csv("bad.csv")
+
+    def test_bad_first_row_field_count(self, workdir):
+        (workdir / "bad.csv").write_text("t,w1\n1,1.0,2.0\n2,2.0,3.0\n")
+        with pytest.raises(io_formats.FormatError, match=r"\brow 1\b"):
+            io_formats.read_trajectory_csv("bad.csv")
+
+    def test_hash_line_is_not_a_comment(self, workdir):
+        (workdir / "bad.csv").write_text("t,w1\n1,1.0\n# note\n")
+        with pytest.raises(io_formats.FormatError):
+            io_formats.read_trajectory_csv("bad.csv")
+
+    def test_time_gap_named_one_based(self, workdir):
+        (workdir / "bad.csv").write_text("t,w1\n1,1.0\n2,2.0\n4,3.0\n")
+        with pytest.raises(io_formats.FormatError, match=r"found 4 at row 3\b"):
+            io_formats.read_trajectory_csv("bad.csv")
+
+    def test_lenient_forms_parse(self, workdir):
+        # trailing blank lines are skipped, quoted numbers and a time of 1.0 parse
+        (workdir / "ok.csv").write_text('t,w1,w2\n1.0,"2.5",-1\n2,3e-1," 4 "\n\n\n')
+        w = io_formats.read_trajectory_csv("ok.csv", all_inputs=True)
+        assert w.data.tolist() == [[2.5, -1.0], [0.3, 4.0]]
+
+    def test_header_only_has_no_samples(self, workdir):
+        (workdir / "empty.csv").write_text("t,w1\n")
+        (workdir / "blank.csv").write_text("t,w1\n\n\n")
+        for name in ("empty.csv", "blank.csv"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(io_formats.FormatError, match="no samples"):
+                    io_formats.read_trajectory_csv(name)
 
 
 class TestSystemJson:
