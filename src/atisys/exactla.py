@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals, run on integer rows.
 
 Small dense routines used wherever a rank or null-space decision must be
-discontinuity-free: consistency tests of kernel representations, exact
+discontinuity-free: row-proper reduction of kernel representations, exact
 kernel recovery from rational data, and the eigenvalue-at-one certificate of
 lifted systems.  Matrices are lists of row lists (or numpy arrays).  Every
 entry is read exactly through ``as_integer_ratio()``: ints, Fractions,
@@ -188,7 +188,13 @@ def det(matrix) -> Fraction:
     return Fraction(sign * prod(M[k][k] for k in range(n))) / scale
 
 
-def _augmented_echelon(matrix, rhs) -> tuple[Matrix, list[int], int]:
+def solve(matrix, rhs) -> list[Fraction] | None:
+    """Solve M x = b exactly; ``None`` when the system is inconsistent.
+
+    One elimination of [M | b]: the system is inconsistent exactly when an
+    echelon pivot lies in b's column.  For underdetermined systems the free
+    variables are set to zero.
+    """
     rows = _rows(matrix)
     b = _rows(rhs)
     if len(rows) != len(b):
@@ -196,21 +202,6 @@ def _augmented_echelon(matrix, rhs) -> tuple[Matrix, list[int], int]:
     ncols = len(rows[0]) if len(rows) else 0
     M = _integer_rows([[*row, v] for row, v in zip(rows, b)])
     pivots, _, _ = _echelon(M)
-    return M, pivots, ncols
-
-
-def solvable(matrix, rhs) -> bool:
-    """Whether M x = b has a solution: no echelon pivot of [M | b] lies in b's column."""
-    _, pivots, ncols = _augmented_echelon(matrix, rhs)
-    return not pivots or pivots[-1] != ncols
-
-
-def solve(matrix, rhs) -> list[Fraction] | None:
-    """Solve M x = b exactly; ``None`` when the system is inconsistent.
-
-    For underdetermined systems the free variables are set to zero.
-    """
-    M, pivots, ncols = _augmented_echelon(matrix, rhs)
     if pivots and pivots[-1] == ncols:
         return None
     x = [Fraction(0)] * ncols

@@ -50,8 +50,10 @@ def read_trajectory_csv(
 
     ``all_inputs=True`` treats every variable as an input, which is what the
     excitation tests expect.  Blank lines are skipped; ``#`` starts no
-    comment.  Every failure raises :class:`FormatError`, naming the 1-based
-    data row where there is one.
+    comment.  The time column must hold exactly 1..T (``2.0`` reads as 2,
+    ``2.5`` is an error).  Every failure raises :class:`FormatError`, naming
+    the 1-based data row where there is one, or the sidecar when that is
+    malformed.
     """
     path = Path(path)
     with path.open() as fh:  # universal newlines: loadtxt sees "\n" line ends only
@@ -78,7 +80,7 @@ def read_trajectory_csv(
     except ValueError as exc:
         raise _body_error(path, exc) from None
     t = table[:, 0]
-    bad = np.flatnonzero(np.trunc(t) != np.arange(1, len(t) + 1))
+    bad = np.flatnonzero(t != np.arange(1, len(t) + 1))
     if bad.size:
         row = int(bad[0]) + 1
         raise FormatError(
@@ -88,13 +90,27 @@ def read_trajectory_csv(
     if m is None and not all_inputs:
         side = sidecar_path(path)
         if side.exists():
-            meta = json.loads(side.read_text())
-            m = meta.get("m")
-            labels = meta.get("labels")
+            m, labels = _read_sidecar(side, q)
     data = table[:, 1:]
     if all_inputs:
         return Trajectory.inputs(data, labels=labels)
     return Trajectory(data, m=0 if m is None else int(m), labels=labels)
+
+
+def _read_sidecar(side: Path, q: int) -> tuple[int | None, list | None]:
+    """The split ``m`` and the labels of a sidecar, checked against q variables."""
+    try:
+        meta = json.loads(side.read_text())
+    except ValueError as exc:  # bad JSON or bad text encoding
+        raise FormatError(f"{side}: sidecar is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{side}: sidecar must be a JSON object")
+    m, labels = meta.get("m"), meta.get("labels")
+    if m is not None and (type(m) is not int or not 0 <= m <= q):
+        raise FormatError(f"{side}: sidecar 'm' must be an integer in [0, {q}], got {m!r}")
+    if labels is not None and (type(labels) is not list or len(labels) != q):
+        raise FormatError(f"{side}: sidecar 'labels' must be a list of {q} names")
+    return m, labels
 
 
 # numpy names the data row in its loadtxt errors, counting from 0 in a failed

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .poly import Poly
 from .polymatrix import PolyMatrix, clear_denominators, row_hermite, smith_form
-from .trajectories import window_matrix
+from .trajectories import check_tolerance, window_matrix
 
 OffsetVector = tuple[Fraction, ...]
 
@@ -90,19 +91,55 @@ class OffsetSequence:
 
 
 def syzygy_basis(R: PolyMatrix) -> list[tuple[Poly, ...]]:
-    """Generators of the left syzygy module {lambda : lambda R = 0}.
+    """A minimal basis of the left syzygy module {lambda : lambda R = 0}.
 
-    Taken from the bottom rows of the Smith transform U, scaled to integer
-    coefficients with content one.  Full-row-rank matrices return the empty
-    list; the zero matrix returns the coordinate rows.
+    The rows of the row-Hermite transform U against the zero rows of U R
+    span the syzygies, and as rows of a unimodular matrix they are left
+    prime.  Made row proper by :func:`_row_proper`, they form a minimal
+    basis in Forney's sense: the degrees are the smallest any basis can
+    have.  Each generator is scaled to integer coefficients with content
+    one.  Full-row-rank matrices return the empty list; the zero matrix
+    returns the coordinate rows.
     """
-    g = R.shape[0]
-    if R.is_zero:
-        return [tuple(PolyMatrix.identity(g).rows[i]) for i in range(g)]
-    dec = smith_form(R)
-    rows = []
-    for i in range(dec.rank, g):
-        rows.append(tuple(clear_denominators(dec.U.rows[i])))
+    reduction = row_hermite(R)
+    rows = [list(reduction.U.rows[i]) for i in range(reduction.rank, R.shape[0])]
+    return [tuple(clear_denominators(row)) for row in _row_proper(rows)]
+
+
+def _row_degree(row: Sequence[Poly]) -> int:
+    return max(e.degree for e in row)
+
+
+def _row_proper(rows: list[list[Poly]]) -> list[list[Poly]]:
+    """Make rows of full row rank row proper by unimodular row operations.
+
+    While the leading row-coefficient matrix is rank deficient, a combination
+    of rows cancels the leading terms of the highest-degree row in its
+    support, strictly lowering that row's degree; the other rows enter with
+    polynomial factors, so the rows keep spanning the same module.  On exit
+    the leading row-coefficient matrix has full row rank.
+    """
+    rows = [list(r) for r in rows]
+    while rows:
+        degrees = [_row_degree(row) for row in rows]
+        leading = [
+            [e.coefficient(deg) for e in row] for row, deg in zip(rows, degrees)
+        ]
+        null = exactla.left_null_space(leading)
+        if not null:
+            break
+        alpha = null[0]
+        support = [i for i, a in enumerate(alpha) if a != 0]
+        j = max(support, key=lambda i: degrees[i])
+        scale = 1 / alpha[j]
+        new_row = list(rows[j])
+        for i in support:
+            if i == j:
+                continue
+            shift = degrees[j] - degrees[i]
+            factor = Poly([alpha[i] * scale]).shift(shift)
+            new_row = [a + factor * b for a, b in zip(new_row, rows[i])]
+        rows[j] = new_row
     return rows
 
 
@@ -125,23 +162,6 @@ def consistent_constant(rep: AffineKernelRep) -> bool:
     )
 
 
-def block_toeplitz(R: PolyMatrix, window: int) -> list[list[Fraction]]:
-    """Constant matrix acting on w(1..window+d) that stacks R(sigma) w over
-    t = 1..window, with d = deg R."""
-    g, q = R.shape
-    d = R.degree
-    blocks = R.coefficient_blocks()
-    rows = g * window
-    cols = q * (window + d)
-    M = [[Fraction(0)] * cols for _ in range(rows)]
-    for t in range(window):
-        for k, block in enumerate(blocks):
-            for i in range(g):
-                for j in range(q):
-                    M[t * g + i][(t + k) * q + j] = block[i][j]
-    return M
-
-
 def consistent_sequence(
     R: PolyMatrix, c: OffsetSequence, tol: float | None = None
 ) -> bool:
@@ -153,18 +173,29 @@ def consistent_sequence_report(
 ) -> ConsistencyReport:
     """Finite-window consistency test for a general offset sequence.
 
-    Solvability of the stacked window system M w = c is decided by one
-    elimination of [M | c]: its pivots in M's columns are M's own, so the
-    system is solvable exactly when no pivot lands in the offset column,
-    i.e. when rank M = rank [M | c].  A solution on [1, T] restricts to
-    every sub-window, so all shorter shifts inside the window are covered.  The verdict is
-    certified (decides membership of any extension of c built from windows of
-    this length at every shift) when T is at least one more than the maximal
-    syzygy degree; a finitely specified offset cannot certify more.
+    The window system stacks (R(sigma) w)(t) = c(t) for t = 1..T.  A left
+    null vector y of its block-Toeplitz matrix is exactly a syzygy
+    y(x) = sum_t y_t x^(t-1) of degree at most T-1, and the system is
+    solvable when every such y annihilates c.  By the predictable-degree
+    property of a minimal basis lambda_1..lambda_k with degrees delta_i
+    (Forney 1975), those syzygies are exactly sum_i a_i lambda_i with
+    deg a_i <= T-1-delta_i.  So the window is consistent exactly when
 
-    Elimination is exact by default, which treats the offsets as the exact
-    rationals they encode.  Pass ``tol`` to compare numerical ranks instead,
-    the right reading for measured offsets known only to float accuracy.
+        sum_j lambda_i,j c(s+j) = 0  for every i and s = 1..T-delta_i,
+
+    with lambda_i,j the coefficient of x^j in lambda_i: O(T * sum_i delta_i * g)
+    exact operations, with no Toeplitz matrix built.  A solution on [1, T]
+    restricts to every sub-window, so all shorter shifts inside the window
+    are covered.  The verdict is certified (decides membership of any
+    extension of c built from windows of this length at every shift) when T
+    is at least one more than the maximal minimal degree, the reported
+    ``syzygy_degree``; a finitely specified offset cannot certify more.
+
+    The filter is exact by default, which treats the offsets as the exact
+    rationals they encode.  With ``tol`` (positive, finite) it runs in
+    floats, the right reading for measured offsets known only to float
+    accuracy: a constraint counts as met when its residual is at most
+    ``tol`` times the sum of the magnitudes of its terms.
     """
     if R.shape[0] != c.g:
         raise DimensionMismatch(f"offset width {c.g} != row count {R.shape[0]}")
@@ -172,24 +203,55 @@ def consistent_sequence_report(
     T = c.length
     if T < d + 1:
         raise WindowTooShort(f"window {T} shorter than degree bound {d + 1}")
-    M = block_toeplitz(R, T)
-    rhs = [c.values[t][i] for t in range(T) for i in range(R.shape[0])]
-    if tol is None:
-        consistent = exactla.solvable(M, rhs)
-    else:
-        from .trajectories import numerical_rank
-
-        M_float = np.array(M, dtype=float)
-        augmented = np.column_stack([M_float, np.array(rhs, dtype=float)])
-        consistent = numerical_rank(M_float, tol).rank == numerical_rank(augmented, tol).rank
     syz = syzygy_basis(R)
-    delta = max((max(e.degree for e in gen) for gen in syz), default=-1)
+    if tol is None:
+        scale = lcm(*(v.denominator for row in c.values for v in row))
+        columns = [
+            [v.numerator * (scale // v.denominator) for v in column]
+            for column in zip(*c.values)
+        ]
+        consistent = all(not any(_filter(lam, columns, T)) for lam in syz)
+    else:
+        check_tolerance(tol)
+        columns = np.array(c.values, dtype=float).T
+        consistent = all(_within(lam, columns, T, tol) for lam in syz)
+    delta = max((_row_degree(lam) for lam in syz), default=-1)
     return ConsistencyReport(
         consistent=consistent,
         certified=T >= delta + 1,
         syzygy_degree=delta,
         window_length=T,
     )
+
+
+def _filter(lam: Sequence[Poly], columns: list[list[int]], T: int) -> list[int]:
+    """sum_j lam_j . c(s+j) for s = 1..T-deg lam, on integer offset columns.
+
+    The generator's coefficients are integers (content one), so the sums
+    stay in Python integers.
+    """
+    n = T - _row_degree(lam)
+    acc = [0] * max(n, 0)
+    for e, column in zip(lam, columns):
+        for j, a in enumerate(e.numerators):
+            if a:
+                acc = [x + a * y for x, y in zip(acc, column[j : j + n])]
+    return acc
+
+
+def _within(lam: Sequence[Poly], columns: np.ndarray, T: int, tol: float) -> bool:
+    """Float residuals of the filter, each at most tol times the magnitude of its terms."""
+    n = T - _row_degree(lam)
+    if n <= 0:
+        return True
+    acc = np.zeros(n)
+    size = np.zeros(n)
+    for e, column in zip(lam, columns):
+        for j, a in enumerate(e.numerators):
+            if a:
+                acc += float(a) * column[j : j + n]
+                size += abs(float(a)) * np.abs(column[j : j + n])
+    return bool(np.all(np.abs(acc) <= tol * size))
 
 
 def minimize(rep: AffineKernelRep) -> AffineKernelRep:
@@ -251,10 +313,13 @@ def behavior_apply(rep: AffineKernelRep, window) -> np.ndarray:
     L = w.shape[0]
     if L < d + 1:
         raise WindowTooShort(f"window {L} shorter than degree bound {d + 1}")
-    # [R_0 ... R_d] @ (column t: w(t), ..., w(t+d) stacked) - c
-    stacked = np.array(
-        [[float(v) for block in rep.R.coefficient_blocks() for v in block[i]] for i in range(rep.g)]
-    ).reshape(rep.g, rep.q * (d + 1))
+    # [R_0 ... R_d] @ (column t: w(t), ..., w(t+d) stacked) - c; each
+    # coefficient is its numerator over the entry's denominator, rounded once
+    blocks = np.zeros((rep.g, d + 1, rep.q))
+    for i, row in enumerate(rep.R.rows):
+        for j, e in enumerate(row):
+            blocks[i, : len(e.numerators), j] = [n / e.denominator for n in e.numerators]
+    stacked = blocks.reshape(rep.g, (d + 1) * rep.q)
     return (stacked @ window_matrix(w, d + 1)).T - rep.offset_floats()
 
 
@@ -274,32 +339,10 @@ def controllable_kernel(rep: AffineKernelRep) -> bool:
 def lag_of(rep: AffineKernelRep) -> int:
     """Minimal degree over all representations of the same trajectory set.
 
-    Minimizes, then makes the rows proper: while the leading row-coefficient
-    matrix is rank deficient, a combination of rows cancels some leading
-    term, strictly lowering that row's degree.  The maximal row degree of
-    the row-proper form is the lag.
+    Minimizes, then makes the rows proper (:func:`_row_proper`).  The
+    maximal row degree of the row-proper form is the lag.
     """
     reduced = minimize(rep)
     if reduced.g == 0:
         return 0
-    rows = [list(r) for r in reduced.R.rows]
-    while True:
-        degrees = [max(e.degree for e in row) for row in rows]
-        leading = [
-            [e.coefficient(deg) for e in row] for row, deg in zip(rows, degrees)
-        ]
-        null = exactla.left_null_space(leading)
-        if not null:
-            return max(degrees)
-        alpha = null[0]
-        support = [i for i, a in enumerate(alpha) if a != 0]
-        j = max(support, key=lambda i: degrees[i])
-        scale = 1 / alpha[j]
-        new_row = list(rows[j])
-        for i in support:
-            if i == j:
-                continue
-            shift = degrees[j] - degrees[i]
-            factor = Poly([alpha[i] * scale]).shift(shift)
-            new_row = [a + factor * b for a, b in zip(new_row, rows[i])]
-        rows[j] = new_row
+    return max(_row_degree(row) for row in _row_proper(reduced.R.rows))

@@ -1,8 +1,20 @@
-"""Univariate polynomials with exact rational coefficients.
+"""Univariate polynomials with exact rational coefficients, stored on integers.
 
-Coefficients are stored ascending by degree as a tuple of
-:class:`fractions.Fraction`; the zero polynomial is the empty tuple.  All
-arithmetic is exact, which the kernel-representation decision procedures
+A polynomial is kept as a tuple of integer ``numerators`` over one positive
+``denominator``, ascending by degree, reduced so that
+``gcd(denominator, *numerators) == 1`` and with no trailing zero.  That form
+is canonical: equal polynomials have equal numerators and denominators, so
+they compare and hash alike.  The zero polynomial has no numerators and the
+denominator 1.
+
+Every operation runs on Python integers: sums and products bring the
+operands over a common denominator and reduce once at the end, and
+:meth:`Poly.__divmod__` is fraction-free long division.  The rational view
+is kept for callers: ``coefficients`` is a tuple of
+:class:`fractions.Fraction`, built on demand, as are ``coefficient(k)`` and
+``leading_coefficient``.
+
+All arithmetic is exact, which the kernel-representation decision procedures
 rely on: rank over the polynomial ring and module membership are
 discontinuous in the coefficients, so floating point is never used here.
 """
@@ -10,136 +22,158 @@ discontinuous in the coefficients, so floating point is never used here.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 
-def _coerce(value) -> Fraction:
+def _ratio(value) -> tuple[int, int]:
+    """Numerator and positive denominator of an exact rational value."""
+    if isinstance(value, int):
+        return int(value), 1
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
+        return value.numerator, value.denominator
+    if isinstance(value, str):
+        return Fraction(value).as_integer_ratio()
     if isinstance(value, float):
         if not value.is_integer():
             raise TypeError(
                 f"refusing to coerce non-integer float {value!r}; pass a Fraction "
                 "or string to make the intended rational explicit"
             )
-        return Fraction(int(value))
+        return int(value), 1
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
 class Poly:
     """Immutable polynomial over the rationals."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coefficients: Iterable = ()):
-        coeffs = [_coerce(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        pairs = [_ratio(c) for c in coefficients]
+        den = lcm(*(d for _, d in pairs))
+        _settle(self, [n * (den // d) for n, d in pairs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def _from_fractions(cls, coeffs: list[Fraction]) -> "Poly":
-        """Build from a list of Fractions, trimming trailing zeros, without coercion."""
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        p = object.__new__(cls)
-        object.__setattr__(p, "coefficients", tuple(coeffs))
-        return p
-
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> "Poly":
+        """The polynomial sum_k numerators[k] / denominator * x**k (denominator > 0)."""
+        p = object.__new__(cls)
+        _settle(p, list(numerators), denominator)
+        return p
+
+    @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _make([], 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _make([1], 1)
 
     @classmethod
     def constant(cls, value) -> "Poly":
-        return cls((_coerce(value),))
+        nums, den = _constant(value)
+        return _make(list(nums), den)
 
     @classmethod
     def x(cls, degree: int = 1) -> "Poly":
         """The monomial x**degree."""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        return cls([0] * degree + [1])
+        return _make([0] * degree + [1], 1)
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """Ascending coefficients as Fractions; empty for the zero polynomial."""
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators)
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coefficients) <= 1
+        return len(self.numerators) <= 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
+        if not self.numerators:
             return Fraction(0)
-        return self.coefficients[-1]
+        return Fraction(self.numerators[-1], self.denominator)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
 
     # -- arithmetic ---------------------------------------------------
 
+    def _combine(self, other, sign: int) -> "Poly":
+        """self + sign * other, over the least common denominator."""
+        other = _as_poly(other)
+        a, da = self.numerators, self.denominator
+        b, db = other.numerators, other.denominator
+        if not b:
+            return self
+        if da == db:
+            ma, mb, den = 1, sign, da
+        else:
+            g = gcd(da, db)
+            ma, mb, den = db // g, sign * (da // g), da // g * db
+        if ma != 1:
+            a = [x * ma for x in a]
+        b = [y * mb for y in b] if mb != 1 else list(b)
+        if len(a) >= len(b):
+            out = [x + y for x, y in zip(a, b)]
+            out.extend(a[len(b) :])
+        else:
+            out = [x + y for x, y in zip(a, b)]
+            out.extend(b[len(a) :])
+        return _make(out, den)
+
     def __add__(self, other) -> "Poly":
-        a, b = self.coefficients, _as_poly(other).coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = [x + y for x, y in zip(a, b)]
-        out.extend(a[len(b) :])
-        return Poly._from_fractions(out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._from_fractions([-c for c in self.coefficients])
+        return _make([-n for n in self.numerators], self.denominator)
 
     def __sub__(self, other) -> "Poly":
-        a, b = self.coefficients, _as_poly(other).coefficients
-        out = [x - y for x, y in zip(a, b)]
-        out.extend(a[len(b) :])
-        out.extend(-y for y in b[len(a) :])
-        return Poly._from_fractions(out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
-        a, b = self.coefficients, _as_poly(other).coefficients
+        other = _as_poly(other)
+        a, b = self.numerators, other.numerators
         if not a or not b:
-            return Poly.zero()
+            return _make([], 1)
+        den = self.denominator * other.denominator
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:
             c = b[0]
-            return Poly._from_fractions([x * c for x in a])
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return _make([x * c for x in a], den)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
+            if x:
+                for j, y in enumerate(b):
                     out[i + j] += x * y
-        return Poly._from_fractions(out)
+        return _make(out, den)
 
     __rmul__ = __mul__
 
@@ -157,34 +191,50 @@ class Poly:
         return result
 
     def scale(self, value) -> "Poly":
-        c = _coerce(value)
-        return Poly._from_fractions([c * a for a in self.coefficients])
+        n, d = _ratio(value)
+        return _make([n * x for x in self.numerators], self.denominator * d)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
-        if self.is_zero:
+        if not self.numerators:
             return self
-        return Poly._from_fractions([Fraction(0)] * k + list(self.coefficients))
+        return _make([0] * k + list(self.numerators), self.denominator)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
+        """Quotient and remainder by fraction-free long division.
+
+        Each step cancels the top remainder coefficient r against the
+        divisor's leading numerator b: with g = gcd(r, b), the remainder and
+        the quotient so far are multiplied by |b|/g and (r/g)·sign(b) times the
+        shifted divisor is subtracted.  Throughout, s·A = Q·B + R on the
+        integer numerators, s being the product of the multipliers, so the
+        rational quotient is Q·db / (s·da) and the remainder R / (s·da).  A
+        divisor with a unit leading numerator never scales anything.
+        """
         other = _as_poly(other)
-        if other.is_zero:
+        B = other.numerators
+        if not B:
             raise ZeroDivisionError("polynomial division by zero")
-        quotient = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        remainder = list(self.coefficients)
-        d, lead = other.degree, other.leading_coefficient
-        while len(remainder) - 1 >= d and any(c != 0 for c in remainder):
-            while remainder and remainder[-1] == 0:
-                remainder.pop()
-            if len(remainder) - 1 < d:
-                break
-            k = len(remainder) - 1 - d
-            factor = remainder[-1] / lead
-            quotient[k] = factor
-            for i, c in enumerate(other.coefficients):
-                remainder[k + i] -= factor * c
-            remainder.pop()
-        return Poly._from_fractions(quotient), Poly._from_fractions(remainder)
+        d, lead = len(B) - 1, B[-1]
+        R = list(self.numerators)
+        Q = [0] * max(0, len(R) - d)
+        s = 1
+        while len(R) > d:
+            top = R.pop()
+            if not top:
+                continue
+            g = gcd(top, lead)
+            m, f = (lead // g, top // g) if lead > 0 else (-lead // g, -top // g)
+            if m != 1:
+                R = [m * v for v in R]
+                Q = [m * v for v in Q]
+                s *= m
+            k = len(R) - d
+            Q[k] = f
+            for i in range(d):
+                R[k + i] -= f * B[i]
+        den = s * self.denominator
+        return _make([v * other.denominator for v in Q], den), _make(R, den)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -204,12 +254,28 @@ class Poly:
         return (other % self).is_zero
 
     def monic(self) -> "Poly":
-        if self.is_zero:
+        """The polynomial divided by its leading coefficient: numerators over the top one."""
+        nums = self.numerators
+        if not nums or (nums[-1] == self.denominator):
             return self
-        return self.scale(1 / self.leading_coefficient)
+        lead = nums[-1]
+        return _make(list(nums) if lead > 0 else [-n for n in nums], abs(lead))
 
     def __call__(self, value):
-        """Evaluate via Horner; exact for Fraction/int arguments."""
+        """Evaluate via Horner; exact (a Fraction) for int and Fraction arguments.
+
+        For p/q, the integer Horner sum of n_k p^k q^(deg-k) is divided once
+        by denominator·q^deg.  Any other argument (a float, say) is combined
+        with the Fraction coefficients one Horner step at a time.
+        """
+        nums = self.numerators
+        if isinstance(value, (int, Fraction)):
+            p, q = value.numerator, value.denominator
+            acc, qpow = 0, 1
+            for n in reversed(nums):
+                acc = acc * p + n * qpow
+                qpow *= q
+            return Fraction(acc, self.denominator * (qpow // q if nums else 1))
         result = value * 0
         for c in reversed(self.coefficients):
             result = result * value + c
@@ -219,22 +285,22 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
+            return (self.numerators, self.denominator) == _constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coefficients == other.coefficients
+        return self.numerators == other.numerators and self.denominator == other.denominator
 
     def __hash__(self):
-        return hash(self.coefficients)
+        return hash((self.numerators, self.denominator))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.numerators)
 
     def __repr__(self):
         return f"Poly({self})"
 
     def __str__(self):
-        if self.is_zero:
+        if not self.numerators:
             return "0"
         terms = []
         for k, c in enumerate(self.coefficients):
@@ -254,6 +320,32 @@ class Poly:
         for term in terms[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
+
+
+def _settle(p: Poly, nums: list[int], den: int) -> None:
+    """Store nums/den on p in canonical form: no trailing zero, lowest terms."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    elif den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    object.__setattr__(p, "numerators", tuple(nums))
+    object.__setattr__(p, "denominator", den)
+
+
+def _make(nums: list[int], den: int) -> Poly:
+    p = object.__new__(Poly)
+    _settle(p, nums, den)
+    return p
+
+
+def _constant(value) -> tuple[tuple[int, ...], int]:
+    n, d = _ratio(value)
+    return ((n,), d) if n else ((), 1)
 
 
 def _as_poly(value) -> Poly:

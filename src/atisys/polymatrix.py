@@ -217,35 +217,22 @@ def poly_rank(matrix: PolyMatrix) -> int:
 
 
 class _Transform:
-    """Square matrix under elementary row ops, optionally with its inverse maintained."""
+    """Square matrix built up by elementary row operations from the identity."""
 
-    def __init__(self, n: int, inverse: bool):
+    def __init__(self, n: int):
         self.fwd = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
-        self.inv = (
-            [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
-            if inverse
-            else None
-        )
 
     def swap(self, i: int, j: int):
         self.fwd[i], self.fwd[j] = self.fwd[j], self.fwd[i]
-        if self.inv is not None:
-            for row in self.inv:
-                row[i], row[j] = row[j], row[i]
 
     def add(self, src: int, dst: int, factor: Poly):
-        """Row dst += factor * row src (and, when kept, the inverse column update)."""
-        self.fwd[dst] = [a + factor * b for a, b in zip(self.fwd[dst], self.fwd[src])]
-        if self.inv is not None:
-            for row in self.inv:
-                row[src] = row[src] - factor * row[dst]
+        """Row dst += factor * row src."""
+        self.fwd[dst] = [
+            a if b.is_zero else a + factor * b for a, b in zip(self.fwd[dst], self.fwd[src])
+        ]
 
     def scale(self, i: int, c: Fraction):
         self.fwd[i] = [e.scale(c) for e in self.fwd[i]]
-        if self.inv is not None:
-            inv_c = 1 / c
-            for row in self.inv:
-                row[i] = row[i].scale(inv_c)
 
 
 @dataclass(frozen=True)
@@ -279,9 +266,8 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
         raise ZeroMatrix("the zero matrix has no Smith pivots")
     g, q = matrix.shape
     M = [list(row) for row in matrix.rows]
-    # only the forward transforms are returned, so no inverse is kept
-    row_t = _Transform(g, inverse=False)
-    col_t = _Transform(q, inverse=False)
+    row_t = _Transform(g)
+    col_t = _Transform(q)
 
     def row_swap(i, j):
         if i != j:
@@ -370,12 +356,20 @@ class RowHermite:
 
     H: PolyMatrix
     U: PolyMatrix
-    U_inverse: PolyMatrix
     pivot_columns: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.pivot_columns)
+
+    @property
+    def U_inverse(self) -> PolyMatrix:
+        """The inverse of U, computed on demand.
+
+        U is unimodular, so its canonical form is the identity and the
+        transform that reduces it is U's inverse.
+        """
+        return row_hermite(self.U).U
 
 
 def row_hermite(matrix: PolyMatrix) -> RowHermite:
@@ -387,7 +381,7 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
     """
     g, q = matrix.shape
     M = [list(row) for row in matrix.rows]
-    t = _Transform(g, inverse=True)
+    t = _Transform(g)
 
     def swap(i, j):
         if i != j:
@@ -431,19 +425,12 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
             if not M[i][col].is_zero and M[i][col].degree >= M[r][col].degree:
                 quo = M[i][col] // M[r][col]
                 add(r, i, -quo)
-    return RowHermite(PolyMatrix(M), PolyMatrix(t.fwd), PolyMatrix(t.inv), tuple(pivots))
+    return RowHermite(PolyMatrix(M), PolyMatrix(t.fwd), tuple(pivots))
 
 
 def clear_denominators(polys: Sequence[Poly]) -> list[Poly]:
     """Scale a row of polynomials to integer coefficients with content 1."""
-    denoms = [c.denominator for p in polys for c in p.coefficients]
-    factor = Fraction(lcm(*denoms)) if denoms else Fraction(1)
-    scaled = [p.scale(factor) for p in polys]
-    numers = [abs(c.numerator) for p in scaled for c in p.coefficients if c != 0]
-    if numers:
-        g = 0
-        for v in numers:
-            g = gcd(g, v)
-        if g > 1:
-            scaled = [p.scale(Fraction(1, g)) for p in scaled]
-    return scaled
+    den = lcm(*(p.denominator for p in polys))
+    rows = [[n * (den // p.denominator) for n in p.numerators] for p in polys]
+    content = gcd(*(n for row in rows for n in row)) or 1
+    return [Poly.from_numerators([n // content for n in row]) for row in rows]

@@ -81,6 +81,23 @@ class TestTrajectoryCsv:
         with pytest.raises(io_formats.FormatError, match=r"found 4 at row 3\b"):
             io_formats.read_trajectory_csv("bad.csv")
 
+    def test_fractional_time_rejected(self, workdir):
+        (workdir / "bad.csv").write_text("t,w1\n1,1.0\n2.5,2.0\n")
+        with pytest.raises(io_formats.FormatError, match=r"found 2.5 at row 2\b"):
+            io_formats.read_trajectory_csv("bad.csv")
+
+    @pytest.mark.parametrize(
+        "sidecar", ["{bad", "[1]", '{"m": "x"}', '{"m": 2}', '{"m": true}', '{"labels": "w1"}']
+    )
+    def test_malformed_sidecar_is_typed(self, workdir, capsys, sidecar):
+        (workdir / "a.csv").write_text("t,w1\n1,1.0\n2,2.0\n")
+        (workdir / "a.json").write_text(sidecar)
+        with pytest.raises(io_formats.FormatError, match=r"a\.json"):
+            io_formats.read_trajectory_csv("a.csv")
+        assert main(["hankel", "--depth", "1", "a.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "a.json" in err and "Traceback" not in err
+
     def test_lenient_forms_parse(self, workdir):
         # trailing blank lines are skipped, quoted numbers and a time of 1.0 parse
         (workdir / "ok.csv").write_text('t,w1,w2\n1.0,"2.5",-1\n2,3e-1," 4 "\n\n\n')

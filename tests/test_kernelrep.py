@@ -22,7 +22,6 @@ from atisys import (
 )
 from atisys import exactla
 from atisys.errors import InconsistentRepresentation, WindowTooShort
-from atisys.kernelrep import block_toeplitz
 from conftest import random_poly_matrix, random_unimodular
 
 X = Poly.x()
@@ -143,13 +142,33 @@ class TestConsistencySequence:
         assert checked >= 190
 
 
+def block_toeplitz(R: PolyMatrix, window: int) -> list[list[Fraction]]:
+    """Constant matrix acting on w(1..window+d) that stacks R(sigma) w over
+    t = 1..window, with d = deg R."""
+    g, q = R.shape
+    d = R.degree
+    blocks = R.coefficient_blocks()
+    M = [[Fraction(0)] * (q * (window + d)) for _ in range(g * window)]
+    for t in range(window):
+        for k, block in enumerate(blocks):
+            for i in range(g):
+                for j in range(q):
+                    M[t * g + i][(t + k) * q + j] = block[i][j]
+    return M
+
+
+def solvable(matrix, rhs) -> bool:
+    """Whether M x = b has a solution: the Toeplitz-solve oracle."""
+    return exactla.solve(matrix, rhs) is not None
+
+
 small_int = st.integers(-3, 3)
 small_poly = st.lists(small_int, min_size=1, max_size=3).map(Poly)
 
 
 @st.composite
-def kernel_windows(draw):
-    """Small integer R, often rank deficient, with a consistent or perturbed window."""
+def small_matrices(draw):
+    """Small integer R, often rank deficient."""
     g = draw(st.integers(1, 3))
     q = draw(st.integers(1, 3))
     rows = [draw(st.lists(small_poly, min_size=q, max_size=q)) for _ in range(g)]
@@ -157,7 +176,14 @@ def kernel_windows(draw):
         # the last row is a polynomial combination of the others
         mults = draw(st.lists(small_poly, min_size=g - 1, max_size=g - 1))
         rows[-1] = list((PolyMatrix([mults]) @ PolyMatrix(rows[:-1])).rows[0])
-    R = PolyMatrix(rows)
+    return PolyMatrix(rows)
+
+
+@st.composite
+def kernel_windows(draw):
+    """Small integer R, often rank deficient, with a consistent or perturbed window."""
+    R = draw(small_matrices())
+    g, q = R.shape
     T = draw(st.integers(R.degree + 1, R.degree + 4))
     w = draw(st.lists(small_int, min_size=q * (T + R.degree), max_size=q * (T + R.degree)))
     c = [sum(a * b for a, b in zip(row, w)) for row in block_toeplitz(R, T)]
@@ -176,6 +202,85 @@ class TestConsistencyElimination:
         augmented = [row + [v] for row, v in zip(M, rhs)]
         oracle = exactla.rank(M) == exactla.rank(augmented)
         assert consistent_sequence_report(R, seq).consistent == oracle
+
+
+def toeplitz_null_increments(R: PolyMatrix, depth: int) -> list[int]:
+    """dim left-null(M_N) - dim left-null(M_(N-1)) for N = 1..depth.
+
+    A left null vector of the depth-N block-Toeplitz matrix is a syzygy of
+    degree at most N-1, so for a minimal basis the N-th increment counts the
+    generators of degree at most N-1.
+    """
+    g = R.shape[0]
+    dims = [0] + [g * N - exactla.rank(block_toeplitz(R, N)) for N in range(1, depth + 1)]
+    return [b - a for a, b in zip(dims, dims[1:])]
+
+
+class TestSyzygyFilter:
+    """The minimal-syzygy window filter against the block-Toeplitz solve."""
+
+    def test_matches_toeplitz_solve(self):
+        seen = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(kernel_windows())
+        def check(case):
+            R, seq = case
+            rhs = [v for row in seq.values for v in row]
+            verdict = solvable(block_toeplitz(R, seq.length), rhs)
+            assert consistent_sequence_report(R, seq).consistent == verdict
+            # integer data is exact in floats, so the residual route agrees
+            assert consistent_sequence_report(R, seq, tol=1e-9).consistent == verdict
+            seen.add(verdict)
+
+        check()
+        assert seen == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_matrices())
+    def test_basis_is_minimal(self, R):
+        basis = syzygy_basis(R)
+        assert len(basis) == R.shape[0] - R.rank()
+        for lam in basis:
+            assert (PolyMatrix([lam]) @ R).is_zero
+        if not basis:
+            return
+        degrees = [max(e.degree for e in lam) for lam in basis]
+        # row proper: the leading row-coefficient matrix has full row rank
+        leading = [[e.coefficient(d) for e in lam] for lam, d in zip(basis, degrees)]
+        assert exactla.rank(leading) == len(basis)
+        # the degrees are the ones the Toeplitz null dimensions force
+        increments = toeplitz_null_increments(R, max(degrees) + 2)
+        assert increments == [
+            sum(d <= N - 1 for d in degrees) for N in range(1, max(degrees) + 3)
+        ]
+        # a window certifies from one sample past the largest minimal degree on
+        delta, zero = max(degrees), [0] * R.shape[0]
+        for T in range(R.degree + 1, delta + 3):
+            report = consistent_sequence_report(R, OffsetSequence.constant(zero, T))
+            assert report.syzygy_degree == delta and report.certified == (T >= delta + 1)
+
+    def test_long_window(self):
+        # a 3x3 rank-2 R of degree 4 whose syzygy [a, b, -1] has degree 3
+        r1 = [X + 1, X - 2, Poly([3])]
+        r2 = [Poly([1]), 2 * X + 1, X - 1]
+        a, b = Poly([1, -1, 0, 2]), Poly([2, 0, 1, -1])
+        R = PolyMatrix([r1, r2, [a * u + b * v for u, v in zip(r1, r2)]])
+        rng = np.random.default_rng(5)
+        T = 1000
+        w = rng.integers(-3, 4, size=(T + R.degree, 3)).tolist()
+        blocks = R.coefficient_blocks()
+        c = [
+            [
+                sum(blocks[k][i][j] * w[t + k][j] for k in range(len(blocks)) for j in range(3))
+                for i in range(3)
+            ]
+            for t in range(T)
+        ]
+        good = consistent_sequence_report(R, OffsetSequence(tuple(map(tuple, c))))
+        assert good == (True, True, 3, T)
+        c[T - 1][0] += 1  # only the last shift of the filter sees this sample
+        assert not consistent_sequence(R, OffsetSequence(tuple(map(tuple, c))))
 
 
 class TestMinimize:

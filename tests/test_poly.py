@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -158,3 +159,87 @@ def test_results_match_dict_reference(a, b, s):
     for name, (result, expected) in cases.items():
         assert result.coefficients == expected, name
         assert exact_fractions(result), name
+
+
+# -- the integer representation against a Fraction reference -----------------
+
+# small fractions, binary floats read exactly (denominators near 2**107) and
+# integers near +-2**40
+wide_coefficient = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.floats(min_value=2.0**-56, max_value=2.0**-50).map(Fraction),
+    st.floats(min_value=-(2.0**-50), max_value=-(2.0**-56)).map(Fraction),
+    st.integers(2**40 - 5, 2**40 + 5).map(Fraction),
+    st.integers(-(2**40) - 5, -(2**40) + 5).map(Fraction),
+)
+wide_coeffs = st.lists(wide_coefficient, min_size=0, max_size=5)
+wide_value = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.integers(2**40 - 3, 2**40 + 3),
+    st.integers(-(2**40) - 3, -(2**40) + 3),
+)
+
+
+def dict_divmod(a: dict, b: dict) -> tuple[dict, dict]:
+    """Schoolbook long division on Fraction coefficients."""
+    top_b = max(k for k, c in b.items() if c)
+    lead = b[top_b]
+    quotient = {}
+    remainder = {k: c for k, c in a.items() if c}
+    while remainder and max(remainder) >= top_b:
+        top = max(remainder)
+        factor = remainder[top] / lead
+        quotient[top - top_b] = factor
+        for k, c in b.items():
+            remainder[top - top_b + k] = remainder.get(top - top_b + k, Fraction(0)) - factor * c
+        remainder = {k: c for k, c in remainder.items() if c}
+    return quotient, remainder
+
+
+def dict_eval(a: dict, value) -> Fraction:
+    return sum((c * Fraction(value) ** k for k, c in a.items()), Fraction(0))
+
+
+@given(wide_coeffs, wide_coeffs, wide_coefficient, wide_value)
+@settings(max_examples=300, deadline=None)
+def test_integer_storage_matches_fraction_reference(a, b, s, v):
+    pa, pb = Poly(a), Poly(b)
+    da, db = as_dict(pa), as_dict(pb)
+    assert pa.coefficients == from_dict(dict(enumerate(a)))
+    cases = {
+        "add": (pa + pb, from_dict(dict_add(da, db))),
+        "mul": (pa * pb, from_dict(dict_mul(da, db))),
+        "scale": (pa.scale(s), from_dict({k: s * c for k, c in da.items()})),
+    }
+    if not pa.is_zero:
+        lead = pa.coefficients[-1]
+        cases["monic"] = (pa.monic(), from_dict({k: c / lead for k, c in da.items()}))
+    if not pb.is_zero:
+        q, r = divmod(pa, pb)
+        dq, dr = dict_divmod(da, db)
+        cases["quotient"] = (q, from_dict(dq))
+        cases["remainder"] = (r, from_dict(dr))
+        cases["exact_div"] = ((pa * pb).exact_div(pb), from_dict(da))
+    for name, (result, expected) in cases.items():
+        assert result.coefficients == expected, name
+        assert exact_fractions(result), name
+    value = pa(v)
+    assert value == dict_eval(da, v) and type(value) is Fraction
+
+
+@given(wide_coeffs, wide_coeffs)
+@settings(max_examples=200, deadline=None)
+def test_equal_polynomials_hash_equal(a, b):
+    pa, pb = Poly(a), Poly(b)
+    pairs = [
+        (pa * pb, pb * pa),
+        ((pa + pb) - pb, pa),
+        (pa.scale(3).scale(Fraction(1, 3)), pa),
+        (Poly.from_numerators([6 * n for n in pa.numerators], 6 * pa.denominator), pa),
+    ]
+    if not pb.is_zero:
+        pairs.append(((pa * pb).exact_div(pb), pa))
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right)
+        assert (left.numerators, left.denominator) == (right.numerators, right.denominator)
+        assert gcd(left.denominator, *left.numerators) == 1 and left.denominator > 0

@@ -386,7 +386,6 @@ class TestIntegerRowElimination:
         assert left == ref_left_null_space(M) and all_fractions(left)
         x = exactla.solve(M, b)
         assert x == ref_solve(M, b)
-        assert exactla.solvable(M, b) == (x is not None)
         if x is not None:
             assert all_fractions([x])
         if nrows == ncols:
