@@ -134,13 +134,10 @@ class Poly:
             ma, mb, den = db // g, sign * (da // g), da // g * db
         if ma != 1:
             a = [x * ma for x in a]
-        b = [y * mb for y in b] if mb != 1 else list(b)
-        if len(a) >= len(b):
-            out = [x + y for x, y in zip(a, b)]
-            out.extend(a[len(b) :])
-        else:
-            out = [x + y for x, y in zip(a, b)]
-            out.extend(b[len(a) :])
+        if mb != 1:
+            b = [y * mb for y in b]
+        out = [x + y for x, y in zip(a, b)]
+        out.extend((a if len(a) > len(b) else b)[len(out) :])
         return _make(out, den)
 
     def __add__(self, other) -> "Poly":
