@@ -8,7 +8,8 @@ Exit codes: 0 when the command succeeds and any checked condition holds,
 Subcommands accept only the options they read:
 
 - ``--tol`` (a positive, finite rank or residual tolerance): pe, gape,
-  rank-check, complete, ident-kernel, invariants, consistency, example-sec7;
+  rank-check, complete, ident-kernel, invariants, consistency (offset
+  sequences only), example-sec7;
 - ``--table`` (a fixed-column summary in place of JSON): pe, gape,
   rank-check, example-sec7;
 - ``--out`` (a directory for file artifacts): complete, ident-kernel,
@@ -35,7 +36,7 @@ from .datadriven import (
     rank_condition_affine_report,
     recover_kernel,
 )
-from .errors import AtisysError
+from .errors import AtisysError, InvalidArgument
 from .excitation import gape_report, pe_order_affine_report, pe_order_linear_report
 from .kernelrep import (
     AffineKernelRep,
@@ -329,6 +330,8 @@ def _cmd_consistency(args) -> int:
             }
         )
         return 0 if report.consistent else 2
+    if args.tol is not None:
+        raise InvalidArgument("--tol applies to offset sequences only; this offset is constant")
     ok = consistent_constant(AffineKernelRep(R, offset))
     _emit({"offset_kind": "constant", "consistent": bool(ok)})
     return 0 if ok else 2

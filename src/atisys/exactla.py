@@ -23,10 +23,23 @@ rational ones.  Content removal makes each row the primitive integer
 multiple of its rational row, whose entries divide minors of the input, so
 the integers grow no faster than in Bareiss's fraction-free elimination.
 
-``solve`` and ``null_space`` back-substitute in Fractions, with the free
-variables set to zero or to a unit vector; a scaled row and its scaled
-right-hand side give the same solution.  ``det`` divides the row scalings
-back out.  Every returned entry is a :class:`fractions.Fraction`.
+``solve`` and ``null_space`` back-substitute in integers, with the free
+variables set to zero or to a unit vector: the solution is kept as an
+integer vector over one common denominator and divided out once at the
+end.  ``solve`` takes M x = b as the null vector of [M | b] with -1 in b's
+column; a scaled row and its scaled right-hand side give the same
+solution.  ``det`` divides the row scalings back out.  Every returned entry
+is a :class:`fractions.Fraction`.
+
+``null_space`` of a tall matrix (more than ``ncols + 1`` rows, such as the
+transposed data matrix of exact kernel recovery) eliminates only its first
+``ncols + 1`` rows and checks that block's basis against the other rows by
+exact integer dot products.  Rows it misses join the block's echelon rows
+for one more elimination, whose null space lies inside the first and so
+annihilates every row.  Either way the null space is the whole matrix's,
+and the canonical basis it returns depends on nothing else, so the result
+is identical to eliminating every row; the worst case costs one small
+elimination more.
 """
 
 from __future__ import annotations
@@ -124,18 +137,35 @@ def _echelon(M: Matrix, track: bool = False) -> tuple[list[int], int, Fraction]:
     return pivots, sign, growth
 
 
-def _back_substitute(R: Matrix, pivots: list[int], x: list[Fraction], rhs) -> list[Fraction]:
-    """Fill the pivot entries of x so that R x = rhs on the pivot rows.
+def _null_vector(R: Matrix, pivots: list[int], free: int, width: int) -> tuple[list[int], int]:
+    """The solution of R y = 0 with y[free] = 1 and every other non-pivot entry 0.
 
-    Entries of x outside the pivot columns are taken as given.
+    Returned as integers y and a nonzero D with the solution y / D.  From the
+    last pivot row up, the pivot entry must be -s / p, with s the row's dot
+    product with y so far and p its pivot; y and D are scaled by p / gcd(s, p)
+    so that it stays an integer, and then divided by their common content, so
+    D never exceeds the lcm of the solution's denominators.
     """
-    ncols = len(x)
+    y = [0] * width
+    y[free] = 1
+    D = 1
     for r in reversed(range(len(pivots))):
         c = pivots[r]
         row = R[r]
-        acc = rhs[r] - sum(row[j] * x[j] for j in range(c + 1, ncols) if row[j] and x[j])
-        x[c] = Fraction(acc) / row[c]
-    return x
+        s = sum(row[j] * y[j] for j in range(c + 1, width) if row[j] and y[j])
+        if not s:
+            continue
+        g = gcd(s, row[c])
+        m = row[c] // g
+        if m != 1:
+            y = [v * m for v in y]
+            D *= m
+        y[c] = -s // g
+        content = gcd(D, *y)
+        if content > 1:
+            y = [v // content for v in y]
+            D //= content
+    return y, D
 
 
 def rank(matrix) -> int:
@@ -146,23 +176,63 @@ def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right null space, one vector per free column.
 
     Vector k has a 1 in the k-th free column, zeros in the other free
-    columns, and the pivot entries that back-substitution forces.
+    columns, and the pivot entries that back-substitution forces.  That
+    basis depends only on the null space: equal null spaces have equal row
+    spaces, hence the same pivot columns and the same vectors, whatever the
+    order or number of the rows that produced them.
+
+    A tall matrix is eliminated in two steps.  The first ``ncols + 1`` rows
+    are eliminated and their basis is checked against every other row by
+    exact integer dot products.  If no row is missed, that basis annihilates
+    the whole matrix and is returned.  Otherwise the missed rows join the
+    block's echelon rows and the block is eliminated once more; its null
+    space lies inside the first, which already annihilates the rows not
+    missed, so the second basis is the null space of the whole matrix.
     """
     M = _integer_rows(_rows(matrix))
     if ncols is None:
         if not M:
             raise ValueError("column count required for an empty matrix")
         ncols = len(M[0])
+    block, rest = M[: ncols + 1], M[ncols + 1 :]
+    pivots, basis = _null_basis(block, ncols)
+    missed = _missed_rows(basis, rest)
+    if missed:
+        _, basis = _null_basis(block[: len(pivots)] + missed, ncols)
+    return basis
+
+
+def _null_basis(M: Matrix, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Reduce M in place; its pivot columns and canonical null-space basis."""
     pivots, _, _ = _echelon(M)
     pivot_set = set(pivots)
-    zeros = [0] * len(pivots)
     basis = []
     for c in range(ncols):
         if c not in pivot_set:
-            v = [Fraction(0)] * ncols
-            v[c] = Fraction(1)
-            basis.append(_back_substitute(M, pivots, v, zeros))
-    return basis
+            y, D = _null_vector(M, pivots, c, ncols)
+            basis.append([Fraction(v, D) for v in y])
+    return pivots, basis
+
+
+def _missed_rows(basis: list[list[Fraction]], rows: Matrix) -> Matrix:
+    """The integer rows that some basis vector does not annihilate.
+
+    Each vector is scaled to integers by the lcm of its denominators, and its
+    dot products with all rows are accumulated a column at a time.
+    """
+    if not basis or not rows:
+        return []
+    columns = list(zip(*rows))
+    missed: set[int] = set()
+    for v in basis:
+        scale = lcm(*(x.denominator for x in v))
+        acc = [0] * len(rows)
+        for x, column in zip(v, columns):
+            if x:
+                a = x.numerator * (scale // x.denominator)
+                acc = [s + a * y for s, y in zip(acc, column)]
+        missed.update(i for i, s in enumerate(acc) if s)
+    return [rows[i] for i in sorted(missed)]
 
 
 def left_null_space(matrix, nrows: int | None = None) -> list[list[Fraction]]:
@@ -204,5 +274,6 @@ def solve(matrix, rhs) -> list[Fraction] | None:
     pivots, _, _ = _echelon(M)
     if pivots and pivots[-1] == ncols:
         return None
-    x = [Fraction(0)] * ncols
-    return _back_substitute(M, pivots, x, [row[ncols] for row in M])
+    # [M | b] [x; -1] = 0, with the free variables of x at zero
+    y, D = _null_vector(M, pivots, ncols, ncols + 1)
+    return [Fraction(-v, D) for v in y[:ncols]]

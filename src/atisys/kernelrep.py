@@ -100,10 +100,19 @@ def syzygy_basis(R: PolyMatrix) -> list[tuple[Poly, ...]]:
     have.  Each generator is scaled to integer coefficients with content
     one.  Full-row-rank matrices return the empty list; the zero matrix
     returns the coordinate rows.
+
+    The basis is computed once per matrix instance, on top of its memoised
+    :func:`row_hermite` reduction, and kept on it.  Each call returns a
+    fresh list of the shared generators, which are tuples of immutable
+    :class:`Poly`, so a caller may change the list freely.
     """
+    return list(R._memo("_syzygies", _minimal_syzygies))
+
+
+def _minimal_syzygies(R: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
     reduction = row_hermite(R)
     rows = [list(reduction.U.rows[i]) for i in range(reduction.rank, R.shape[0])]
-    return [tuple(clear_denominators(row)) for row in _row_proper(rows)]
+    return tuple(tuple(clear_denominators(row)) for row in _row_proper(rows))
 
 
 def _row_degree(row: Sequence[Poly]) -> int:
@@ -154,12 +163,14 @@ def consistent_constant(rep: AffineKernelRep) -> bool:
     """Whether a constant offset is attainable: lambda(1) c = 0 for all syzygies.
 
     A constant sequence is fixed by the shift, so each syzygy constraint
-    lambda(sigma) c = 0 collapses to the scalar test at 1.
+    lambda(sigma) c = 0 collapses to the scalar test at 1.  The rows of the
+    row-Hermite transform U against the zero rows of U R span the syzygies
+    (see :func:`syzygy_basis`), and lambda(1) c is linear in lambda, so it
+    suffices that those rows pass: the entries of U(1) c below the rank
+    vanish.  This needs the memoised reduction only, not a minimal basis.
     """
-    return all(
-        sum(e(Fraction(1)) * v for e, v in zip(gen, rep.c)) == 0
-        for gen in syzygy_basis(rep.R)
-    )
+    reduction, offset = _reduced_offset(rep)
+    return not any(offset[reduction.rank :])
 
 
 def consistent_sequence(
@@ -261,17 +272,20 @@ def minimize(rep: AffineKernelRep) -> AffineKernelRep:
     entries against the zero rows must vanish, or the representation was
     inconsistent to begin with.
     """
-    reduction = row_hermite(rep.R)
+    reduction, offset = _reduced_offset(rep)
     r = reduction.rank
-    u_at_one = reduction.U.evaluate(Fraction(1))
-    transformed = [
-        sum(u_at_one[i][j] * rep.c[j] for j in range(rep.g)) for i in range(rep.g)
-    ]
-    if any(v != 0 for v in transformed[r:]):
+    if any(offset[r:]):
         raise InconsistentRepresentation(
             "zero rows of the reduced matrix carry nonzero offsets"
         )
-    return AffineKernelRep(reduction.H.take_rows(range(r)), tuple(transformed[:r]))
+    return AffineKernelRep(reduction.H.take_rows(range(r)), tuple(offset[:r]))
+
+
+def _reduced_offset(rep: AffineKernelRep):
+    """The row-Hermite reduction of R and the offset U(1) c it sends c to."""
+    reduction = row_hermite(rep.R)
+    u_at_one = reduction.U.evaluate(Fraction(1))
+    return reduction, [sum(u * v for u, v in zip(row, rep.c)) for row in u_at_one]
 
 
 def equivalent(rep1: AffineKernelRep, rep2: AffineKernelRep) -> bool:

@@ -57,6 +57,9 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        return (Poly.from_numerators, (self.numerators, self.denominator))
+
     # -- constructors -------------------------------------------------
 
     @classmethod

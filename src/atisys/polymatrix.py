@@ -25,9 +25,16 @@ def _entry(value) -> Poly:
 
 
 class PolyMatrix:
-    """Immutable rectangular grid of :class:`Poly` entries."""
+    """Immutable rectangular grid of :class:`Poly` entries.
 
-    __slots__ = ("rows", "_ncols")
+    Each instance also holds its own row-Hermite reduction and minimal
+    syzygy basis once something has asked for them (``_hermite`` and
+    ``_syzygies``), so every exact decision on one matrix pays for its
+    reduction once.  They are private, never compared, hashed or copied, and
+    live only as long as the matrix.
+    """
+
+    __slots__ = ("rows", "_ncols", "_hermite", "_syzygies")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int = 0):
         grid = tuple(tuple(_entry(e) for e in row) for row in rows)
@@ -35,9 +42,23 @@ class PolyMatrix:
             raise DimensionMismatch("rows have differing lengths")
         object.__setattr__(self, "rows", grid)
         object.__setattr__(self, "_ncols", len(grid[0]) if grid else ncols)
+        object.__setattr__(self, "_hermite", None)
+        object.__setattr__(self, "_syzygies", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the entries alone, without the memo
+        return (PolyMatrix, (self.rows, self._ncols))
+
+    def _memo(self, slot: str, compute):
+        """The value in ``slot``, computed from this matrix on first use."""
+        value = getattr(self, slot)
+        if value is None:
+            value = compute(self)
+            object.__setattr__(self, slot, value)
+        return value
 
     # -- constructors -------------------------------------------------
 
@@ -364,10 +385,11 @@ class RowHermite:
 
     @property
     def U_inverse(self) -> PolyMatrix:
-        """The inverse of U, computed on demand.
+        """The inverse of U, computed on first use.
 
         U is unimodular, so its canonical form is the identity and the
-        transform that reduces it is U's inverse.
+        transform that reduces it is U's inverse.  That reduction is kept on
+        U like any other, so later calls return the same matrix.
         """
         return row_hermite(self.U).U
 
@@ -378,7 +400,15 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
     Pivots are monic, entries above a pivot have degree strictly below the
     pivot's, nonzero rows come first in staircase order.  Full-row-rank
     matrices with equal row modules reduce to the identical canonical form.
+
+    The reduction is computed once per matrix instance and kept on it; every
+    later call returns the same :class:`RowHermite`, which is immutable, so
+    callers share it safely.
     """
+    return matrix._memo("_hermite", _row_hermite)
+
+
+def _row_hermite(matrix: PolyMatrix) -> RowHermite:
     g, q = matrix.shape
     M = [list(row) for row in matrix.rows]
     t = _Transform(g)
@@ -389,7 +419,7 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
             t.swap(i, j)
 
     def add(src, dst, factor):
-        M[dst] = [a + factor * b for a, b in zip(M[dst], M[src])]
+        M[dst] = [a if b.is_zero else a + factor * b for a, b in zip(M[dst], M[src])]
         t.add(src, dst, factor)
 
     pr = 0

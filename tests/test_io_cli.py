@@ -174,6 +174,8 @@ class TestCli:
             ["complete", "--tini", "0", "--L", "1", "--tol", "0", "w.csv", "none.csv", "u1.csv"],
             ["gape", "--order", "0", "--n", "1", "u.csv"],
             ["invariants", "--tmax", "1", "u.csv"],
+            # --tol reads only offset sequences; k.json's offset is constant
+            ["consistency", "--tol", "0.5", "k.json"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -181,6 +183,9 @@ class TestCli:
         write_inputs("u1.csv", [3])
         # static law y = u: without --tol, complete answers y_f = 3
         io_formats.write_trajectory_csv("w.csv", Trajectory(np.repeat([[1.0], [2.0], [4.0]], 2, axis=1), m=1))
+        R = PolyMatrix([[X + 1, X, X + 2], [X * X - 1, X * X - X, X * X + X - 2]])
+        kernel = dict(io_formats.poly_matrix_to_json(R), c=["0", "1e-9"])
+        (workdir / "k.json").write_text(json.dumps(kernel))
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err

@@ -18,10 +18,11 @@ from atisys import (
     equivalent,
     lag_of,
     minimize,
+    row_hermite,
     syzygy_basis,
 )
-from atisys import exactla
-from atisys.errors import InconsistentRepresentation, WindowTooShort
+from atisys import exactla, polymatrix
+from atisys.errors import AtisysError, InconsistentRepresentation, WindowTooShort
 from conftest import random_poly_matrix, random_unimodular
 
 X = Poly.x()
@@ -385,6 +386,77 @@ class TestEquivalentConsistency:
                 match=r"^equivalence is defined for consistent representations$",
             ):
                 equivalent(rep, rep)
+
+
+def exact_answers(rep: AffineKernelRep) -> list:
+    """Every exact procedure's answer on rep; a raised error counts by its type."""
+    window = OffsetSequence.constant(rep.c, rep.degree + 2)
+    calls = [
+        lambda: row_hermite(rep.R),
+        lambda: row_hermite(rep.R).U_inverse,
+        lambda: syzygy_basis(rep.R),
+        lambda: consistent_constant(rep),
+        lambda: minimize(rep),
+        lambda: equivalent(rep, rep),
+        lambda: lag_of(rep),
+        lambda: controllable_kernel(rep),
+        lambda: consistent_sequence_report(rep.R, window),
+    ]
+    answers = []
+    for call in calls:
+        try:
+            answers.append(call())
+        except AtisysError as exc:
+            answers.append(type(exc))
+    return answers
+
+
+class TestReductionMemo:
+    """Each matrix instance is reduced once, and the memo never changes an answer."""
+
+    def test_one_reduction_per_instance(self, monkeypatch):
+        reduced = []
+        reduce = polymatrix._row_hermite
+
+        def counting(matrix):
+            reduced.append(matrix)
+            return reduce(matrix)
+
+        monkeypatch.setattr(polymatrix, "_row_hermite", counting)
+        R = deficient_matrix()
+        rep = AffineKernelRep(R, consistent_offset(R, [1, 2, -1]))
+        small = minimize(rep)
+        for _ in range(2):
+            for kernel in (rep, small):
+                exact_answers(kernel)
+                assert equivalent(kernel, small) and equivalent(rep, kernel)
+        # the two kernels' matrices and their Hermite transforms (for U_inverse)
+        instances = [rep.R, row_hermite(rep.R).U, small.R, row_hermite(small.R).U]
+        assert len(reduced) == len(instances)
+        assert all(any(m is instance for m in reduced) for instance in instances)
+
+    def test_returned_basis_is_the_callers(self):
+        R = deficient_matrix()
+        basis = syzygy_basis(R)
+        expected = list(basis)
+        basis.append(basis[0])
+        basis[0] = (X, X, X)
+        assert syzygy_basis(R) == expected
+        assert syzygy_basis(R) is not syzygy_basis(R)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            deficient_kernels(),
+            small_matrices().map(lambda R: AffineKernelRep(R, (1,) * R.shape[0])),
+        )
+    )
+    def test_memoised_and_fresh_agree(self, rep):
+        first = exact_answers(rep)
+        assert exact_answers(rep) == first  # answered from the memo
+        fresh = AffineKernelRep(PolyMatrix(rep.R.rows), rep.c)
+        assert fresh.R._hermite is None and fresh.R._syzygies is None
+        assert exact_answers(fresh) == first
 
 
 class TestBehaviorApply:

@@ -1,8 +1,10 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from atisys import Poly, PolyMatrix, poly_rank, row_hermite, smith_form
+from atisys import AffineKernelRep, Poly, PolyMatrix, poly_rank, row_hermite, smith_form, syzygy_basis
 from atisys.errors import ZeroMatrix
 from conftest import random_poly_matrix, random_unimodular
 
@@ -136,3 +138,23 @@ class TestRowHermite:
         red = row_hermite(R)
         assert red.rank == 1
         assert all(e.is_zero for e in red.H.rows[1])
+
+
+class TestCopies:
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_round_trip_keeps_value_and_drops_memo(self, duplicate):
+        R = worked_deficient_matrix()
+        row_hermite(R)
+        syzygy_basis(R)
+        rep = AffineKernelRep(R, (Fraction(1, 3), -2))
+        for original in (Poly([Fraction(1, 2), 0, -3]), Poly.zero(), R, PolyMatrix.zeros(0, 3), rep):
+            twin = duplicate(original)
+            assert twin == original and hash(twin) == hash(original)
+        twin = duplicate(R)
+        assert twin.shape == R.shape
+        assert twin._hermite is None and twin._syzygies is None
+        assert row_hermite(twin) == row_hermite(R)

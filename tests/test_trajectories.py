@@ -341,13 +341,19 @@ ENTRY_KINDS = {
 def mixed_systems(draw):
     """M and b of one entry kind, as nested lists or numpy arrays.
 
-    Shapes are square, tall or wide; copied and negated rows and columns
-    make many of them rank deficient.
+    Shapes are square, tall or wide, and half are very tall (at least three
+    rows per column), where ``null_space`` eliminates a leading block first.
+    Copied and negated rows and columns make many of them rank deficient,
+    and zero or repeated leading rows make the leading block miss rows.
     """
     kind = draw(st.sampled_from(sorted(ENTRY_KINDS)))
     entry = ENTRY_KINDS[kind]
-    nrows = draw(st.integers(1, 5))
-    ncols = draw(st.one_of(st.just(nrows), st.integers(1, 5)))
+    if draw(st.booleans()):
+        ncols = draw(st.integers(1, 4))
+        nrows = draw(st.integers(3 * ncols, 3 * ncols + 3))
+    else:
+        nrows = draw(st.integers(1, 5))
+        ncols = draw(st.one_of(st.just(nrows), st.integers(1, 5)))
     M = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     for _ in range(draw(st.integers(0, 2))):
         src, dst = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
@@ -356,6 +362,8 @@ def mixed_systems(draw):
         src, dst = draw(st.integers(0, ncols - 1)), draw(st.integers(0, ncols - 1))
         for row in M:
             row[dst] = -row[src]
+    for i in range(draw(st.integers(0, min(nrows, ncols + 1)))):
+        M[i] = [0 * v for v in M[i]] if draw(st.booleans()) else list(M[0])
     if draw(st.booleans()):
         b = [row[0] - row[-1] for row in M]
     else:
@@ -374,23 +382,41 @@ def all_fractions(vectors) -> bool:
 class TestIntegerRowElimination:
     """exactla on integer rows against the rational reference, entry for entry."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(mixed_systems())
-    def test_matches_rational_reference(self, case):
-        M, b = case
-        nrows, ncols = len(M), len(M[0])
-        assert exactla.rank(M) == ref_rank(M)
-        null = exactla.null_space(M)
-        assert null == ref_null_space(M) and all_fractions(null)
-        left = exactla.left_null_space(M)
-        assert left == ref_left_null_space(M) and all_fractions(left)
-        x = exactla.solve(M, b)
-        assert x == ref_solve(M, b)
-        if x is not None:
-            assert all_fractions([x])
-        if nrows == ncols:
-            d = exactla.det(M)
-            assert d == ref_det(M) and type(d) is Fraction
+    def test_matches_rational_reference(self, monkeypatch):
+        passes = []
+        null_basis = exactla._null_basis
+
+        def counting(M, ncols):
+            passes.append(len(M))
+            return null_basis(M, ncols)
+
+        monkeypatch.setattr(exactla, "_null_basis", counting)
+        seen = set()
+
+        @settings(max_examples=400, deadline=None)
+        @given(mixed_systems())
+        def check(case):
+            M, b = case
+            nrows, ncols = len(M), len(M[0])
+            assert exactla.rank(M) == ref_rank(M)
+            passes.clear()
+            null = exactla.null_space(M)
+            assert null == ref_null_space(M) and all_fractions(null)
+            if nrows > ncols + 1:
+                # the leading block's basis either covered every row or missed some
+                seen.add("missed" if len(passes) == 2 else "verified" if null else "full rank")
+            left = exactla.left_null_space(M)
+            assert left == ref_left_null_space(M) and all_fractions(left)
+            x = exactla.solve(M, b)
+            assert x == ref_solve(M, b)
+            if x is not None:
+                assert all_fractions([x])
+            if nrows == ncols:
+                d = exactla.det(M)
+                assert d == ref_det(M) and type(d) is Fraction
+
+        check()
+        assert {"missed", "verified"} <= seen
 
     def test_numpy_int64_entries_do_not_overflow(self):
         M = np.array([[BIG, 1], [1, BIG]], dtype=np.int64)
