@@ -47,7 +47,7 @@ from .kernelrep import (
     syzygy_basis,
 )
 from .plants import linearize
-from .polymatrix import poly_rank, smith_form
+from .polymatrix import smith_form
 from .scenario import run_reference_experiments
 from .trajectories import Trajectory, hankel
 
@@ -353,7 +353,7 @@ def _cmd_syzygy(args) -> int:
     basis = syzygy_basis(R)
     _emit(
         {
-            "rank": poly_rank(R),
+            "rank": R.shape[0] - len(basis),
             "generators": [[io_formats.poly_to_strings(p) for p in row] for row in basis],
         }
     )

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .excitation import ExcitationReport, ones_augmented, rank_verdict
 from .kernelrep import AffineKernelRep
+from .poly import Poly
 from .polymatrix import PolyMatrix
 from .trajectories import HankelMatrix, Trajectory, check_tolerance, hankel, numerical_rank
 from .trajectories import rank_of, restrict
@@ -197,16 +198,11 @@ def complete(
 
 def _kernel_from_rows(rows, q: int, depth: int) -> AffineKernelRep:
     """Assemble [R_0 ... R_{L-1} | -c] null rows into a kernel representation."""
-    blocks = [[[Fraction(0)] * q for _ in rows] for _ in range(depth)]
-    offsets = []
-    for i, v in enumerate(rows):
-        for k in range(depth):
-            for j in range(q):
-                blocks[k][i][j] = Fraction(v[k * q + j])
-        offsets.append(-Fraction(v[q * depth]))
-    if not rows:
-        return AffineKernelRep(PolyMatrix.zeros(0, q), ())
-    return AffineKernelRep(PolyMatrix.from_coefficient_blocks(blocks), tuple(offsets))
+    R = PolyMatrix(
+        [[Poly(Fraction(v[k * q + j]) for k in range(depth)) for j in range(q)] for v in rows],
+        ncols=q,
+    )
+    return AffineKernelRep(R, tuple(-Fraction(v[q * depth]) for v in rows))
 
 
 def _normalize_largest(v):

@@ -1,13 +1,12 @@
 """Exact linear algebra over the rationals, run on integer rows.
 
 Small dense routines used wherever a rank or null-space decision must be
-discontinuity-free: row-proper reduction of kernel representations, exact
-kernel recovery from rational data, and the eigenvalue-at-one certificate of
-lifted systems.  Matrices are lists of row lists (or numpy arrays).  Every
-entry is read exactly through ``as_integer_ratio()``: ints, Fractions,
-binary floats and numpy scalars alike, and strings like ``"3/4"`` through
-:class:`fractions.Fraction`.  NaN and infinite entries raise
-:class:`NonFiniteEntry`.
+discontinuity-free: exact kernel recovery from rational data and the
+eigenvalue-at-one certificate of lifted systems.  Matrices are lists of row
+lists (or numpy arrays).  Every entry is read exactly through
+``as_integer_ratio()``: ints, Fractions, binary floats and numpy scalars
+alike, and strings like ``"3/4"`` through :class:`fractions.Fraction`.  NaN
+and infinite entries raise :class:`NonFiniteEntry`.
 
 Each row is multiplied by the lcm of its denominators and divided by the
 gcd of the result, so elimination runs on Python integers.  One forward

@@ -3,9 +3,10 @@
 A pair (R(x), c) represents the trajectory set {w : R(sigma) w = c}, where
 sigma is the time shift.  Unlike the offset-free case, such a set can be
 empty: every polynomial row dependency (syzygy) of R imposes a constraint on
-c, and consistency holds exactly when all of them are met.  Everything here
-runs in exact rational arithmetic; floating point enters only when a
-representation is applied to measured data windows.
+c, and consistency holds exactly when all of them are met.  Every decision
+reads one reduction of [R | I] to Popov form, kept with R (:func:`_reduce`).
+Everything here runs in exact rational arithmetic; floating point enters
+only when a representation is applied to measured data windows.
 """
 
 from __future__ import annotations
@@ -17,14 +18,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import exactla
 from .errors import (
     DimensionMismatch,
     InconsistentRepresentation,
     WindowTooShort,
 )
 from .poly import Poly
-from .polymatrix import PolyMatrix, clear_denominators, row_hermite, smith_form
+from .polymatrix import PolyMatrix, clear_denominators
 from .trajectories import check_tolerance, window_matrix
 
 OffsetVector = tuple[Fraction, ...]
@@ -93,63 +93,91 @@ class OffsetSequence:
 def syzygy_basis(R: PolyMatrix) -> list[tuple[Poly, ...]]:
     """A minimal basis of the left syzygy module {lambda : lambda R = 0}.
 
-    The rows of the row-Hermite transform U against the zero rows of U R
-    span the syzygies, and as rows of a unimodular matrix they are left
-    prime.  Made row proper by :func:`_row_proper`, they form a minimal
-    basis in Forney's sense: the degrees are the smallest any basis can
-    have.  Each generator is scaled to integer coefficients with content
-    one.  Full-row-rank matrices return the empty list; the zero matrix
-    returns the coordinate rows.
-
-    The basis is computed once per matrix instance, on top of its memoised
-    :func:`row_hermite` reduction, and kept on it.  Each call returns a
-    fresh list of the shared generators, which are tuples of immutable
-    :class:`Poly`, so a caller may change the list freely.
+    The I parts of the rows of the reduced [R | I] (:func:`_reduce`) whose R
+    part vanished are rows of a unimodular transform, so they span the
+    syzygies and are left prime; being row reduced, they form a minimal basis
+    in Forney's sense.  Each generator is scaled to integer coefficients with
+    content one.  Full-row-rank matrices return the empty list; the zero
+    matrix returns the coordinate rows.  Each call returns a fresh list.
     """
-    return list(R._memo("_syzygies", _minimal_syzygies))
+    *_, syzygies = R._memo(_reduce)
+    return list(syzygies)
 
 
-def _minimal_syzygies(R: PolyMatrix) -> tuple[tuple[Poly, ...], ...]:
-    reduction = row_hermite(R)
-    rows = [list(reduction.U.rows[i]) for i in range(reduction.rank, R.shape[0])]
-    return tuple(tuple(clear_denominators(row)) for row in _row_proper(rows))
+def _reduce(R: PolyMatrix) -> tuple:
+    """The weak Popov reduction of [R | I], with the surviving R parts made Popov.
+
+    Returns those R parts in Popov form, canonical for their row module
+    (Kailath, *Linear Systems*, 1980), their I parts at 1, which send an
+    offset c to theirs, and the I parts of the rows whose R part vanished.
+    """
+    q = R.shape[1]
+    rows = [list(r) + list(e) for r, e in zip(R.rows, PolyMatrix.identity(R.shape[0]).rows)]
+    _weak_popov(rows, q)
+    kept = _popov([row for row in rows if any(row[:q])], q)
+    popov = tuple(tuple(row[:q]) for row in kept)
+    at_one = tuple(tuple(e(1) for e in row[q:]) for row in kept)
+    syzygies = tuple(tuple(clear_denominators(row[q:])) for row in rows if not any(row[:q]))
+    return popov, at_one, syzygies
+
+
+def _leading(row: Sequence[Poly], width: int) -> tuple[int, int] | None:
+    """Degree and position of the rightmost entry of maximal degree among the
+    first ``width`` entries, or among the rest once those are zero."""
+    for part in (range(width), range(width, len(row))):
+        degree = max((row[j].degree for j in part), default=-1)
+        if degree >= 0:
+            return degree, max(j for j in part if row[j].degree == degree)
+    return None
+
+
+def _weak_popov(rows: list[list[Poly]], width: int) -> None:
+    """Reduce rows in place until no two nonzero rows lead at one position.
+
+    Mulders & Storjohann, "On lattice reduction for polynomial matrices"
+    (J. Symbolic Comput. 35(4), 2003): of two rows leading at one position,
+    the one of higher degree loses its leading term to a monomial multiple of
+    the other, so its degree drops or its leading position moves left, and no
+    degree grows.  On exit the nonzero rows are row reduced.
+    """
+    lead = [_leading(row, width) for row in rows]
+    owner: dict[int, int] = {}
+    for i in range(len(rows)):
+        while lead[i] is not None:
+            j = lead[i][1]
+            k = owner.setdefault(j, i)
+            if k == i:
+                break
+            if lead[k][0] > lead[i][0]:  # the owner is the one to reduce
+                owner[j], i, k = i, k, i
+            factor = rows[i][j].leading_coefficient / rows[k][j].leading_coefficient
+            monomial = Poly.x(lead[i][0] - lead[k][0]).scale(factor)
+            rows[i] = [a - monomial * b if b else a for a, b in zip(rows[i], rows[k])]
+            lead[i] = _leading(rows[i], width)
+
+
+def _popov(rows: list[list[Poly]], width: int) -> list[list[Poly]]:
+    """Weak Popov rows made Popov: each row reduced modulo the others' leading
+    entries (the terms brought in lie below those cancelled, so every leading
+    entry stays), then scaled monic and sorted by leading position."""
+    lead = [_leading(row, width) for row in rows]
+    for i in range(len(rows)):
+        reducible = True
+        while reducible:
+            reducible = False
+            for k, (d, j) in enumerate(lead):
+                if k != i and rows[i][j].degree >= d:
+                    quo = rows[i][j] // rows[k][j]
+                    rows[i] = [a - quo * b if b else a for a, b in zip(rows[i], rows[k])]
+                    reducible = True
+    return [
+        [e.scale(1 / row[j].leading_coefficient) for e in row]
+        for (_, j), row in sorted(zip(lead, rows), key=lambda pair: pair[0][1])
+    ]
 
 
 def _row_degree(row: Sequence[Poly]) -> int:
-    return max(e.degree for e in row)
-
-
-def _row_proper(rows: list[list[Poly]]) -> list[list[Poly]]:
-    """Make rows of full row rank row proper by unimodular row operations.
-
-    While the leading row-coefficient matrix is rank deficient, a combination
-    of rows cancels the leading terms of the highest-degree row in its
-    support, strictly lowering that row's degree; the other rows enter with
-    polynomial factors, so the rows keep spanning the same module.  On exit
-    the leading row-coefficient matrix has full row rank.
-    """
-    rows = [list(r) for r in rows]
-    while rows:
-        degrees = [_row_degree(row) for row in rows]
-        leading = [
-            [e.coefficient(deg) for e in row] for row, deg in zip(rows, degrees)
-        ]
-        null = exactla.left_null_space(leading)
-        if not null:
-            break
-        alpha = null[0]
-        support = [i for i, a in enumerate(alpha) if a != 0]
-        j = max(support, key=lambda i: degrees[i])
-        scale = 1 / alpha[j]
-        new_row = list(rows[j])
-        for i in support:
-            if i == j:
-                continue
-            shift = degrees[j] - degrees[i]
-            factor = Poly([alpha[i] * scale]).shift(shift)
-            new_row = [a + factor * b for a, b in zip(new_row, rows[i])]
-        rows[j] = new_row
-    return rows
+    return max((e.degree for e in row), default=-1)
 
 
 class ConsistencyReport(NamedTuple):
@@ -163,14 +191,11 @@ def consistent_constant(rep: AffineKernelRep) -> bool:
     """Whether a constant offset is attainable: lambda(1) c = 0 for all syzygies.
 
     A constant sequence is fixed by the shift, so each syzygy constraint
-    lambda(sigma) c = 0 collapses to the scalar test at 1.  The rows of the
-    row-Hermite transform U against the zero rows of U R span the syzygies
-    (see :func:`syzygy_basis`), and lambda(1) c is linear in lambda, so it
-    suffices that those rows pass: the entries of U(1) c below the rank
-    vanish.  This needs the memoised reduction only, not a minimal basis.
+    lambda(sigma) c = 0 collapses to the scalar test at 1, and lambda(1) c is
+    linear in lambda, so it suffices that the generators of
+    :func:`syzygy_basis` pass.
     """
-    reduction, offset = _reduced_offset(rep)
-    return not any(offset[reduction.rank :])
+    return not any(sum(e(1) * v for e, v in zip(lam, rep.c)) for lam in syzygy_basis(rep.R))
 
 
 def consistent_sequence(
@@ -266,38 +291,28 @@ def _within(lam: Sequence[Poly], columns: np.ndarray, T: int, tol: float) -> boo
 
 
 def minimize(rep: AffineKernelRep) -> AffineKernelRep:
-    """Equivalent representation with full-row-rank R in canonical form.
+    """Equivalent representation with full-row-rank R in canonical (Popov) form.
 
-    The unimodular reduction U R = [R1; 0] sends the offset to U(1) c; the
-    entries against the zero rows must vanish, or the representation was
-    inconsistent to begin with.
+    The reduction U [R | I] of :func:`_reduce` sends the offset to U(1) c;
+    the entries against the rows whose R part vanished, lambda(1) c, must
+    vanish, or the representation was inconsistent to begin with.
     """
-    reduction, offset = _reduced_offset(rep)
-    r = reduction.rank
-    if any(offset[r:]):
+    if not consistent_constant(rep):
         raise InconsistentRepresentation(
             "zero rows of the reduced matrix carry nonzero offsets"
         )
-    return AffineKernelRep(reduction.H.take_rows(range(r)), tuple(offset[:r]))
-
-
-def _reduced_offset(rep: AffineKernelRep):
-    """The row-Hermite reduction of R and the offset U(1) c it sends c to."""
-    reduction = row_hermite(rep.R)
-    u_at_one = reduction.U.evaluate(Fraction(1))
-    return reduction, [sum(u * v for u, v in zip(row, rep.c)) for row in u_at_one]
+    popov, at_one, _ = rep.R._memo(_reduce)
+    offset = tuple(sum(u * v for u, v in zip(row, rep.c)) for row in at_one)
+    return AffineKernelRep(PolyMatrix(popov, ncols=rep.q), offset)
 
 
 def equivalent(rep1: AffineKernelRep, rep2: AffineKernelRep) -> bool:
     """Whether two consistent representations define the same trajectory set.
 
-    Both are reduced to the canonical minimal form; the canonical matrices
-    are equal exactly when the offset-free row modules agree, and then the
-    connecting unimodular transform is the identity, so the offsets must
-    match entrywise.  Consistency is checked by the reduction itself: the
-    rows of the Hermite transform U against the zero rows span the left
-    syzygies, so their offsets U(1) c vanish exactly when
-    :func:`consistent_constant` holds.
+    Both are reduced to the canonical minimal (Popov) form; the canonical
+    matrices are equal exactly when the offset-free row modules agree, and
+    then the connecting unimodular transform is the identity, so the offsets
+    must match entrywise.  :func:`minimize` rejects inconsistent inputs.
     """
     try:
         min1 = minimize(rep1)
@@ -340,23 +355,21 @@ def behavior_apply(rep: AffineKernelRep, window) -> np.ndarray:
 def controllable_kernel(rep: AffineKernelRep) -> bool:
     """Constant-rank test: R(lambda) keeps full rank at every complex point.
 
-    Decided exactly through the invariant factors of the minimized matrix;
-    a non-constant factor vanishes somewhere, dropping the rank there.
+    The minimized R (r x q) does so exactly when its columns span every
+    polynomial r-vector.  The weak Popov reduction of its transpose leaves r
+    row-reduced rows, whose determinant's degree is the sum of their degrees,
+    so that holds exactly when every such row has degree 0.
     """
     reduced = minimize(rep)
-    if reduced.g == 0:
-        return True
-    dec = smith_form(reduced.R)
-    return all(f.is_constant for f in dec.invariant_factors)
+    rows = [list(row) for row in reduced.R.transpose().rows]
+    _weak_popov(rows, reduced.g)
+    return all(_row_degree(row) <= 0 for row in rows)
 
 
 def lag_of(rep: AffineKernelRep) -> int:
     """Minimal degree over all representations of the same trajectory set.
 
-    Minimizes, then makes the rows proper (:func:`_row_proper`).  The
-    maximal row degree of the row-proper form is the lag.
+    The Popov form of :func:`minimize` is row reduced, so its maximal row
+    degree is the lag.
     """
-    reduced = minimize(rep)
-    if reduced.g == 0:
-        return 0
-    return max(_row_degree(row) for row in _row_proper(reduced.R.rows))
+    return max((_row_degree(row) for row in minimize(rep).R.rows), default=0)

@@ -1,8 +1,9 @@
 """Matrices over the univariate rational polynomials.
 
-Provides the exact machinery behind the kernel-representation decision
-procedures: rank over the rational-function field, Smith decomposition with
-unimodular transforms, and canonical row-Hermite reduction.  Pivoting always
+Provides rank over the rational-function field, and the Smith decomposition
+and canonical row-Hermite reduction with their unimodular transforms, which
+the CLI ``smith`` and the tests use; the kernel-representation procedures run
+on a reduction of their own (:mod:`atisys.kernelrep`).  Pivoting always
 selects a minimum-degree nonzero entry, which keeps intermediate degrees
 small at the scale these matrices have.
 """
@@ -27,14 +28,14 @@ def _entry(value) -> Poly:
 class PolyMatrix:
     """Immutable rectangular grid of :class:`Poly` entries.
 
-    Each instance also holds its own row-Hermite reduction and minimal
-    syzygy basis once something has asked for them (``_hermite`` and
-    ``_syzygies``), so every exact decision on one matrix pays for its
-    reduction once.  They are private, never compared, hashed or copied, and
-    live only as long as the matrix.
+    Each instance also holds its kernel-representation reduction once
+    something has asked for it (``_reduced``, see :mod:`atisys.kernelrep`), so
+    every exact decision on one matrix pays for that reduction once.  It is
+    private, never compared, hashed or copied, and lives only as long as the
+    matrix.
     """
 
-    __slots__ = ("rows", "_ncols", "_hermite", "_syzygies")
+    __slots__ = ("rows", "_ncols", "_reduced")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int = 0):
         grid = tuple(tuple(_entry(e) for e in row) for row in rows)
@@ -42,8 +43,7 @@ class PolyMatrix:
             raise DimensionMismatch("rows have differing lengths")
         object.__setattr__(self, "rows", grid)
         object.__setattr__(self, "_ncols", len(grid[0]) if grid else ncols)
-        object.__setattr__(self, "_hermite", None)
-        object.__setattr__(self, "_syzygies", None)
+        object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -52,13 +52,11 @@ class PolyMatrix:
         # copies and pickles rebuild from the entries alone, without the memo
         return (PolyMatrix, (self.rows, self._ncols))
 
-    def _memo(self, slot: str, compute):
-        """The value in ``slot``, computed from this matrix on first use."""
-        value = getattr(self, slot)
-        if value is None:
-            value = compute(self)
-            object.__setattr__(self, slot, value)
-        return value
+    def _memo(self, reduce):
+        """``reduce(self)``, computed on first use and kept in ``_reduced``."""
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced", reduce(self))
+        return self._reduced
 
     # -- constructors -------------------------------------------------
 
@@ -123,14 +121,16 @@ class PolyMatrix:
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot add shapes {self.shape} and {other.shape}")
         return PolyMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            ncols=self._ncols,
         )
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"cannot subtract shapes {self.shape} and {other.shape}")
         return PolyMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            ncols=self._ncols,
         )
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -148,18 +148,16 @@ class PolyMatrix:
                         acc = acc + self.rows[i][t] * other.rows[t][j]
                 row.append(acc)
             out.append(row)
-        return PolyMatrix(out)
+        return PolyMatrix(out, ncols=q)
 
     def scale(self, value) -> "PolyMatrix":
-        return PolyMatrix([[e * _entry(value) for e in row] for row in self.rows])
+        rows = [[e * _entry(value) for e in row] for row in self.rows]
+        return PolyMatrix(rows, ncols=self._ncols)
 
     def vstack(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.shape[1] != other.shape[1] and self.rows and other.rows:
+        if self.shape[1] != other.shape[1]:
             raise DimensionMismatch("column counts differ")
-        return PolyMatrix(list(self.rows) + list(other.rows))
-
-    def take_rows(self, indices: Iterable[int]) -> "PolyMatrix":
-        return PolyMatrix([self.rows[i] for i in indices], ncols=self._ncols)
+        return PolyMatrix(list(self.rows) + list(other.rows), ncols=self._ncols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
@@ -385,11 +383,10 @@ class RowHermite:
 
     @property
     def U_inverse(self) -> PolyMatrix:
-        """The inverse of U, computed on first use.
+        """The inverse of U, computed on each access.
 
         U is unimodular, so its canonical form is the identity and the
-        transform that reduces it is U's inverse.  That reduction is kept on
-        U like any other, so later calls return the same matrix.
+        transform that reduces it is U's inverse.
         """
         return row_hermite(self.U).U
 
@@ -400,15 +397,7 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
     Pivots are monic, entries above a pivot have degree strictly below the
     pivot's, nonzero rows come first in staircase order.  Full-row-rank
     matrices with equal row modules reduce to the identical canonical form.
-
-    The reduction is computed once per matrix instance and kept on it; every
-    later call returns the same :class:`RowHermite`, which is immutable, so
-    callers share it safely.
     """
-    return matrix._memo("_hermite", _row_hermite)
-
-
-def _row_hermite(matrix: PolyMatrix) -> RowHermite:
     g, q = matrix.shape
     M = [list(row) for row in matrix.rows]
     t = _Transform(g)

@@ -18,10 +18,12 @@ from atisys import (
     equivalent,
     lag_of,
     minimize,
+    poly_rank,
     row_hermite,
+    smith_form,
     syzygy_basis,
 )
-from atisys import exactla, polymatrix
+from atisys import exactla, kernelrep
 from atisys.errors import AtisysError, InconsistentRepresentation, WindowTooShort
 from conftest import random_poly_matrix, random_unimodular
 
@@ -392,8 +394,6 @@ def exact_answers(rep: AffineKernelRep) -> list:
     """Every exact procedure's answer on rep; a raised error counts by its type."""
     window = OffsetSequence.constant(rep.c, rep.degree + 2)
     calls = [
-        lambda: row_hermite(rep.R),
-        lambda: row_hermite(rep.R).U_inverse,
         lambda: syzygy_basis(rep.R),
         lambda: consistent_constant(rep),
         lambda: minimize(rep),
@@ -416,13 +416,13 @@ class TestReductionMemo:
 
     def test_one_reduction_per_instance(self, monkeypatch):
         reduced = []
-        reduce = polymatrix._row_hermite
+        reduce = kernelrep._reduce
 
         def counting(matrix):
             reduced.append(matrix)
             return reduce(matrix)
 
-        monkeypatch.setattr(polymatrix, "_row_hermite", counting)
+        monkeypatch.setattr(kernelrep, "_reduce", counting)
         R = deficient_matrix()
         rep = AffineKernelRep(R, consistent_offset(R, [1, 2, -1]))
         small = minimize(rep)
@@ -430,8 +430,9 @@ class TestReductionMemo:
             for kernel in (rep, small):
                 exact_answers(kernel)
                 assert equivalent(kernel, small) and equivalent(rep, kernel)
-        # the two kernels' matrices and their Hermite transforms (for U_inverse)
-        instances = [rep.R, row_hermite(rep.R).U, small.R, row_hermite(small.R).U]
+        # the two kernels' matrices; the matrices that minimize returns and the
+        # transposes controllable_kernel reduces are never kept
+        instances = [rep.R, small.R]
         assert len(reduced) == len(instances)
         assert all(any(m is instance for m in reduced) for instance in instances)
 
@@ -455,8 +456,143 @@ class TestReductionMemo:
         first = exact_answers(rep)
         assert exact_answers(rep) == first  # answered from the memo
         fresh = AffineKernelRep(PolyMatrix(rep.R.rows), rep.c)
-        assert fresh.R._hermite is None and fresh.R._syzygies is None
+        assert fresh.R._reduced is None
         assert exact_answers(fresh) == first
+
+
+@st.composite
+def consistent_kernels(draw):
+    """Small integer R, often rank deficient, with the offset of a constant trajectory."""
+    R = draw(small_matrices())
+    q = R.shape[1]
+    return AffineKernelRep(R, consistent_offset(R, draw(st.lists(small_int, min_size=q, max_size=q))))
+
+
+kernels = st.one_of(deficient_kernels(), consistent_kernels())
+
+
+def mapped(rep: AffineKernelRep, U: PolyMatrix) -> AffineKernelRep:
+    """(U R, U(1) c): the same trajectory set when U is unimodular."""
+    u1 = U.evaluate(Fraction(1))
+    return AffineKernelRep(U @ rep.R, tuple(sum(a * b for a, b in zip(row, rep.c)) for row in u1))
+
+
+def row_proper(rows: list[list[Poly]]) -> list[list[Poly]]:
+    """Reference: make rows of full row rank row proper by unimodular row operations.
+
+    While the leading row-coefficient matrix is rank deficient, a combination
+    of rows cancels the leading terms of the highest-degree row in its
+    support, strictly lowering that row's degree; the other rows enter with
+    polynomial factors, so the rows keep spanning the same module.  On exit
+    the leading row-coefficient matrix has full row rank.
+    """
+    rows = [list(r) for r in rows]
+    while rows:
+        degrees = [max(e.degree for e in row) for row in rows]
+        leading = [[e.coefficient(deg) for e in row] for row, deg in zip(rows, degrees)]
+        null = exactla.left_null_space(leading)
+        if not null:
+            break
+        alpha = null[0]
+        support = [i for i, a in enumerate(alpha) if a != 0]
+        j = max(support, key=lambda i: degrees[i])
+        scale = 1 / alpha[j]
+        new_row = list(rows[j])
+        for i in support:
+            if i != j:
+                factor = Poly([alpha[i] * scale]).shift(degrees[j] - degrees[i])
+                new_row = [a + factor * b for a, b in zip(new_row, rows[i])]
+        rows[j] = new_row
+    return rows
+
+
+def leading_position(row) -> int:
+    degree = max(e.degree for e in row)
+    return max(j for j, e in enumerate(row) if e.degree == degree)
+
+
+def is_popov(R: PolyMatrix) -> bool:
+    """Monic leading entries in increasing columns, each of higher degree
+    than every other entry of its column."""
+    positions = [leading_position(row) for row in R.rows]
+    if any(a >= b for a, b in zip(positions, positions[1:])):
+        return False
+    for i, j in enumerate(positions):
+        pivot = R.rows[i][j]
+        if pivot.leading_coefficient != 1:
+            return False
+        if any(row[j].degree >= pivot.degree for k, row in enumerate(R.rows) if k != i):
+            return False
+    return True
+
+
+class TestReductionOracles:
+    """The weak Popov reduction against Hermite, Smith and row-proper references."""
+
+    def test_consistency_and_module_match_hermite(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(kernels)
+        def check(rep):
+            # the Hermite transform's rows against zero rows of U R span the syzygies
+            reference = row_hermite(rep.R)
+            offsets = [sum(u * v for u, v in zip(row, rep.c)) for row in reference.U.evaluate(1)]
+            consistent = not any(offsets[reference.rank :])
+            assert consistent_constant(rep) == consistent
+            seen.add(consistent)
+            if consistent:
+                reduced = minimize(rep)
+                assert reduced.g == reference.rank
+                kept = row_hermite(reduced.R).H.rows
+                assert kept == reference.H.rows[: reference.rank]
+
+        check()
+        assert seen == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(consistent_kernels(), st.integers(0, 2**32 - 1))
+    def test_minimize_is_canonical_popov(self, rep, seed):
+        U = random_unimodular(np.random.default_rng(seed), rep.g)
+        reduced = minimize(rep)
+        image = minimize(mapped(rep, U))
+        assert image.R == reduced.R and image.c == reduced.c
+        assert is_popov(reduced.R)
+
+    def test_controllable_matches_smith(self):
+        seen = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(consistent_kernels())
+        def check(rep):
+            R = minimize(rep).R
+            constant = R.shape[0] == 0 or all(f.is_constant for f in smith_form(R).invariant_factors)
+            assert controllable_kernel(rep) == constant
+            seen.add(constant)
+
+        check()
+        assert seen == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(consistent_kernels())
+    def test_lag_matches_row_proper_hermite(self, rep):
+        reference = row_hermite(rep.R)
+        rows = row_proper(reference.H.rows[: reference.rank])
+        assert lag_of(rep) == max((max(e.degree for e in row) for row in rows), default=0)
+
+    def test_ten_by_ten_probe(self):
+        # R = L R' with L 10x8 of degree <= 1 and R' 8x10 of degree <= 2, whose
+        # Hermite transform reaches degree 87 with 2279-bit coefficients
+        rng = np.random.default_rng(3)
+        R = random_poly_matrix(rng, 10, 8, max_degree=1) @ random_poly_matrix(rng, 8, 10, max_degree=2)
+        rank = poly_rank(R)
+        assert rank == 8
+        basis = syzygy_basis(R)
+        assert len(basis) == R.shape[0] - rank
+        assert all((PolyMatrix([lam]) @ R).is_zero for lam in basis)
+        rep = AffineKernelRep(R, consistent_offset(R, [1, -2, 0, 3, 1, -1, 2, 0, -3, 1]))
+        assert minimize(rep).g == rank
+        assert consistent_constant(rep)
 
 
 class TestBehaviorApply:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from atisys import AffineKernelRep, Poly, PolyMatrix, poly_rank, row_hermite, smith_form, syzygy_basis
-from atisys.errors import ZeroMatrix
+from atisys.errors import DimensionMismatch, ZeroMatrix
 from conftest import random_poly_matrix, random_unimodular
 
 X = Poly.x()
@@ -28,6 +28,24 @@ def cofactor_determinant(M: PolyMatrix) -> Poly:
         term = M.rows[i][0] * cofactor_determinant(minor)
         total = total + term if i % 2 == 0 else total - term
     return total
+
+
+class TestShapes:
+    def test_zero_row_results_keep_their_columns(self):
+        empty = PolyMatrix.zeros(0, 3)
+        for result in (empty + empty, empty - empty, empty.scale(2), empty.vstack(empty)):
+            assert result.shape == (0, 3)
+        assert (PolyMatrix.zeros(0, 2) @ PolyMatrix.zeros(2, 3)).shape == (0, 3)
+
+    def test_vstack_requires_equal_column_counts(self):
+        for top, bottom in [
+            (PolyMatrix.zeros(0, 3), PolyMatrix([[1, 2]])),
+            (PolyMatrix([[1, 2]]), PolyMatrix.zeros(0, 3)),
+            (PolyMatrix([[1, 2]]), PolyMatrix([[1, 2, 3]])),
+        ]:
+            with pytest.raises(DimensionMismatch):
+                top.vstack(bottom)
+        assert PolyMatrix([[1, 2]]).vstack(PolyMatrix.zeros(0, 2)) == PolyMatrix([[1, 2]])
 
 
 class TestRank:
@@ -148,13 +166,13 @@ class TestCopies:
     )
     def test_round_trip_keeps_value_and_drops_memo(self, duplicate):
         R = worked_deficient_matrix()
-        row_hermite(R)
         syzygy_basis(R)
+        assert R._reduced is not None
         rep = AffineKernelRep(R, (Fraction(1, 3), -2))
         for original in (Poly([Fraction(1, 2), 0, -3]), Poly.zero(), R, PolyMatrix.zeros(0, 3), rep):
             twin = duplicate(original)
             assert twin == original and hash(twin) == hash(original)
         twin = duplicate(R)
         assert twin.shape == R.shape
-        assert twin._hermite is None and twin._syzygies is None
-        assert row_hermite(twin) == row_hermite(R)
+        assert twin._reduced is None
+        assert syzygy_basis(twin) == syzygy_basis(R)
