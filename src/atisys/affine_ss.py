@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import exactla
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidArgument
+from .polymatrix import PolyMatrix
 from .trajectories import Trajectory, numerical_rank
 
 
@@ -129,7 +129,8 @@ def simulate(
 ) -> SimulationResult:
     """Run the state recursion from x(1) = x0 over the input trajectory.
 
-    For models with no inputs, pass ``horizon`` instead of ``u``.
+    For models with no inputs, pass ``horizon`` instead of ``u``; passing
+    the argument the model does not read raises :class:`InvalidArgument`.
 
     The record is computed in whole-array products, not sample by sample.
     The drive v(t) = B u(t) + E and the outputs y = C x + D u + F are one
@@ -143,11 +144,15 @@ def simulate(
     :func:`_state_sequence` says how the blocks are scheduled.
     """
     if sys.m == 0:
+        if u is not None:
+            raise InvalidArgument("a model without inputs takes a horizon, not u")
         if horizon is None or horizon < 1:
             raise DimensionMismatch("a positive horizon is required when m = 0")
         T = horizon
         u_data = np.zeros((T, 0))
     else:
+        if horizon is not None:
+            raise InvalidArgument("a model with inputs takes its length from u, not a horizon")
         if u is None:
             raise DimensionMismatch("an input trajectory is required when m > 0")
         if u.q != sys.m:
@@ -304,12 +309,10 @@ def lift(sys: AffineStateSpace) -> LiftedStateSpace:
 def char_poly_at_one(lifted: LiftedStateSpace) -> Fraction:
     """Evaluate det(I - A) of the lifted transition matrix in exact arithmetic.
 
-    Floats convert to rationals exactly, and the constant bottom row makes the
-    result identically zero, certifying the eigenvalue at 1.
+    Floats convert to rationals exactly, and the determinant is
+    :meth:`PolyMatrix.determinant` of I - A as a matrix of constants.  The
+    constant bottom row makes the result identically zero, certifying the
+    eigenvalue at 1.
     """
-    k = lifted.order
-    rows = [
-        [Fraction(1 if i == j else 0) - Fraction(lifted.A[i, j]) for j in range(k)]
-        for i in range(k)
-    ]
-    return exactla.det(rows)
+    A = PolyMatrix([[Fraction(v) for v in row] for row in lifted.A.tolist()])
+    return (PolyMatrix.identity(lifted.order) - A).determinant().coefficient(0)

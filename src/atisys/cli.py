@@ -8,12 +8,16 @@ Exit codes: 0 when the command succeeds and any checked condition holds,
 Subcommands accept only the options they read:
 
 - ``--tol`` (a positive, finite rank or residual tolerance): pe, gape,
-  rank-check, complete, ident-kernel, invariants, consistency (offset
-  sequences only), example-sec7;
+  rank-check, complete, ident-kernel (svd method only), invariants,
+  consistency (offset sequences only), example-sec7;
 - ``--table`` (a fixed-column summary in place of JSON): pe, gape,
   rank-check, example-sec7;
 - ``--out`` (a directory for file artifacts): complete, ident-kernel,
   simulate, linearize.
+
+An option that the given data leaves unread is an error (exit 1): ``--tol``
+as marked above, ``gape --n`` together with ``--d-l``, ``simulate
+--horizon`` on a model with inputs, and an inputs file for a model without.
 """
 
 from __future__ import annotations
@@ -256,11 +260,8 @@ def _cmd_invariants(args) -> int:
 def _cmd_simulate(args) -> int:
     sys_model = io_formats.read_system_json(args.system)
     x0 = np.zeros(sys_model.n) if args.x0 is None else np.array([float(v) for v in args.x0.split(",") if v != ""])
-    if sys_model.m > 0:
-        u = io_formats.read_trajectory_csv(args.inputs, all_inputs=True)
-        result = simulate(sys_model, x0, u)
-    else:
-        result = simulate(sys_model, x0, horizon=args.horizon)
+    u = None if args.inputs is None else io_formats.read_trajectory_csv(args.inputs, all_inputs=True)
+    result = simulate(sys_model, x0, u, horizon=args.horizon)
     doc = {
         "x": result.x.data if result.x is not None else [],
         "y": result.y.data if result.y is not None else [],
@@ -434,7 +435,6 @@ def build_parser() -> _Parser:
 
     p = add("hankel", _cmd_hankel, "build the depth-L Hankel matrix of a trajectory")
     p.add_argument("--depth", "--L", dest="depth", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("trajectory")
 
     p = add("pe", _cmd_pe, "persistence-of-excitation test (all columns are inputs)", "--tol", "--table")
@@ -473,7 +473,6 @@ def build_parser() -> _Parser:
 
     p = add("invariants", _cmd_invariants, "integer invariants from a rich experiment", "--tol")
     p.add_argument("--tmax", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
     p.add_argument("data")
 
     p = add("simulate", _cmd_simulate, "simulate a state-space model", "--out")

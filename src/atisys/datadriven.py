@@ -229,7 +229,11 @@ def recover_kernel(
     ``method="exact"`` computes it in rational arithmetic, which gives the
     mathematically exact kernel whenever the data values are exact (for
     example integer-valued experiments) and supports the exact lag and
-    equivalence procedures downstream.
+    equivalence procedures downstream.  The exact route reads each float as
+    the rational it encodes, so it takes no ``tol`` and refuses data with an
+    entry of magnitude 2**53 or more, where floats no longer hold every
+    integer and the values may already be rounded; both raise
+    :class:`InvalidArgument`.
     """
     H = rep.hankel.entries
     if H.shape[1] == 0:
@@ -243,6 +247,13 @@ def recover_kernel(
         rank, kind = rank_of(svals, S.shape, tol), "measured"
         null_rows = [list(U[:, k]) for k in range(rank, qL + 1)]
     elif method == "exact":
+        if tol is not None:
+            raise InvalidArgument("the exact method takes no tolerance")
+        if np.any(np.abs(H) >= 2.0**53):
+            raise InvalidArgument(
+                "data entries of magnitude 2**53 or more may be rounded; "
+                "the exact method cannot read them"
+            )
         null_rows = exactla.left_null_space(S)
         rank, kind = qL + 1 - len(null_rows), "exact"
     else:

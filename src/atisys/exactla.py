@@ -1,12 +1,12 @@
 """Exact linear algebra over the rationals, run on integer rows.
 
 Small dense routines used wherever a rank or null-space decision must be
-discontinuity-free: exact kernel recovery from rational data and the
-eigenvalue-at-one certificate of lifted systems.  Matrices are lists of row
-lists (or numpy arrays).  Every entry is read exactly through
-``as_integer_ratio()``: ints, Fractions, binary floats and numpy scalars
-alike, and strings like ``"3/4"`` through :class:`fractions.Fraction`.  NaN
-and infinite entries raise :class:`NonFiniteEntry`.
+discontinuity-free, as in exact kernel recovery from rational data.
+Matrices are lists of row lists (or numpy arrays).  Every entry is read
+exactly through ``as_integer_ratio()``: ints, Fractions, binary floats and
+numpy scalars alike, and strings like ``"3/4"`` through
+:class:`fractions.Fraction`.  NaN and infinite entries raise
+:class:`NonFiniteEntry`.
 
 Each row is multiplied by the lcm of its denominators and divided by the
 gcd of the result, so elimination runs on Python integers.  One forward
@@ -14,21 +14,20 @@ elimination to row echelon form sits behind every routine (pivot rows are
 neither normalised nor used to clear the entries above them): a row with
 entry f under the pivot p becomes (p/g) row - (f/g) top, g = gcd(p, f),
 with the sign taken so that the multiplier p/g is positive, and is then
-divided by its content.  Rows with a zero under the pivot are not touched,
-which keeps band matrices sparse.  Every row therefore stays a positive
-rational multiple of the row that elimination over the rationals would
-give, so the zero pattern, the pivot rows, the swaps and the sign are the
-rational ones.  Content removal makes each row the primitive integer
-multiple of its rational row, whose entries divide minors of the input, so
-the integers grow no faster than in Bareiss's fraction-free elimination.
+divided by its content.  Rows with a zero under the pivot are not touched.
+Every row therefore stays a positive rational multiple of the row that
+elimination over the rationals would give, so the zero pattern, the pivot
+rows and the swaps are the rational ones.  Content removal makes each row
+the primitive integer multiple of its rational row, whose entries divide
+minors of the input, so the integers grow no faster than in Bareiss's
+fraction-free elimination.
 
 ``solve`` and ``null_space`` back-substitute in integers, with the free
 variables set to zero or to a unit vector: the solution is kept as an
-integer vector over one common denominator and divided out once at the
-end.  ``solve`` takes M x = b as the null vector of [M | b] with -1 in b's
-column; a scaled row and its scaled right-hand side give the same
-solution.  ``det`` divides the row scalings back out.  Every returned entry
-is a :class:`fractions.Fraction`.
+integer vector whose free entry is the common denominator, and divided out
+once at the end.  ``solve`` takes M x = b as the null vector of [M | b]
+with -1 in b's column; a scaled row and its scaled right-hand side give the
+same solution.  Every returned entry is a :class:`fractions.Fraction`.
 
 ``null_space`` of a tall matrix (more than ``ncols + 1`` rows, such as the
 transposed data matrix of exact kernel recovery) eliminates only its first
@@ -44,7 +43,7 @@ elimination more.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from numbers import Integral
 
 from .errors import NonFiniteEntry
@@ -67,44 +66,33 @@ def _ratio(x) -> tuple[int, int]:
         raise NonFiniteEntry(f"exact arithmetic needs finite entries, got {x!r}") from None
 
 
-def _integer_row(row) -> tuple[list[int], int, int]:
-    """The row times the positive rational that makes it integral with content 1.
-
-    Returns the integer row and that multiplier as numerator and denominator.
-    """
-    try:
-        pairs = [x.as_integer_ratio() for x in row]
-    except (AttributeError, ValueError, OverflowError):
-        pairs = [_ratio(x) for x in row]
-    denominator = lcm(*(d for _, d in pairs))
-    if denominator == 1:
-        ints = [n for n, _ in pairs]
-    else:
-        ints = [n * (denominator // d) for n, d in pairs]
-    content = gcd(*ints)
-    if content > 1:
-        ints = [v // content for v in ints]
-    return ints, denominator, content or 1
-
-
 def _integer_rows(rows) -> Matrix:
-    return [_integer_row(row)[0] for row in rows]
+    """Each row times the positive rational that makes it integral with content 1."""
+    out = []
+    for row in rows:
+        try:
+            pairs = [x.as_integer_ratio() for x in row]
+        except (AttributeError, ValueError, OverflowError):
+            pairs = [_ratio(x) for x in row]
+        denominator = lcm(*(d for _, d in pairs))
+        if denominator == 1:
+            ints = [n for n, _ in pairs]
+        else:
+            ints = [n * (denominator // d) for n, d in pairs]
+        content = gcd(*ints)
+        out.append([v // content for v in ints] if content > 1 else ints)
+    return out
 
 
-def _echelon(M: Matrix, track: bool = False) -> tuple[list[int], int, Fraction]:
+def _echelon(M: Matrix) -> list[int]:
     """Reduce the integer rows M in place to row echelon form.
 
-    Returns the pivot columns (pivot k sits in row k), the sign of the row
-    permutation, and, when ``track`` is set, the product of the positive
-    multipliers the elimination applied to the rows (1 otherwise).  Each
-    pivot clears the entries below it, touching only the columns from the
-    pivot column on.
+    Returns the pivot columns (pivot k sits in row k).  Each pivot clears the
+    entries below it, touching only the columns from the pivot column on.
     """
     nrows = len(M)
     ncols = len(M[0]) if M else 0
     pivots: list[int] = []
-    sign = 1
-    growth = Fraction(1)
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -112,9 +100,7 @@ def _echelon(M: Matrix, track: bool = False) -> tuple[list[int], int, Fraction]:
         pivot = next((i for i in range(r, nrows) if M[i][c]), None)
         if pivot is None:
             continue
-        if pivot != r:
-            M[r], M[pivot] = M[pivot], M[r]
-            sign = -sign
+        M[r], M[pivot] = M[pivot], M[r]
         p = M[r][c]
         top = M[r][c + 1 :]
         for i in range(r + 1, nrows):
@@ -130,24 +116,21 @@ def _echelon(M: Matrix, track: bool = False) -> tuple[list[int], int, Fraction]:
                 new = [v // content for v in new]
             row[c] = 0
             row[c + 1 :] = new
-            if track:
-                growth *= Fraction(a, content or 1)
         pivots.append(c)
-    return pivots, sign, growth
+    return pivots
 
 
-def _null_vector(R: Matrix, pivots: list[int], free: int, width: int) -> tuple[list[int], int]:
+def _null_vector(R: Matrix, pivots: list[int], free: int, width: int) -> list[int]:
     """The solution of R y = 0 with y[free] = 1 and every other non-pivot entry 0.
 
-    Returned as integers y and a nonzero D with the solution y / D.  From the
+    Returned as integers y over the nonzero denominator y[free].  From the
     last pivot row up, the pivot entry must be -s / p, with s the row's dot
-    product with y so far and p its pivot; y and D are scaled by p / gcd(s, p)
-    so that it stays an integer, and then divided by their common content, so
-    D never exceeds the lcm of the solution's denominators.
+    product with y so far and p its pivot; y is scaled by p / gcd(s, p) so
+    that it stays an integer, and then divided by its content, so y[free]
+    never exceeds the lcm of the solution's denominators.
     """
     y = [0] * width
     y[free] = 1
-    D = 1
     for r in reversed(range(len(pivots))):
         c = pivots[r]
         row = R[r]
@@ -158,17 +141,15 @@ def _null_vector(R: Matrix, pivots: list[int], free: int, width: int) -> tuple[l
         m = row[c] // g
         if m != 1:
             y = [v * m for v in y]
-            D *= m
         y[c] = -s // g
-        content = gcd(D, *y)
+        content = gcd(*y)
         if content > 1:
             y = [v // content for v in y]
-            D //= content
-    return y, D
+    return y
 
 
 def rank(matrix) -> int:
-    return len(_echelon(_integer_rows(_rows(matrix)))[0])
+    return len(_echelon(_integer_rows(_rows(matrix))))
 
 
 def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
@@ -195,41 +176,36 @@ def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
         ncols = len(M[0])
     block, rest = M[: ncols + 1], M[ncols + 1 :]
     pivots, basis = _null_basis(block, ncols)
-    missed = _missed_rows(basis, rest)
+    missed = _missed_rows(basis.values(), rest)
     if missed:
         _, basis = _null_basis(block[: len(pivots)] + missed, ncols)
-    return basis
+    return [[Fraction(v, y[free]) for v in y] for free, y in basis.items()]
 
 
-def _null_basis(M: Matrix, ncols: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Reduce M in place; its pivot columns and canonical null-space basis."""
-    pivots, _, _ = _echelon(M)
+def _null_basis(M: Matrix, ncols: int) -> tuple[list[int], dict[int, list[int]]]:
+    """Reduce M in place; its pivot columns and, for each free column, the
+    integer null vector of :func:`_null_vector`."""
+    pivots = _echelon(M)
     pivot_set = set(pivots)
-    basis = []
-    for c in range(ncols):
-        if c not in pivot_set:
-            y, D = _null_vector(M, pivots, c, ncols)
-            basis.append([Fraction(v, D) for v in y])
-    return pivots, basis
+    free = (c for c in range(ncols) if c not in pivot_set)
+    return pivots, {c: _null_vector(M, pivots, c, ncols) for c in free}
 
 
-def _missed_rows(basis: list[list[Fraction]], rows: Matrix) -> Matrix:
-    """The integer rows that some basis vector does not annihilate.
+def _missed_rows(vectors, rows: Matrix) -> Matrix:
+    """The integer rows that some integer null vector does not annihilate.
 
-    Each vector is scaled to integers by the lcm of its denominators, and its
-    dot products with all rows are accumulated a column at a time.
+    Each vector's dot products with all rows are accumulated a column at a
+    time.
     """
-    if not basis or not rows:
+    if not vectors or not rows:
         return []
     columns = list(zip(*rows))
     missed: set[int] = set()
-    for v in basis:
-        scale = lcm(*(x.denominator for x in v))
+    for y in vectors:
         acc = [0] * len(rows)
-        for x, column in zip(v, columns):
-            if x:
-                a = x.numerator * (scale // x.denominator)
-                acc = [s + a * y for s, y in zip(acc, column)]
+        for a, column in zip(y, columns):
+            if a:
+                acc = [s + a * v for s, v in zip(acc, column)]
         missed.update(i for i, s in enumerate(acc) if s)
     return [rows[i] for i in sorted(missed)]
 
@@ -240,21 +216,6 @@ def left_null_space(matrix, nrows: int | None = None) -> list[list[Fraction]]:
     if nrows is None:
         nrows = len(rows)
     return null_space(list(zip(*rows)), ncols=nrows)
-
-
-def det(matrix) -> Fraction:
-    """Determinant: the signed product of the echelon pivots over the row scalings."""
-    rows = _rows(matrix)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant requires a square matrix")
-    scaled = [_integer_row(row) for row in rows]
-    M = [ints for ints, _, _ in scaled]
-    pivots, sign, growth = _echelon(M, track=True)
-    if len(pivots) < n:
-        return Fraction(0)
-    scale = prod((Fraction(num, den) for _, num, den in scaled), start=growth)
-    return Fraction(sign * prod(M[k][k] for k in range(n))) / scale
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:
@@ -270,9 +231,9 @@ def solve(matrix, rhs) -> list[Fraction] | None:
         raise ValueError("row count of matrix and rhs differ")
     ncols = len(rows[0]) if len(rows) else 0
     M = _integer_rows([[*row, v] for row, v in zip(rows, b)])
-    pivots, _, _ = _echelon(M)
+    pivots = _echelon(M)
     if pivots and pivots[-1] == ncols:
         return None
     # [M | b] [x; -1] = 0, with the free variables of x at zero
-    y, D = _null_vector(M, pivots, ncols, ncols + 1)
-    return [Fraction(-v, D) for v in y[:ncols]]
+    y = _null_vector(M, pivots, ncols, ncols + 1)
+    return [Fraction(-v, y[ncols]) for v in y[:ncols]]

@@ -144,12 +144,15 @@ def gape_report(
     """Generalized affine persistency of excitation on measured io data.
 
     The target rank is ``m*order + n + 1`` (valid whenever the depth is at
-    least the behavior's lag).  Passing ``d_L`` switches to the general form
-    ``d_L + 1``, where ``d_L`` is the affine dimension of the restricted
-    behavior at depth L.
+    least the behavior's lag).  Passing ``d_L`` instead of ``n`` switches to
+    the general form ``d_L + 1``, where ``d_L`` is the affine dimension of
+    the restricted behavior at depth L; passing both raises
+    :class:`InvalidArgument`.
     """
     if order < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
+    if n is not None and d_L is not None:
+        raise InvalidArgument("pass the order n or the dimension d_L, not both")
     if d_L is None:
         if n is None or n < 0:
             raise InvalidArgument("a nonnegative order n is required unless d_L is given")

@@ -24,7 +24,7 @@ from .errors import (
     WindowTooShort,
 )
 from .poly import Poly
-from .polymatrix import PolyMatrix, clear_denominators
+from .polymatrix import PolyMatrix, clear_denominators, identity_augmented, subtract_multiple
 from .trajectories import check_tolerance, window_matrix
 
 OffsetVector = tuple[Fraction, ...]
@@ -112,7 +112,7 @@ def _reduce(R: PolyMatrix) -> tuple:
     offset c to theirs, and the I parts of the rows whose R part vanished.
     """
     q = R.shape[1]
-    rows = [list(r) + list(e) for r, e in zip(R.rows, PolyMatrix.identity(R.shape[0]).rows)]
+    rows = identity_augmented(R)
     _weak_popov(rows, q)
     kept = _popov([row for row in rows if any(row[:q])], q)
     popov = tuple(tuple(row[:q]) for row in kept)
@@ -152,7 +152,7 @@ def _weak_popov(rows: list[list[Poly]], width: int) -> None:
                 owner[j], i, k = i, k, i
             factor = rows[i][j].leading_coefficient / rows[k][j].leading_coefficient
             monomial = Poly.x(lead[i][0] - lead[k][0]).scale(factor)
-            rows[i] = [a - monomial * b if b else a for a, b in zip(rows[i], rows[k])]
+            rows[i] = subtract_multiple(rows[i], monomial, rows[k])
             lead[i] = _leading(rows[i], width)
 
 
@@ -168,7 +168,7 @@ def _popov(rows: list[list[Poly]], width: int) -> list[list[Poly]]:
             for k, (d, j) in enumerate(lead):
                 if k != i and rows[i][j].degree >= d:
                     quo = rows[i][j] // rows[k][j]
-                    rows[i] = [a - quo * b if b else a for a, b in zip(rows[i], rows[k])]
+                    rows[i] = subtract_multiple(rows[i], quo, rows[k])
                     reducible = True
     return [
         [e.scale(1 / row[j].leading_coefficient) for e in row]

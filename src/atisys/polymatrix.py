@@ -1,11 +1,14 @@
 """Matrices over the univariate rational polynomials.
 
-Provides rank over the rational-function field, and the Smith decomposition
-and canonical row-Hermite reduction with their unimodular transforms, which
-the CLI ``smith`` and the tests use; the kernel-representation procedures run
-on a reduction of their own (:mod:`atisys.kernelrep`).  Pivoting always
-selects a minimum-degree nonzero entry, which keeps intermediate degrees
-small at the scale these matrices have.
+Provides rank and determinant over the rational-function field, and the
+Smith decomposition and canonical row-Hermite reduction with their
+unimodular transforms, which the CLI ``smith`` and the tests use; the
+kernel-representation procedures run on a reduction of their own
+(:mod:`atisys.kernelrep`).  Pivoting always selects a minimum-degree nonzero
+entry, which keeps intermediate degrees small at the scale these matrices
+have.  Every reduction tracks its transform in identity columns: it runs on
+the rows of [M | I] (the Smith form on [M | I] over [I | 0], so that its
+column operations build V below M).
 """
 
 from __future__ import annotations
@@ -235,23 +238,20 @@ def poly_rank(matrix: PolyMatrix) -> int:
     return matrix.rank()
 
 
-class _Transform:
-    """Square matrix built up by elementary row operations from the identity."""
+def identity_augmented(matrix: PolyMatrix) -> list[list[Poly]]:
+    """The rows of [M | I] as lists: row operations on them build, in the
+    identity columns, the transform that applies them to M."""
+    one, zero = Poly.one(), Poly.zero()
+    g = matrix.shape[0]
+    return [
+        [*row, *(one if i == j else zero for j in range(g))]
+        for i, row in enumerate(matrix.rows)
+    ]
 
-    def __init__(self, n: int):
-        self.fwd = [[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)]
 
-    def swap(self, i: int, j: int):
-        self.fwd[i], self.fwd[j] = self.fwd[j], self.fwd[i]
-
-    def add(self, src: int, dst: int, factor: Poly):
-        """Row dst += factor * row src."""
-        self.fwd[dst] = [
-            a if b.is_zero else a + factor * b for a, b in zip(self.fwd[dst], self.fwd[src])
-        ]
-
-    def scale(self, i: int, c: Fraction):
-        self.fwd[i] = [e.scale(c) for e in self.fwd[i]]
+def subtract_multiple(row: list[Poly], factor: Poly, other: Sequence[Poly]) -> list[Poly]:
+    """row - factor * other, passing over the entries where other is zero."""
+    return [a - factor * b if b else a for a, b in zip(row, other)]
 
 
 @dataclass(frozen=True)
@@ -284,29 +284,26 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
     if matrix.is_zero:
         raise ZeroMatrix("the zero matrix has no Smith pivots")
     g, q = matrix.shape
-    M = [list(row) for row in matrix.rows]
-    row_t = _Transform(g)
-    col_t = _Transform(q)
+    # [M | I_g] over [I_q | 0]: row operations build U beside M, column
+    # operations build V below it
+    M = identity_augmented(matrix) + [
+        [*row, *[Poly.zero()] * g] for row in PolyMatrix.identity(q).rows
+    ]
+    minus_one = Poly.constant(-1)
 
     def row_swap(i, j):
         if i != j:
             M[i], M[j] = M[j], M[i]
-            row_t.swap(i, j)
 
     def col_swap(i, j):
         if i != j:
             for row in M:
                 row[i], row[j] = row[j], row[i]
-            col_t.swap(i, j)
-
-    def row_sub(i, k, quo):
-        M[i] = [a - quo * b for a, b in zip(M[i], M[k])]
-        row_t.add(k, i, -quo)
 
     def col_sub(j, k, quo):
         for row in M:
-            row[j] = row[j] - quo * row[k]
-        col_t.add(k, j, -quo)
+            if row[k]:
+                row[j] = row[j] - quo * row[k]
 
     rank = 0
     for k in range(min(g, q)):
@@ -325,7 +322,7 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
             for i in range(g):
                 if i != k and not M[i][k].is_zero:
                     quo, rem = divmod(M[i][k], M[k][k])
-                    row_sub(i, k, quo)
+                    M[i] = subtract_multiple(M[i], quo, M[k])
                     if not rem.is_zero:
                         row_swap(i, k)
                         restart = True
@@ -353,20 +350,16 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
             if offender is None:
                 break
             # pull a non-divisible entry into the pivot row and keep reducing
-            M[k] = [a + b for a, b in zip(M[k], M[offender])]
-            row_t.add(offender, k, Poly.one())
+            M[k] = subtract_multiple(M[k], minus_one, M[offender])
         rank += 1
 
-    factors = []
     for k in range(rank):
         lead = M[k][k].leading_coefficient
         if lead != 1:
-            M[k][k] = M[k][k].monic()
-            row_t.scale(k, 1 / lead)
-        factors.append(M[k][k])
-    # column ops were recorded as row ops on the transpose, so transpose back
-    V = PolyMatrix(col_t.fwd).transpose()
-    return SmithDecomposition(PolyMatrix(row_t.fwd), V, tuple(factors), matrix.shape)
+            M[k] = [e.scale(1 / lead) for e in M[k]]
+    U = PolyMatrix([row[q:] for row in M[:g]])
+    V = PolyMatrix([row[:q] for row in M[g:]])
+    return SmithDecomposition(U, V, tuple(M[k][k] for k in range(rank)), matrix.shape)
 
 
 @dataclass(frozen=True)
@@ -399,17 +392,7 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
     matrices with equal row modules reduce to the identical canonical form.
     """
     g, q = matrix.shape
-    M = [list(row) for row in matrix.rows]
-    t = _Transform(g)
-
-    def swap(i, j):
-        if i != j:
-            M[i], M[j] = M[j], M[i]
-            t.swap(i, j)
-
-    def add(src, dst, factor):
-        M[dst] = [a if b.is_zero else a + factor * b for a, b in zip(M[dst], M[src])]
-        t.add(src, dst, factor)
+    M = identity_augmented(matrix)
 
     pr = 0
     pivots = []
@@ -419,12 +402,12 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
             if not candidates:
                 break
             best = min(candidates, key=lambda i: M[i][col].degree)
-            swap(best, pr)
+            M[best], M[pr] = M[pr], M[best]
             clean = True
             for i in range(pr + 1, g):
                 if not M[i][col].is_zero:
                     quo, rem = divmod(M[i][col], M[pr][col])
-                    add(pr, i, -quo)
+                    M[i] = subtract_multiple(M[i], quo, M[pr])
                     if not rem.is_zero:
                         clean = False
             if clean:
@@ -439,12 +422,11 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
         lead = M[r][col].leading_coefficient
         if lead != 1:
             M[r] = [e.scale(1 / lead) for e in M[r]]
-            t.scale(r, 1 / lead)
         for i in range(r):
             if not M[i][col].is_zero and M[i][col].degree >= M[r][col].degree:
-                quo = M[i][col] // M[r][col]
-                add(r, i, -quo)
-    return RowHermite(PolyMatrix(M), PolyMatrix(t.fwd), tuple(pivots))
+                M[i] = subtract_multiple(M[i], M[i][col] // M[r][col], M[r])
+    H = PolyMatrix([row[:q] for row in M])
+    return RowHermite(H, PolyMatrix([row[q:] for row in M]), tuple(pivots))
 
 
 def clear_denominators(polys: Sequence[Poly]) -> list[Poly]:

@@ -12,7 +12,7 @@ from atisys import (
     lift,
     simulate,
 )
-from atisys.errors import DimensionMismatch
+from atisys.errors import DimensionMismatch, InvalidArgument
 from atisys.scenario import reference_input, reference_system
 from conftest import random_system
 
@@ -182,6 +182,12 @@ class TestSimulateBlocks:
         assert result.x.length == T
         assert_close(np.vstack([result.x.data, result.final_state]), x_ref)
         assert_close(result.y.data, y_ref)
+        with pytest.raises(InvalidArgument):
+            simulate(sys, x0, Trajectory.inputs(np.zeros(T)))
+
+    def test_horizon_with_inputs_is_refused(self):
+        with pytest.raises(InvalidArgument):
+            simulate(reference_system(), np.zeros(2), Trajectory.inputs(np.ones(3)), horizon=3)
 
     def test_zero_state_kept_when_powers_overflow(self):
         # A^64 overflows here; the plain recursion keeps x = 0 exactly

@@ -191,6 +191,30 @@ class TestCompleteAmbiguityOracle:
 
 
 class TestRecoverKernel:
+    def test_exact_route_refuses_rounded_data(self):
+        # the states of some integer systems grow until simulate rounds the
+        # samples (|w| from 4.5e16 to 1.8e22 on draws 0, 1, 4, 6 and 19); read
+        # as exact, those records gave a kernel with no rows
+        rng = np.random.default_rng(1)
+        refused = []
+        for k in range(25):
+            sys = random_minimal_integer_system(rng)
+            u = Trajectory.inputs(rng.integers(-2, 3, (60, sys.m)))
+            w = simulate(sys, rng.integers(-1, 2, sys.n), u).io(u)
+            try:
+                kernel = recover_kernel(DataDrivenRep(w, 4), method="exact")
+            except InvalidArgument:
+                refused.append(k)
+                assert np.max(np.abs(w.data)) >= 2.0**53
+            else:
+                assert kernel.g > 0
+        assert refused == [0, 1, 4, 6, 19]
+
+    def test_exact_route_takes_no_tolerance(self):
+        data = Trajectory(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]), m=1)
+        with pytest.raises(InvalidArgument):
+            recover_kernel(DataDrivenRep(data, 1), tol=1e-6, method="exact")
+
     def test_static_offset_map(self):
         data = Trajectory(np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]), m=1)
         rep = DataDrivenRep(data, 1)

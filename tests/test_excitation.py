@@ -200,6 +200,8 @@ class TestGape:
         w = Trajectory(np.ones((4, 2)), m=1)
         with pytest.raises(ValueError):
             gape_report(w, 2)
+        with pytest.raises(InvalidArgument):
+            gape_report(w, 2, 1, d_L=2)
 
 
 class TestDataRequirements:

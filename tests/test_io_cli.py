@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import atisys
-from atisys import Poly, PolyMatrix, Trajectory, io_formats
+from atisys import AffineStateSpace, Poly, PolyMatrix, Trajectory, io_formats
 from atisys.cli import main
 from atisys.kernelrep import AffineKernelRep, OffsetSequence
 from atisys.scenario import reference_system
@@ -176,6 +176,12 @@ class TestCli:
             ["invariants", "--tmax", "1", "u.csv"],
             # --tol reads only offset sequences; k.json's offset is constant
             ["consistency", "--tol", "0.5", "k.json"],
+            # arguments the data leaves unread
+            ["ident-kernel", "--L", "1", "--method", "exact", "--tol", "1e-6", "w.csv"],
+            ["gape", "--order", "2", "--n", "1", "--d-l", "2", "w.csv"],
+            ["simulate", "--system", "sys.json", "--horizon", "2", "u.csv"],
+            ["simulate", "--system", "sys.json"],
+            ["simulate", "--system", "free.json", "--horizon", "2", "u.csv"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -186,6 +192,9 @@ class TestCli:
         R = PolyMatrix([[X + 1, X, X + 2], [X * X - 1, X * X - X, X * X + X - 2]])
         kernel = dict(io_formats.poly_matrix_to_json(R), c=["0", "1e-9"])
         (workdir / "k.json").write_text(json.dumps(kernel))
+        io_formats.write_system_json("sys.json", reference_system())
+        free = AffineStateSpace([[0.5]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0)), [1.0], [0.0])
+        io_formats.write_system_json("free.json", free)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -198,6 +207,8 @@ class TestCli:
             ["pe", "--seed", "1", "--class", "linear", "--order", "2", "u.csv"],
             ["pe", "--json", "--class", "linear", "--order", "2", "u.csv"],
             ["invariants", "--out", "art", "--tmax", "3", "u.csv"],
+            ["hankel", "--m", "1", "--depth", "2", "u.csv"],
+            ["invariants", "--m", "1", "--tmax", "3", "u.csv"],
         ],
     )
     def test_unread_flag_is_usage_error(self, workdir, capsys, argv):

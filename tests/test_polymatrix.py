@@ -4,8 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from atisys import AffineKernelRep, Poly, PolyMatrix, poly_rank, row_hermite, smith_form, syzygy_basis
+from atisys import (
+    AffineKernelRep,
+    AffineStateSpace,
+    Poly,
+    PolyMatrix,
+    char_poly_at_one,
+    lift,
+    poly_rank,
+    row_hermite,
+    smith_form,
+    syzygy_basis,
+)
 from atisys.errors import DimensionMismatch, ZeroMatrix
+from atisys.scenario import reference_system
 from conftest import random_poly_matrix, random_unimodular
 
 X = Poly.x()
@@ -176,3 +188,82 @@ class TestCopies:
         assert twin.shape == R.shape
         assert twin._reduced is None
         assert syzygy_basis(twin) == syzygy_basis(R)
+
+
+def _m(rows) -> PolyMatrix:
+    """A matrix from ascending coefficient lists, one per entry."""
+    return PolyMatrix([[Poly(e) for e in row] for row in rows])
+
+
+class TestPinnedTransforms:
+    """U, V, factors, H and pivots written out, so a reordered reduction shows."""
+
+    CASES = [
+        (
+            worked_deficient_matrix(),
+            (
+                [[[-1], []], [[1, -1], [1]]],
+                [[[-1], [0, -1], [-2, -1]], [[1], [1, 1], [2, 1]], [[], [], [1]]],
+                [[1]],
+            ),
+            ([[[1, 1], [0, 1], [2, 1]], [[], [], []]], [[[1], []], [[1, -1], [1]]], (0,)),
+        ),
+        (
+            _m([[[0, 1], [1]], [[], [0, 1]]]),
+            ([[[1], []], [[0, 1], [-1]]], [[[], [1]], [[1], [0, -1]]], [[1], [0, 0, 1]]),
+            ([[[0, 1], [1]], [[], [0, 1]]], [[[1], []], [[], [1]]], (0, 1)),
+        ),
+        (
+            _m([[[1, 0, 1], [0, 1], [], [2]], [[0, 1], [1], [-1, 1], ["1/3"]]]),
+            (
+                [[["1/2"], []], [["-1/30"], ["1/5"]]],
+                [
+                    [[], [], [], [1]],
+                    [[], [6], ["-1/5", "1/5"], ["1/5", "-6/5", "1/5"]],
+                    [[], [1], ["-1/5", "1/30"], ["1/30", "-1/5", "1/30"]],
+                    [[1], [0, -3], [0, "1/10", "-1/10"], ["-1/2", "-1/10", "1/10", "-1/10"]],
+                ],
+                [[1], [1]],
+            ),
+            (
+                [[[1], [], [0, 1, -1], [2, "-1/3"]], [[], [1], [-1, 1, -1, 1], ["1/3", -2, "1/3"]]],
+                [[[1], [0, -1]], [[0, -1], [1, 0, 1]]],
+                (0, 1),
+            ),
+        ),
+        (
+            _m([[[0, 2], ["1/2"]], [[1, 1], [0, 1]], [[3], [0, 0, 1]]]),
+            (
+                [
+                    [[2], [], []],
+                    [[0, "32/101", "10/101"], ["-16/101", "-44/101", "-20/101"], ["39/101", "20/101"]],
+                    [[0, "-75/202", "25/202", "25/202"], ["75/404", 0, 0, "-25/101"], ["-25/404", "-25/404", "25/101"]],
+                ],
+                [[[], [1]], [[1], [0, -4]]],
+                [[1], [1]],
+            ),
+            (
+                [[[1], []], [[], [1]], [[], []]],
+                [
+                    [[0, 0, "-2/3", "40/101", "88/303"], [0, 0, "-20/101", "-64/303", "-176/303"], ["1/3", 0, "20/303", "176/303"]],
+                    [[2, "-120/101", "-88/101"], ["60/101", "64/101", "176/101"], ["-20/101", "-176/101"]],
+                    [[0, "726/101", "-242/101", "-242/101"], ["-363/101", 0, 0, "484/101"], ["121/101", "121/101", "-484/101"]],
+                ],
+                (0, 1),
+            ),
+        ),
+    ]
+
+    @pytest.mark.parametrize("R, smith, hermite", CASES, ids=["rank-one", "jordan", "wide", "tall"])
+    def test_smith_and_hermite(self, R, smith, hermite):
+        dec = smith_form(R)
+        U, V, factors = smith
+        assert (dec.U, dec.V, dec.invariant_factors) == (_m(U), _m(V), tuple(map(Poly, factors)))
+        red = row_hermite(R)
+        assert (red.H, red.U, red.pivot_columns) == (_m(hermite[0]), _m(hermite[1]), hermite[2])
+
+    def test_char_poly_at_one(self):
+        model = AffineStateSpace([[0.5, 0.25], [0, -1.5]], [[1], [0]], [[1, 0]], [[0]], [0.75, -2], [1])
+        for lifted in (lift(model), lift(reference_system())):
+            value = char_poly_at_one(lifted)
+            assert value == 0 and type(value) is Fraction
