@@ -265,20 +265,17 @@ class LiftedStateSpace:
     D: np.ndarray
 
     def __post_init__(self):
-        A = _as_matrix(self.A, None, None, "A")
-        if A.shape[0] != A.shape[1] or A.shape[0] < 1:
-            raise DimensionMismatch(f"lifted A must be square and nonempty, got {A.shape}")
-        k = A.shape[0]
-        B = _as_matrix(self.B, k, None, "B")
-        C = _as_matrix(self.C, None, k, "C")
-        D = _as_matrix(self.D, C.shape[0], B.shape[1], "D")
+        # shapes and finiteness as for any model; then the lifted structure
+        model = AffineStateSpace.linear(self.A, self.B, self.C, self.D)
+        k = model.n
+        if k < 1:
+            raise DimensionMismatch("lifted A must be nonempty")
         bottom = np.zeros(k)
         bottom[-1] = 1.0
-        if not np.array_equal(A[-1], bottom) or np.any(B[-1]):
+        if not np.array_equal(model.A[-1], bottom) or np.any(model.B[-1]):
             raise DimensionMismatch("lifted model must keep its last state constant")
-        for name, arr in (("A", A), ("B", B), ("C", C), ("D", D)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name in "ABCD":
+            object.__setattr__(self, name, getattr(model, name))
 
     @property
     def order(self) -> int:

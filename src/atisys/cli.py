@@ -18,6 +18,9 @@ Subcommands accept only the options they read:
 An option that the given data leaves unread is an error (exit 1): ``--tol``
 as marked above, ``gape --n`` together with ``--d-l``, ``simulate
 --horizon`` on a model with inputs, and an inputs file for a model without.
+So is a malformed input file (a JSON file that is not a JSON object, or whose
+fields do not parse), and so are ``--at``, ``--mode`` and ``--x0`` values
+that do not parse, which argparse reports as usage errors.
 """
 
 from __future__ import annotations
@@ -259,7 +262,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sys_model = io_formats.read_system_json(args.system)
-    x0 = np.zeros(sys_model.n) if args.x0 is None else np.array([float(v) for v in args.x0.split(",") if v != ""])
+    x0 = np.zeros(sys_model.n) if args.x0 is None else args.x0
     u = None if args.inputs is None else io_formats.read_trajectory_csv(args.inputs, all_inputs=True)
     result = simulate(sys_model, x0, u, horizon=args.horizon)
     doc = {
@@ -295,20 +298,7 @@ def _cmd_lift(args) -> int:
 
 def _cmd_linearize(args) -> int:
     plant = io_formats.read_plant_json(args.plant)
-    groups = args.at.split(";")
-    if len(groups) != 3:
-        raise AtisysError("--at expects 'x1,..;u1,..;y1,..' (empty groups allowed)")
-
-    def parse(group):
-        return [float(v) for v in group.split(",") if v.strip() != ""]
-
-    xbar, ubar, ybar = (parse(g) for g in groups)
-    if args.mode == "analytic":
-        sys_model = linearize(plant, xbar, ubar, ybar, mode="analytic")
-    elif args.mode.startswith("fd:"):
-        sys_model = linearize(plant, xbar, ubar, ybar, mode="fd", step=float(args.mode[3:]))
-    else:
-        raise AtisysError(f"--mode must be 'analytic' or 'fd:<step>', got {args.mode!r}")
+    sys_model = linearize(plant, *args.at, **args.mode)
     _emit(io_formats.system_to_json(sys_model))
     if args.out:
         outdir = Path(args.out)
@@ -349,8 +339,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_syzygy(args) -> int:
-    doc = json.loads(Path(args.matrix).read_text())
-    R = io_formats.poly_matrix_from_json(doc)
+    R = io_formats.read_poly_matrix_json(args.matrix)
     basis = syzygy_basis(R)
     _emit(
         {
@@ -362,8 +351,7 @@ def _cmd_syzygy(args) -> int:
 
 
 def _cmd_smith(args) -> int:
-    doc = json.loads(Path(args.matrix).read_text())
-    R = io_formats.poly_matrix_from_json(doc)
+    R = io_formats.read_poly_matrix_json(args.matrix)
     dec = smith_form(R)
     _emit(
         {
@@ -414,6 +402,33 @@ def _tolerance(text: str) -> float:
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
+
+
+def _floats(text: str) -> list[float]:
+    """Comma-separated numbers; empty items are skipped."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from None
+
+
+def _point(text: str) -> tuple[list[float], ...]:
+    groups = text.split(";")
+    if len(groups) != 3:
+        raise argparse.ArgumentTypeError("expects 'x1,..;u1,..;y1,..' (empty groups allowed)")
+    return tuple(_floats(g) for g in groups)
+
+
+def _mode(text: str) -> dict:
+    """The keyword arguments of :func:`linearize` for 'analytic' or 'fd:<step>'."""
+    if text == "analytic":
+        return {"mode": "analytic"}
+    if text.startswith("fd:"):
+        try:
+            return {"mode": "fd", "step": float(text[3:])}
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"must be 'analytic' or 'fd:<step>', got {text!r}")
 
 
 def build_parser() -> _Parser:
@@ -477,7 +492,7 @@ def build_parser() -> _Parser:
 
     p = add("simulate", _cmd_simulate, "simulate a state-space model", "--out")
     p.add_argument("--system", required=True)
-    p.add_argument("--x0", default=None, help="comma-separated initial state (default zeros)")
+    p.add_argument("--x0", type=_floats, default=None, help="comma-separated initial state (default zeros)")
     p.add_argument("--horizon", type=int, default=None, help="steps when the model has no inputs")
     p.add_argument("inputs", nargs="?", default=None)
 
@@ -486,8 +501,8 @@ def build_parser() -> _Parser:
 
     p = add("linearize", _cmd_linearize, "linearize a plant around an operating point", "--out")
     p.add_argument("--plant", required=True)
-    p.add_argument("--at", required=True, help="operating point 'x1,..;u1,..;y1,..'")
-    p.add_argument("--mode", default="analytic", help="'analytic' or 'fd:<step>'")
+    p.add_argument("--at", type=_point, required=True, help="operating point 'x1,..;u1,..;y1,..'")
+    p.add_argument("--mode", type=_mode, default="analytic", help="'analytic' or 'fd:<step>'")
 
     p = add("consistency", _cmd_consistency, "decide consistency of a kernel representation", "--tol")
     p.add_argument("kernel")

@@ -97,14 +97,20 @@ def read_trajectory_csv(
     return Trajectory(data, m=0 if m is None else int(m), labels=labels)
 
 
+def _read_json(path, what: str) -> dict:
+    """The JSON object in a file; bad JSON, bad text or another type is a FormatError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or bad text encoding
+        raise FormatError(f"{path}: {what} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def _read_sidecar(side: Path, q: int) -> tuple[int | None, list | None]:
     """The split ``m`` and the labels of a sidecar, checked against q variables."""
-    try:
-        meta = json.loads(side.read_text())
-    except ValueError as exc:  # bad JSON or bad text encoding
-        raise FormatError(f"{side}: sidecar is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise FormatError(f"{side}: sidecar must be a JSON object")
+    meta = _read_json(side, "sidecar")
     m, labels = meta.get("m"), meta.get("labels")
     if m is not None and (type(m) is not int or not 0 <= m <= q):
         raise FormatError(f"{side}: sidecar 'm' must be an integer in [0, {q}], got {m!r}")
@@ -165,12 +171,12 @@ def system_from_json(doc: dict) -> AffineStateSpace:
         )
     except KeyError as exc:
         raise FormatError(f"system JSON missing field {exc}") from None
-    except DimensionMismatch as exc:
+    except (DimensionMismatch, TypeError, ValueError) as exc:
         raise FormatError(f"system JSON invalid: {exc}") from None
 
 
 def read_system_json(path) -> AffineStateSpace:
-    return system_from_json(json.loads(Path(path).read_text()))
+    return system_from_json(_read_json(path, "system JSON"))
 
 
 def write_system_json(path, sys: AffineStateSpace):
@@ -184,12 +190,12 @@ def plant_from_json(doc: dict) -> NonlinearPlant:
         return NonlinearPlant(f=f, h=h, n=int(doc["n"]), m=int(doc["m"]))
     except KeyError as exc:
         raise FormatError(f"plant JSON missing field {exc}") from None
-    except (ValueError, DimensionMismatch) as exc:
+    except (DimensionMismatch, TypeError, ValueError) as exc:
         raise FormatError(f"plant JSON invalid: {exc}") from None
 
 
 def read_plant_json(path) -> NonlinearPlant:
-    return plant_from_json(json.loads(Path(path).read_text()))
+    return plant_from_json(_read_json(path, "plant JSON"))
 
 
 # -- polynomial matrices and kernel representations --------------------
@@ -212,15 +218,22 @@ def poly_matrix_from_json(doc: dict) -> PolyMatrix:
     try:
         g, q = int(doc["rows"]), int(doc["cols"])
         entries = doc["entries"]
+        shaped = len(entries) == g and all(len(row) == q for row in entries)
     except KeyError as exc:
         raise FormatError(f"matrix JSON missing field {exc}") from None
-    if len(entries) != g or any(len(row) != q for row in entries):
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"matrix JSON invalid: {exc}") from None
+    if not shaped:
         raise FormatError("matrix JSON entries do not match the declared shape")
     try:
         rows = [[Poly(Fraction(c) for c in cell) for cell in row] for row in entries]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"bad rational coefficient: {exc}") from None
     return PolyMatrix(rows, ncols=q)
+
+
+def read_poly_matrix_json(path) -> PolyMatrix:
+    return poly_matrix_from_json(_read_json(path, "matrix JSON"))
 
 
 def kernel_rep_to_json(rep: AffineKernelRep) -> dict:
@@ -240,16 +253,18 @@ def kernel_rep_from_json(doc: dict) -> tuple[PolyMatrix, object]:
     if "c" not in doc:
         raise FormatError("kernel JSON missing offset field 'c'")
     raw = doc["c"]
+    if not isinstance(raw, list):
+        raise FormatError("kernel JSON offset 'c' must be a list")
     try:
         if raw and isinstance(raw[0], list):
             return R, OffsetSequence(tuple(tuple(Fraction(v) for v in row) for row in raw))
         return R, tuple(Fraction(v) for v in raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise FormatError(f"bad rational offset: {exc}") from None
 
 
 def read_kernel_json(path):
-    return kernel_rep_from_json(json.loads(Path(path).read_text()))
+    return kernel_rep_from_json(_read_json(path, "kernel JSON"))
 
 
 def write_kernel_json(path, rep: AffineKernelRep):

@@ -1,25 +1,34 @@
 """Nonlinear plants in a closed arithmetic form, and their linearization.
 
 Plant maps are expression trees over state variables ``x1..xn`` and input
-variables ``u1..um`` built from constants, +, -, *, negation and integer
-powers.  Keeping the language closed makes analytic differentiation exact and
-the JSON plant format round-trippable; arbitrary callables are deliberately
-not accepted.
+variables ``u1..um``.  Keeping the language closed makes analytic
+differentiation exact and the JSON plant format round-trippable; arbitrary
+callables are deliberately not accepted.  Each node class names its JSON tag,
+and a node is written as its tag followed by its fields: ``["const", c]``,
+``["var", name]``, ``["+", a, b]``, ``["-", a, b]``, ``["*", a, b]``,
+``["neg", a]`` and ``["pow", a, k]`` with k a nonnegative integer (``2.5``
+and ``true`` are refused).  A plant is linearized at the stacked point
+z = (x, u) through one Jacobian of each map with respect to z, analytic or by
+central differences; its first n columns give A (or C), the rest B (or D).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .affine_ss import AffineStateSpace
-from .errors import DimensionMismatch, NonFiniteEvaluation, StepTooSmall
+from .errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation, StepTooSmall
 
 
 class Expr:
-    """Base node; subclasses implement evaluate/differentiate/to_json."""
+    """Base node.  A subclass is a frozen dataclass whose fields are its
+    operands and payload, in JSON order; it names its JSON ``tag`` and
+    implements ``evaluate`` and ``differentiate``."""
+
+    tag: str
 
     def evaluate(self, env: dict[str, float]) -> float:
         raise NotImplementedError
@@ -27,11 +36,14 @@ class Expr:
     def differentiate(self, name: str) -> "Expr":
         raise NotImplementedError
 
+    def _fields(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
     def variables(self) -> set[str]:
-        raise NotImplementedError
+        return set().union(*(v.variables() for v in self._fields() if isinstance(v, Expr)))
 
     def to_json(self):
-        raise NotImplementedError
+        return [self.tag, *(v.to_json() if isinstance(v, Expr) else v for v in self._fields())]
 
     def __add__(self, other):
         return Add(self, _wrap(other))
@@ -67,6 +79,7 @@ def _wrap(value) -> Expr:
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
+    tag = "const"
 
     def evaluate(self, env):
         return self.value
@@ -74,16 +87,11 @@ class Const(Expr):
     def differentiate(self, name):
         return Const(0.0)
 
-    def variables(self):
-        return set()
-
-    def to_json(self):
-        return ["const", self.value]
-
 
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
+    tag = "var"
 
     def evaluate(self, env):
         try:
@@ -97,14 +105,12 @@ class Var(Expr):
     def variables(self):
         return {self.name}
 
-    def to_json(self):
-        return ["var", self.name]
-
 
 @dataclass(frozen=True)
 class Add(Expr):
     left: Expr
     right: Expr
+    tag = "+"
 
     def evaluate(self, env):
         return self.left.evaluate(env) + self.right.evaluate(env)
@@ -112,17 +118,12 @@ class Add(Expr):
     def differentiate(self, name):
         return Add(self.left.differentiate(name), self.right.differentiate(name))
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-    def to_json(self):
-        return ["+", self.left.to_json(), self.right.to_json()]
-
 
 @dataclass(frozen=True)
 class Sub(Expr):
     left: Expr
     right: Expr
+    tag = "-"
 
     def evaluate(self, env):
         return self.left.evaluate(env) - self.right.evaluate(env)
@@ -130,17 +131,12 @@ class Sub(Expr):
     def differentiate(self, name):
         return Sub(self.left.differentiate(name), self.right.differentiate(name))
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-    def to_json(self):
-        return ["-", self.left.to_json(), self.right.to_json()]
-
 
 @dataclass(frozen=True)
 class Mul(Expr):
     left: Expr
     right: Expr
+    tag = "*"
 
     def evaluate(self, env):
         return self.left.evaluate(env) * self.right.evaluate(env)
@@ -151,16 +147,11 @@ class Mul(Expr):
             Mul(self.left, self.right.differentiate(name)),
         )
 
-    def variables(self):
-        return self.left.variables() | self.right.variables()
-
-    def to_json(self):
-        return ["*", self.left.to_json(), self.right.to_json()]
-
 
 @dataclass(frozen=True)
 class Neg(Expr):
     operand: Expr
+    tag = "neg"
 
     def evaluate(self, env):
         return -self.operand.evaluate(env)
@@ -168,21 +159,16 @@ class Neg(Expr):
     def differentiate(self, name):
         return Neg(self.operand.differentiate(name))
 
-    def variables(self):
-        return self.operand.variables()
-
-    def to_json(self):
-        return ["neg", self.operand.to_json()]
-
 
 @dataclass(frozen=True)
 class Pow(Expr):
     base: Expr
     exponent: int
+    tag = "pow"
 
     def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {self.exponent!r}")
+        if isinstance(self.exponent, bool) or not isinstance(self.exponent, int) or self.exponent < 0:
+            raise InvalidArgument(f"exponent must be a nonnegative integer, got {self.exponent!r}")
 
     def evaluate(self, env):
         return self.base.evaluate(env) ** self.exponent
@@ -195,33 +181,35 @@ class Pow(Expr):
             self.base.differentiate(name),
         )
 
-    def variables(self):
-        return self.base.variables()
 
-    def to_json(self):
-        return ["pow", self.base.to_json(), self.exponent]
+_NODES = {cls.tag: cls for cls in (Const, Var, Add, Sub, Mul, Neg, Pow)}
+
+
+def _number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvalidArgument(f"constant must be a number, got {value!r}") from None
 
 
 def expr_from_json(node) -> Expr:
-    """Parse the list-based expression encoding used in plant JSON files."""
-    if not isinstance(node, (list, tuple)) or not node:
-        raise ValueError(f"malformed expression node: {node!r}")
-    op, *args = node
-    if op == "const" and len(args) == 1:
-        return Const(float(args[0]))
-    if op == "var" and len(args) == 1:
-        return Var(str(args[0]))
-    if op == "+" and len(args) == 2:
-        return Add(expr_from_json(args[0]), expr_from_json(args[1]))
-    if op == "-" and len(args) == 2:
-        return Sub(expr_from_json(args[0]), expr_from_json(args[1]))
-    if op == "*" and len(args) == 2:
-        return Mul(expr_from_json(args[0]), expr_from_json(args[1]))
-    if op == "neg" and len(args) == 1:
-        return Neg(expr_from_json(args[0]))
-    if op == "pow" and len(args) == 2:
-        return Pow(expr_from_json(args[0]), int(args[1]))
-    raise ValueError(f"malformed expression node: {node!r}")
+    """Parse the list-based expression encoding used in plant JSON files.
+
+    A node of unknown tag or arity, or a constant that is not a number,
+    raises :class:`InvalidArgument`; so does a ``pow`` exponent that is not
+    a nonnegative integer.
+    """
+    cls = None
+    if isinstance(node, (list, tuple)) and node and isinstance(node[0], str):
+        cls = _NODES.get(node[0])
+    if cls is None or len(node) != 1 + len(fields(cls)):
+        raise InvalidArgument(f"malformed expression node: {node!r}")
+    return cls(*(_READ[f.type](arg) for f, arg in zip(fields(cls), node[1:])))
+
+
+# field annotation (a string, annotations being postponed) -> reader of its
+# JSON value; Pow checks its own exponent
+_READ = {"Expr": expr_from_json, "float": _number, "str": str, "int": lambda v: v}
 
 
 def state_var(i: int) -> Var:
@@ -250,12 +238,12 @@ class NonlinearPlant:
         object.__setattr__(self, "h", tuple(self.h))
         if len(self.f) != self.n:
             raise DimensionMismatch(f"expected {self.n} state updates, got {len(self.f)}")
-        allowed = {f"x{i}" for i in range(1, self.n + 1)}
-        allowed |= {f"u{i}" for i in range(1, self.m + 1)}
-        used = set()
-        for expr in (*self.f, *self.h):
-            used |= expr.variables()
-        unknown = used - allowed
+        # the coordinates of the stacked point z = (x, u)
+        names = tuple(f"x{i}" for i in range(1, self.n + 1)) + tuple(
+            f"u{i}" for i in range(1, self.m + 1)
+        )
+        object.__setattr__(self, "_names", names)
+        unknown = set().union(*(e.variables() for e in (*self.f, *self.h))) - set(names)
         if unknown:
             raise DimensionMismatch(f"expressions use undeclared variables {sorted(unknown)}")
 
@@ -263,26 +251,23 @@ class NonlinearPlant:
     def p(self) -> int:
         return len(self.h)
 
-    def _env(self, x, u) -> dict[str, float]:
-        env = {f"x{i + 1}": float(x[i]) for i in range(self.n)}
-        env.update({f"u{i + 1}": float(u[i]) for i in range(self.m)})
-        return env
-
-    def _eval_stack(self, exprs, x, u) -> np.ndarray:
-        env = self._env(x, u)
+    def _eval(self, exprs, z, what: str = "plant map") -> np.ndarray:
+        if len(z) != len(self._names):
+            raise DimensionMismatch(f"point has {len(z)} coordinates, the plant has {len(self._names)}")
+        env = dict(zip(self._names, map(float, z)))
         try:
             values = np.array([e.evaluate(env) for e in exprs], dtype=float)
         except OverflowError:
-            raise NonFiniteEvaluation("plant map overflowed") from None
+            raise NonFiniteEvaluation(f"{what} overflowed") from None
         if not np.all(np.isfinite(values)):
-            raise NonFiniteEvaluation("plant map evaluated to a non-finite value")
+            raise NonFiniteEvaluation(f"{what} evaluated to a non-finite value")
         return values
 
     def eval_f(self, x, u) -> np.ndarray:
-        return self._eval_stack(self.f, x, u)
+        return self._eval(self.f, np.concatenate([np.ravel(x), np.ravel(u)]))
 
     def eval_h(self, x, u) -> np.ndarray:
-        return self._eval_stack(self.h, x, u)
+        return self._eval(self.h, np.concatenate([np.ravel(x), np.ravel(u)]))
 
 
 def _check_point(plant: NonlinearPlant, xbar, ubar, ybar):
@@ -297,54 +282,24 @@ def _check_point(plant: NonlinearPlant, xbar, ubar, ybar):
     return xbar, ubar, ybar
 
 
-def _analytic_jacobians(plant: NonlinearPlant, xbar, ubar):
-    env = plant._env(xbar, ubar)
-    names_x = [f"x{i + 1}" for i in range(plant.n)]
-    names_u = [f"u{i + 1}" for i in range(plant.m)]
-
-    def jac(exprs, names):
-        try:
-            J = np.array(
-                [[e.differentiate(v).evaluate(env) for v in names] for e in exprs],
-                dtype=float,
-            ).reshape(len(exprs), len(names))
-        except OverflowError:
-            raise NonFiniteEvaluation("plant Jacobian overflowed") from None
-        if not np.all(np.isfinite(J)):
-            raise NonFiniteEvaluation("plant Jacobian is not finite")
-        return J
-
-    return jac(plant.f, names_x), jac(plant.f, names_u), jac(plant.h, names_x), jac(plant.h, names_u)
-
-
-def _fd_jacobians(plant: NonlinearPlant, xbar, ubar, step: float):
-    scale = max(1.0, float(np.max(np.abs(np.concatenate([xbar, ubar, [0.0]])))))
+def _jacobian(plant: NonlinearPlant, exprs, z, mode: str, step: float) -> np.ndarray:
+    """∂exprs/∂z at z = (x, u): one row per expression, one column per coordinate."""
+    if mode == "analytic":
+        derivatives = [e.differentiate(v) for e in exprs for v in plant._names]
+        return plant._eval(derivatives, z, "plant Jacobian").reshape(len(exprs), z.size)
+    if mode != "fd":
+        raise InvalidArgument(f"mode must be 'analytic' or 'fd', got {mode!r}")
+    if not math.isfinite(step) or step <= 0:
+        raise StepTooSmall(f"finite-difference step must be positive, got {step}")
+    scale = max(1.0, float(np.max(np.abs(np.concatenate([z, [0.0]])))))
     if step < 64 * np.finfo(float).eps * scale:
         raise StepTooSmall(f"step {step} below the safe minimum for scale {scale}")
-
-    def column(evaluator, base_x, base_u, which, j):
-        d = np.zeros_like(base_x if which == "x" else base_u)
+    J = np.zeros((len(exprs), z.size))
+    for j in range(z.size):
+        d = np.zeros_like(z)
         d[j] = step
-        if which == "x":
-            hi = evaluator(base_x + d, base_u)
-            lo = evaluator(base_x - d, base_u)
-        else:
-            hi = evaluator(base_x, base_u + d)
-            lo = evaluator(base_x, base_u - d)
-        return (hi - lo) / (2 * step)
-
-    def jac(evaluator, rows, which, ncols):
-        J = np.zeros((rows, ncols))
-        for j in range(ncols):
-            J[:, j] = column(evaluator, xbar, ubar, which, j)
-        return J
-
-    return (
-        jac(plant.eval_f, plant.n, "x", plant.n),
-        jac(plant.eval_f, plant.n, "u", plant.m),
-        jac(plant.eval_h, plant.p, "x", plant.n),
-        jac(plant.eval_h, plant.p, "u", plant.m),
-    )
+        J[:, j] = (plant._eval(exprs, z + d) - plant._eval(exprs, z - d)) / (2 * step)
+    return J
 
 
 def linearize(
@@ -362,24 +317,14 @@ def linearize(
     the map residuals E = f(xbar, ubar) - xbar and F = h(xbar, ubar) - ybar,
     which vanish exactly at an equilibrium.  ``mode`` is either ``analytic``
     (exact differentiation of the expression trees) or ``fd`` (central
-    differences with the given step).
+    differences with the given step); any other mode raises
+    :class:`InvalidArgument`.
     """
     xbar, ubar, ybar = _check_point(plant, xbar, ubar, ybar)
-    if mode == "analytic":
-        A, B, C, D = _analytic_jacobians(plant, xbar, ubar)
-    elif mode == "fd":
-        if not math.isfinite(step) or step <= 0:
-            raise StepTooSmall(f"finite-difference step must be positive, got {step}")
-        A, B, C, D = _fd_jacobians(plant, xbar, ubar, step)
-    else:
-        raise ValueError(f"mode must be 'analytic' or 'fd', got {mode!r}")
-    E = plant.eval_f(xbar, ubar) - xbar
-    F = plant.eval_h(xbar, ubar) - ybar
-    return AffineStateSpace(
-        A.reshape(plant.n, plant.n),
-        B.reshape(plant.n, plant.m),
-        C.reshape(plant.p, plant.n),
-        D.reshape(plant.p, plant.m),
-        E,
-        F,
-    )
+    z = np.concatenate([xbar, ubar])
+    n = plant.n
+    A, B = np.hsplit(_jacobian(plant, plant.f, z, mode, step), [n])
+    C, D = np.hsplit(_jacobian(plant, plant.h, z, mode, step), [n])
+    E = plant._eval(plant.f, z) - xbar
+    F = plant._eval(plant.h, z) - ybar
+    return AffineStateSpace(A, B, C, D, E, F)

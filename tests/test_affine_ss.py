@@ -12,6 +12,7 @@ from atisys import (
     lift,
     simulate,
 )
+from atisys.affine_ss import LiftedStateSpace
 from atisys.errors import DimensionMismatch, InvalidArgument
 from atisys.scenario import reference_input, reference_system
 from conftest import random_system
@@ -285,3 +286,18 @@ class TestLift:
         for _ in range(5):
             sys = random_system(rng, 3, 1, 2)
             assert char_poly_at_one(lift(sys)) == 0
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [([[np.nan, 1.0], [0.0, 1.0]], [[1.0], [0.0]]), ([[0.5, 1.0], [0.0, 1.0]], [[np.inf], [0.0]])],
+        ids=["nan-in-A", "inf-in-B"],
+    )
+    def test_nonfinite_entries_refused(self, A, B):
+        with pytest.raises(DimensionMismatch, match="non-finite"):
+            LiftedStateSpace(A, B, [[1.0, 0.0]], [[0.0]])
+
+    def test_lifted_structure_checked(self):
+        with pytest.raises(DimensionMismatch, match="last state constant"):
+            LiftedStateSpace([[0.5, 1.0], [0.5, 1.0]], [[1.0], [0.0]], [[1.0, 0.0]], [[0.0]])
+        with pytest.raises(DimensionMismatch, match="nonempty"):
+            LiftedStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[0.0]])

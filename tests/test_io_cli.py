@@ -17,6 +17,18 @@ from atisys.scenario import reference_system
 
 X = Poly.x()
 
+# files that are not a JSON object, and the commands that read a JSON file
+NOT_A_JSON_OBJECT = ["text.json", "list.json", "bytes.json"]
+READS_JSON = [
+    ["smith"],
+    ["syzygy"],
+    ["consistency"],
+    ["equiv", "k.json"],
+    ["simulate", "--system"],
+    ["lift", "--system"],
+    ["linearize", "--at", "2;0;2", "--plant"],
+]
+
 
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
@@ -182,6 +194,16 @@ class TestCli:
             ["simulate", "--system", "sys.json", "--horizon", "2", "u.csv"],
             ["simulate", "--system", "sys.json"],
             ["simulate", "--system", "free.json", "--horizon", "2", "u.csv"],
+            # malformed files
+            *[command + [name] for command in READS_JSON for name in NOT_A_JSON_OBJECT],
+            ["smith", "rows.json"],
+            ["smith", "entries.json"],
+            ["lift", "--system", "sys_a.json"],
+            ["linearize", "--plant", "pow.json", "--at", "2;0;2"],
+            # values that are not numbers
+            ["linearize", "--plant", "plant.json", "--at", "a;0;2"],
+            ["linearize", "--plant", "plant.json", "--at", "2;0;2", "--mode", "fd:abc"],
+            ["simulate", "--system", "sys.json", "--x0", "a", "u.csv"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -195,6 +217,18 @@ class TestCli:
         io_formats.write_system_json("sys.json", reference_system())
         free = AffineStateSpace([[0.5]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0)), [1.0], [0.0])
         io_formats.write_system_json("free.json", free)
+        (workdir / "text.json").write_text("not json")
+        (workdir / "list.json").write_text("[1, 2]")
+        (workdir / "bytes.json").write_bytes(b"\xff\xfe")
+        matrix = io_formats.poly_matrix_to_json(R)
+        (workdir / "rows.json").write_text(json.dumps(dict(matrix, rows="a")))
+        (workdir / "entries.json").write_text(json.dumps(dict(matrix, entries=5)))
+        system = io_formats.system_to_json(reference_system())
+        (workdir / "sys_a.json").write_text(json.dumps(dict(system, A="x")))
+        plant = {"n": 1, "m": 1, "f": [["var", "x1"]], "h": [["var", "x1"]]}
+        (workdir / "plant.json").write_text(json.dumps(plant))
+        # x1^2.5 used to be read as x1^2
+        (workdir / "pow.json").write_text(json.dumps(dict(plant, f=[["pow", ["var", "x1"], 2.5]])))
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -264,6 +298,21 @@ class TestCli:
         assert main(["linearize", "--plant", "plant.json", "--at", "2;0;2", "--mode", "analytic"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["A"] == [[4]] and payload["E"] == [2]
+
+    def test_point_state_and_mode_spellings(self, workdir, capsys):
+        # empty groups and items, the --option=value form and fd:<step> all parse
+        plant = {"n": 1, "m": 0, "f": [["*", ["var", "x1"], ["var", "x1"]]], "h": [["var", "x1"]]}
+        (workdir / "plant.json").write_text(json.dumps(plant))
+        assert main(["linearize", "--plant", "plant.json", "--at=2,;;2", "--mode", "fd:1e-4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["A"] == [[pytest.approx(4.0)]] and payload["B"] == [[]]
+        io_formats.write_system_json("sys.json", reference_system())
+        write_inputs("u.csv", [0.5, -0.5])
+        assert main(["simulate", "--system", "sys.json", "--x0=1,,0.5,", "u.csv"]) == 0
+        spelled = json.loads(capsys.readouterr().out)
+        assert main(["simulate", "--system", "sys.json", "--x0", "1,0.5", "u.csv"]) == 0
+        assert spelled == json.loads(capsys.readouterr().out)
+        assert spelled["x"][0] == [1, 0.5]
 
     def test_ident_invariants_complete(self, workdir, capsys):
         from atisys import simulate

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from atisys import NonlinearPlant, expr_from_json, input_var, linearize, state_var
-from atisys.errors import DimensionMismatch, NonFiniteEvaluation, StepTooSmall
-from atisys.plants import Const
+from atisys.errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation, StepTooSmall
+from atisys.plants import Add, Const, Mul, Neg, Pow, Sub, Var
 
 
 def scalar_square_plant():
@@ -19,9 +19,48 @@ class TestExpressions:
         env = {"x1": 1.3, "u1": -0.4}
         assert rebuilt.evaluate(env) == expr.evaluate(env)
 
-    def test_malformed_json(self):
-        with pytest.raises(ValueError):
-            expr_from_json(["sin", ["var", "x1"]])
+    @pytest.mark.parametrize(
+        "node",
+        [
+            ["pow", ["var", "x1"], 2.5],
+            ["pow", ["var", "x1"], True],
+            ["+", ["var", "x1"]],
+            ["neg", ["var", "x1"], ["var", "x1"]],
+            ["const"],
+            ["sin", ["var", "x1"]],
+        ],
+        ids=["pow-fraction", "pow-bool", "add-arity", "neg-arity", "const-arity", "sin"],
+    )
+    def test_malformed_json(self, node):
+        # InvalidArgument is a ValueError, so callers catching ValueError still do
+        with pytest.raises(InvalidArgument):
+            expr_from_json(node)
+
+    @pytest.mark.parametrize(
+        "expr, doc, names",
+        [
+            (Const(1.5), ["const", 1.5], set()),
+            (Var("x1"), ["var", "x1"], {"x1"}),
+            (Add(Var("x1"), Const(2.0)), ["+", ["var", "x1"], ["const", 2.0]], {"x1"}),
+            (Sub(Var("x1"), Var("u1")), ["-", ["var", "x1"], ["var", "u1"]], {"x1", "u1"}),
+            (Mul(Var("x2"), Var("u1")), ["*", ["var", "x2"], ["var", "u1"]], {"x2", "u1"}),
+            (Neg(Var("u2")), ["neg", ["var", "u2"]], {"u2"}),
+            (Pow(Var("x1"), 3), ["pow", ["var", "x1"], 3], {"x1"}),
+        ],
+        ids=["const", "var", "+", "-", "*", "neg", "pow"],
+    )
+    def test_every_tag_round_trips(self, expr, doc, names):
+        assert expr.to_json() == doc
+        assert expr_from_json(expr.to_json()) == expr
+        assert expr.variables() == names
+
+    def test_integer_constant_reads_as_float(self):
+        assert expr_from_json(["const", 2]).to_json() == ["const", 2.0]
+
+    def test_exponent_must_be_a_nonnegative_integer(self):
+        for exponent in (2.0, True, -1):
+            with pytest.raises(InvalidArgument):
+                Pow(state_var(1), exponent)
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -40,7 +79,7 @@ class TestLinearize:
     def test_equilibrium_gives_zero_offsets(self):
         x, u = state_var(1), input_var(1)
         plant = NonlinearPlant(f=(x * x - 2 * x + u,), h=(x,), n=1, m=1)
-        # x = 1, u = 1 is a fixed point: 1 - 2 + 1 = 0... f = x^2-2x+u -> f(1,1) = 0
+        # x = u = 0 is a fixed point, f(0, 0) = 0 = x, with output h(0) = 0 = y
         sys = linearize(plant, [0.0], [0.0], [0.0])
         assert sys.E.item() == 0.0 and sys.F.item() == 0.0
 
@@ -101,3 +140,95 @@ class TestLinearize:
         plant = NonlinearPlant(f=((x ** 30) ** 30,), h=(x,), n=1, m=0)
         with pytest.raises(NonFiniteEvaluation):
             linearize(plant, [1e300], [], [0.0])
+
+
+def _affine(row_x, row_u, const):
+    """c + sum a_j x_j + sum b_k u_k, built as the records benchmark builds its plants."""
+    expr = Const(float(const))
+    for j, v in enumerate(row_x):
+        expr = expr + Const(float(v)) * state_var(j + 1)
+    for k, v in enumerate(row_u):
+        expr = expr + Const(float(v)) * input_var(k + 1)
+    return expr
+
+
+x1, x2, u2 = state_var(1), state_var(2), input_var(2)
+
+# plant, operating point, and A..F differentiated by hand; every number is
+# dyadic, so the analytic Jacobians are exact
+HAND_DERIVED = {
+    # f1 = .5 + .25 x1 - x2 + 2 u1 + .75 x1 x2, f2 = x1 + .5 u1, h = x2
+    "quadratic": (
+        NonlinearPlant(
+            f=(
+                _affine([0.25, -1.0], [2.0], 0.5) + Const(0.75) * x1 * x2,
+                _affine([1.0, 0.0], [0.5], 0.0),
+            ),
+            h=(_affine([0.0, 1.0], [0.0], 0.0),),
+            n=2,
+            m=1,
+        ),
+        ([0.5, -1.5], [0.25], [2.0]),
+        (
+            [[0.25 + 0.75 * -1.5, -1.0 + 0.75 * 0.5], [1.0, 0.0]],
+            [[2.0], [0.5]],
+            [[0.0, 1.0]],
+            [[0.0]],
+            [2.0625 - 0.5, 0.625 + 1.5],
+            [-1.5 - 2.0],
+        ),
+    ),
+    # f = -1 + .5 x1 + .5 u1 + .125 x1^3, h = 2 x1 + u1
+    "cubic": (
+        NonlinearPlant(
+            f=(_affine([0.5], [0.5], -1.0) + Const(0.125) * x1 ** 3,),
+            h=(_affine([2.0], [1.0], 0.0),),
+            n=1,
+            m=1,
+        ),
+        ([0.5], [0.25], [0.0]),
+        (
+            [[0.5 + 3 * 0.125 * 0.5 ** 2]],
+            [[0.5]],
+            [[2.0]],
+            [[1.0]],
+            [-0.609375 - 0.5],
+            [1.25],
+        ),
+    ),
+    # f = .5 x1 + u2, h = 1 + x1 + .5 u1 + 1.5 x1 u2
+    "bilinear": (
+        NonlinearPlant(
+            f=(_affine([0.5], [0.0, 1.0], 0.0),),
+            h=(_affine([1.0], [0.5, 0.0], 1.0) + Const(1.5) * x1 * u2,),
+            n=1,
+            m=2,
+        ),
+        ([-1.5], [0.25, 2.0], [1.0]),
+        (
+            [[0.5]],
+            [[0.0, 1.0]],
+            [[1.0 + 1.5 * 2.0]],
+            [[0.5, 1.5 * -1.5]],
+            [1.25 + 1.5],
+            [-4.875 - 1.0],
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_DERIVED))
+def test_jacobians_match_hand_derivation(name):
+    plant, point, expected = HAND_DERIVED[name]
+    exact = linearize(plant, *point)
+    for key, want in zip("ABCDEF", expected):
+        assert getattr(exact, key).tolist() == want, key
+    for step in (1e-5, 1e-3):
+        fd = linearize(plant, *point, mode="fd", step=step)
+        for key, want in zip("ABCDEF", expected):
+            assert np.allclose(getattr(fd, key), want, rtol=0, atol=1e-6), (key, step)
+
+
+def test_unknown_mode_is_invalid_argument():
+    with pytest.raises(InvalidArgument, match="mode must be"):
+        linearize(scalar_square_plant(), [2.0], [0.0], [2.0], mode="spline")
