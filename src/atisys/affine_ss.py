@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import DimensionMismatch, InvalidArgument, NonFiniteEntry
 from .polymatrix import PolyMatrix
 from .trajectories import Trajectory, numerical_rank
 
@@ -52,9 +52,7 @@ class AffineStateSpace:
     F: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        if A.size == 0:
-            A = A.reshape(0, 0)
+        A = _as_matrix(self.A, None, None, "A")
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got {A.shape}")
         n = A.shape[0]
@@ -69,16 +67,14 @@ class AffineStateSpace:
             raise DimensionMismatch("the model must have at least one external variable")
         for name, arr in (("A", A), ("B", B), ("C", C), ("D", D), ("E", E), ("F", F)):
             if not np.all(np.isfinite(arr)):
-                raise DimensionMismatch(f"{name} contains non-finite entries")
+                raise NonFiniteEntry(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
     def linear(cls, A, B, C, D) -> "AffineStateSpace":
         """Build a model with zero offsets."""
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        return cls(A, B, C, D, np.zeros(A.shape[0]), np.zeros(C.shape[0]))
+        return cls(A, B, C, D, np.zeros(len(A)), np.zeros(len(C)))
 
     @property
     def n(self) -> int:

@@ -197,12 +197,16 @@ def complete(
 
 
 def _kernel_from_rows(rows, q: int, depth: int) -> AffineKernelRep:
-    """Assemble [R_0 ... R_{L-1} | -c] null rows into a kernel representation."""
-    R = PolyMatrix(
-        [[Poly(Fraction(v[k * q + j]) for k in range(depth)) for j in range(q)] for v in rows],
-        ncols=q,
-    )
-    return AffineKernelRep(R, tuple(-Fraction(v[q * depth]) for v in rows))
+    """Assemble integer null rows y = [R_0 ... R_{L-1} | -c] into a kernel representation,
+    each over its first largest-magnitude entry, the sign moved to the numerators."""
+    R, c = [], []
+    for y in rows:
+        den = max(y, key=abs)
+        if den < 0:
+            y, den = [-v for v in y], -den
+        R.append([Poly.from_numerators(y[j : q * depth : q], den) for j in range(q)])
+        c.append(Fraction(-y[-1], den))
+    return AffineKernelRep(PolyMatrix(R, ncols=q), tuple(c))
 
 
 def _normalize_largest(v):
@@ -245,7 +249,7 @@ def recover_kernel(
         # complete U (null directions included) but never the T x T right factor
         U, svals, _ = np.linalg.svd(S, full_matrices=S.shape[1] < S.shape[0])
         rank, kind = rank_of(svals, S.shape, tol), "measured"
-        null_rows = [list(U[:, k]) for k in range(rank, qL + 1)]
+        null_rows = exactla._integer_rows(map(_normalize_largest, U[:, rank:].T.tolist()))
     elif method == "exact":
         if tol is not None:
             raise InvalidArgument("the exact method takes no tolerance")
@@ -254,7 +258,7 @@ def recover_kernel(
                 "data entries of magnitude 2**53 or more may be rounded; "
                 "the exact method cannot read them"
             )
-        null_rows = exactla.left_null_space(S)
+        null_rows = list(exactla._null_vectors(S.T, qL + 1).values())
         rank, kind = qL + 1 - len(null_rows), "exact"
     else:
         raise InvalidArgument(f"method must be 'svd' or 'exact', got {method!r}")
@@ -262,7 +266,7 @@ def recover_kernel(
         raise ExcitationDeficient(f"{kind} rank {rank} != required {target}")
     if rank - rep.m * rep.depth - 1 < 0:
         raise ExcitationDeficient(f"{kind} rank {rank} below the affine excitation floor")
-    return _kernel_from_rows([_normalize_largest(v) for v in null_rows], rep.q, rep.depth)
+    return _kernel_from_rows(null_rows, rep.q, rep.depth)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,10 @@
 
 Small dense routines used wherever a rank or null-space decision must be
 discontinuity-free, as in exact kernel recovery from rational data.
-Matrices are lists of row lists (or numpy arrays).  Every entry is read
-exactly through ``as_integer_ratio()``: ints, Fractions, binary floats and
-numpy scalars alike, and strings like ``"3/4"`` through
-:class:`fractions.Fraction`.  NaN and infinite entries raise
-:class:`NonFiniteEntry`.
+Matrices are lists of row lists (or numpy arrays).  A finite binary float is
+read as the rational it encodes, one of the float bridges named in
+:mod:`atisys.poly`; every other entry is read by that module's rule.  NaN and
+infinite entries raise :class:`NonFiniteEntry`.
 
 Each row is multiplied by the lcm of its denominators and divided by the
 gcd of the result, so elimination runs on Python integers.  One forward
@@ -43,10 +42,9 @@ elimination more.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from numbers import Integral
+from math import gcd, isfinite, lcm
 
-from .errors import NonFiniteEntry
+from .poly import _ratio
 
 Matrix = list[list[int]]
 
@@ -56,24 +54,17 @@ def _rows(matrix) -> list:
     return matrix.tolist() if hasattr(matrix, "tolist") else matrix
 
 
-def _ratio(x) -> tuple[int, int]:
-    try:
-        return x.as_integer_ratio()
-    except AttributeError:  # numpy integers, decimal strings
-        # int() first: a Fraction keeps a fixed-width numpy numerator, which overflows
-        return (int(x), 1) if isinstance(x, Integral) else Fraction(x).as_integer_ratio()
-    except (ValueError, OverflowError):
-        raise NonFiniteEntry(f"exact arithmetic needs finite entries, got {x!r}") from None
-
-
 def _integer_rows(rows) -> Matrix:
     """Each row times the positive rational that makes it integral with content 1."""
     out = []
     for row in rows:
-        try:
-            pairs = [x.as_integer_ratio() for x in row]
-        except (AttributeError, ValueError, OverflowError):
-            pairs = [_ratio(x) for x in row]
+        try:  # the float bridge: a finite float is the rational it encodes
+            pairs = list(map(float.as_integer_ratio, row))
+        except (TypeError, ValueError, OverflowError):
+            pairs = [
+                x.as_integer_ratio() if isinstance(x, float) and isfinite(x) else _ratio(x)
+                for x in row
+            ]
         denominator = lcm(*(d for _, d in pairs))
         if denominator == 1:
             ints = [n for n, _ in pairs]
@@ -169,6 +160,11 @@ def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
     space lies inside the first, which already annihilates the rows not
     missed, so the second basis is the null space of the whole matrix.
     """
+    return [[Fraction(v, y[free]) for v in y] for free, y in _null_vectors(matrix, ncols).items()]
+
+
+def _null_vectors(matrix, ncols: int | None) -> dict[int, list[int]]:
+    """:func:`null_space`'s basis as integer vectors y over y[free], keyed by free."""
     M = _integer_rows(_rows(matrix))
     if ncols is None:
         if not M:
@@ -179,7 +175,7 @@ def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
     missed = _missed_rows(basis.values(), rest)
     if missed:
         _, basis = _null_basis(block[: len(pivots)] + missed, ncols)
-    return [[Fraction(v, y[free]) for v in y] for free, y in basis.items()]
+    return basis
 
 
 def _null_basis(M: Matrix, ncols: int) -> tuple[list[int], dict[int, list[int]]]:

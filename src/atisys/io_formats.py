@@ -9,7 +9,8 @@ Polynomial matrices serialize as ``{"rows", "cols", "entries"}`` where
 ``entries[i][j]`` lists the exact coefficients of entry (i, j) ascending by
 degree as ``"num/den"`` strings.  A kernel representation adds ``"c"``: a
 flat list for a constant offset, or a list of per-time rows for an offset
-sequence on a window.
+sequence on a window.  Coefficients and offsets are integers or ``"num/den"``
+strings (:mod:`atisys.poly`'s rule); any other JSON number is a FormatError.
 """
 
 from __future__ import annotations
@@ -18,16 +19,15 @@ import csv
 import io
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .affine_ss import AffineStateSpace
-from .errors import AtisysError, DimensionMismatch
+from .errors import AtisysError, DimensionMismatch, NonFiniteEntry
 from .kernelrep import AffineKernelRep, OffsetSequence
 from .plants import NonlinearPlant, expr_from_json
-from .poly import Poly
+from .poly import Poly, _fraction
 from .polymatrix import PolyMatrix
 from .trajectories import Trajectory
 
@@ -226,8 +226,8 @@ def poly_matrix_from_json(doc: dict) -> PolyMatrix:
     if not shaped:
         raise FormatError("matrix JSON entries do not match the declared shape")
     try:
-        rows = [[Poly(Fraction(c) for c in cell) for cell in row] for row in entries]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        rows = [[Poly(cell) for cell in row] for row in entries]
+    except (TypeError, ValueError, NonFiniteEntry) as exc:
         raise FormatError(f"bad rational coefficient: {exc}") from None
     return PolyMatrix(rows, ncols=q)
 
@@ -257,9 +257,9 @@ def kernel_rep_from_json(doc: dict) -> tuple[PolyMatrix, object]:
         raise FormatError("kernel JSON offset 'c' must be a list")
     try:
         if raw and isinstance(raw[0], list):
-            return R, OffsetSequence(tuple(tuple(Fraction(v) for v in row) for row in raw))
-        return R, tuple(Fraction(v) for v in raw)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            return R, OffsetSequence(raw)
+        return R, tuple(_fraction(v) for v in raw)
+    except (TypeError, ValueError, NonFiniteEntry) as exc:
         raise FormatError(f"bad rational offset: {exc}") from None
 
 

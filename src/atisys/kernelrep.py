@@ -23,15 +23,11 @@ from .errors import (
     InconsistentRepresentation,
     WindowTooShort,
 )
-from .poly import Poly
+from .poly import Poly, _fraction
 from .polymatrix import PolyMatrix, clear_denominators, identity_augmented, subtract_multiple
 from .trajectories import check_tolerance, window_matrix
 
 OffsetVector = tuple[Fraction, ...]
-
-
-def _as_offset(values) -> OffsetVector:
-    return tuple(Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -42,7 +38,7 @@ class AffineKernelRep:
     c: OffsetVector
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _as_offset(self.c))
+        object.__setattr__(self, "c", tuple(_fraction(v) for v in self.c))
         if len(self.c) != self.R.shape[0]:
             raise DimensionMismatch(
                 f"offset length {len(self.c)} != row count {self.R.shape[0]}"
@@ -71,15 +67,14 @@ class OffsetSequence:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.values)
+        rows = tuple(tuple(_fraction(v) for v in row) for row in self.values)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("offset samples have differing lengths")
         object.__setattr__(self, "values", rows)
 
     @classmethod
     def constant(cls, c: Sequence, length: int) -> "OffsetSequence":
-        row = tuple(Fraction(v) for v in c)
-        return cls(tuple(row for _ in range(length)))
+        return cls([tuple(c)] * length)
 
     @property
     def length(self) -> int:

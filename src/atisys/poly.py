@@ -17,31 +17,53 @@ is kept for callers: ``coefficients`` is a tuple of
 All arithmetic is exact, which the kernel-representation decision procedures
 rely on: rank over the polynomial ring and module membership are
 discontinuous in the coefficients, so floating point is never used here.
+
+Every value enters the exact layer through one reader, :func:`_ratio`: ints,
+bools and Fractions as they are, numpy integers (also inside a Fraction)
+through ``int()``, ``"num/den"`` strings by Fraction, integer-valued floats as
+those integers.  NaN and infinity raise :class:`NonFiniteEntry`; other floats,
+malformed strings and other types raise :class:`InvalidArgument`.  The float
+bridges, which read a binary float as the rational it encodes, are the float
+rows of ``exactla._integer_rows`` (exact recovery's data under its 2**53 rule,
+and the SVD route's null rows) and ``affine_ss.char_poly_at_one``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
+from numbers import Integral
 from typing import Iterable
+
+from .errors import InvalidArgument, NonFiniteEntry
 
 
 def _ratio(value) -> tuple[int, int]:
-    """Numerator and positive denominator of an exact rational value."""
+    """Numerator and positive denominator of an exact value, by the module's rule."""
     if isinstance(value, int):
         return int(value), 1
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    if isinstance(value, str):
-        return Fraction(value).as_integer_ratio()
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise TypeError(
-                f"refusing to coerce non-integer float {value!r}; pass a Fraction "
-                "or string to make the intended rational explicit"
-            )
+    if isinstance(value, Fraction):  # int() re-reads a numpy numerator
+        return int(value.numerator), int(value.denominator)
+    if isinstance(value, Integral):  # numpy integers
         return int(value), 1
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if isinstance(value, str):
+        try:
+            return Fraction(value).as_integer_ratio()
+        except (ValueError, ZeroDivisionError):
+            pass
+    elif isinstance(value, float):
+        if not isfinite(value):
+            raise NonFiniteEntry(f"exact arithmetic needs finite entries, got {value!r}")
+        if value.is_integer():
+            return int(value), 1
+    raise InvalidArgument(
+        f"cannot read {value!r} as an exact rational; pass an integer, a Fraction "
+        "or a 'num/den' string"
+    )
+
+
+def _fraction(value) -> Fraction:
+    return Fraction(*_ratio(value))
 
 
 class Poly:
@@ -79,8 +101,8 @@ class Poly:
 
     @classmethod
     def constant(cls, value) -> "Poly":
-        nums, den = _constant(value)
-        return _make(list(nums), den)
+        n, d = _ratio(value)
+        return _make([n], d)
 
     @classmethod
     def x(cls, degree: int = 1) -> "Poly":
@@ -285,7 +307,7 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            return (self.numerators, self.denominator) == _constant(other)
+            other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.numerators == other.numerators and self.denominator == other.denominator
@@ -341,11 +363,6 @@ def _make(nums: list[int], den: int) -> Poly:
     p = object.__new__(Poly)
     _settle(p, nums, den)
     return p
-
-
-def _constant(value) -> tuple[tuple[int, ...], int]:
-    n, d = _ratio(value)
-    return ((n,), d) if n else ((), 1)
 
 
 def _as_poly(value) -> Poly:

@@ -19,13 +19,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, ZeroMatrix
-from .poly import Poly
-
-
-def _entry(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    return Poly.constant(value)
+from .poly import Poly, _as_poly
 
 
 class PolyMatrix:
@@ -41,7 +35,7 @@ class PolyMatrix:
     __slots__ = ("rows", "_ncols", "_reduced")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int = 0):
-        grid = tuple(tuple(_entry(e) for e in row) for row in rows)
+        grid = tuple(tuple(_as_poly(e) for e in row) for row in rows)
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise DimensionMismatch("rows have differing lengths")
         object.__setattr__(self, "rows", grid)
@@ -73,18 +67,12 @@ class PolyMatrix:
 
     @classmethod
     def from_coefficient_blocks(cls, blocks: Sequence[Sequence[Sequence]]) -> "PolyMatrix":
-        """Build R(x) = sum_k blocks[k] * x**k from same-shaped coefficient grids."""
-        if not blocks:
+        """Build R(x) = sum_k blocks[k] * x**k from same-shaped grids or a 3-D array."""
+        if len(blocks) == 0:
             raise ZeroMatrix("at least one coefficient block is required")
         g = len(blocks[0])
         q = len(blocks[0][0]) if g else 0
-        rows = []
-        for i in range(g):
-            row = []
-            for j in range(q):
-                row.append(Poly([Fraction(block[i][j]) for block in blocks]))
-            rows.append(row)
-        return cls(rows)
+        return cls([[Poly([block[i][j] for block in blocks]) for j in range(q)] for i in range(g)])
 
     # -- structure ----------------------------------------------------
 
@@ -154,7 +142,8 @@ class PolyMatrix:
         return PolyMatrix(out, ncols=q)
 
     def scale(self, value) -> "PolyMatrix":
-        rows = [[e * _entry(value) for e in row] for row in self.rows]
+        factor = _as_poly(value)
+        rows = [[e * factor for e in row] for row in self.rows]
         return PolyMatrix(rows, ncols=self._ncols)
 
     def vstack(self, other: "PolyMatrix") -> "PolyMatrix":

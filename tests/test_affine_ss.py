@@ -13,7 +13,7 @@ from atisys import (
     simulate,
 )
 from atisys.affine_ss import LiftedStateSpace
-from atisys.errors import DimensionMismatch, InvalidArgument
+from atisys.errors import DimensionMismatch, InvalidArgument, NonFiniteEntry
 from atisys.scenario import reference_input, reference_system
 from conftest import random_system
 
@@ -293,7 +293,7 @@ class TestLift:
         ids=["nan-in-A", "inf-in-B"],
     )
     def test_nonfinite_entries_refused(self, A, B):
-        with pytest.raises(DimensionMismatch, match="non-finite"):
+        with pytest.raises(NonFiniteEntry, match="non-finite"):
             LiftedStateSpace(A, B, [[1.0, 0.0]], [[0.0]])
 
     def test_lifted_structure_checked(self):

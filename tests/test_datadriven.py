@@ -4,6 +4,7 @@ import pytest
 from atisys import (
     AffineStateSpace,
     DataDrivenRep,
+    Poly,
     Trajectory,
     behavior_apply,
     complete,
@@ -225,6 +226,22 @@ class TestRecoverKernel:
         ratio = row[0].coefficients[0] / row[1].coefficients[0]
         assert ratio == -1
         assert kernel.c[0] / row[1].coefficients[0] == 1
+
+    @pytest.mark.parametrize("method", ["svd", "exact"])
+    def test_rows_are_canonical_over_their_largest_entry(self, method):
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            sys = random_minimal_integer_system(rng)
+            u = Trajectory.inputs(rng.integers(-2, 3, (60, sys.m)))
+            w = simulate(sys, rng.integers(-1, 2, sys.n), u).io(u)
+            if np.max(np.abs(w.data)) >= 2.0**53:
+                continue
+            kernel = recover_kernel(DataDrivenRep(w, 4), n=sys.n, method=method)
+            for row, c in zip(kernel.R.rows, kernel.c):
+                # [R_0 ... R_3 | -c], each coefficient stored in lowest terms
+                entries = [p.coefficient(k) for k in range(4) for p in row] + [-c]
+                assert max(entries, key=abs) == 1
+                assert all(p == Poly(p.coefficients) and p.denominator > 0 for p in row)
 
     def test_linear_data_has_vanishing_offset(self, rng):
         sys = AffineStateSpace.linear(

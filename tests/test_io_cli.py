@@ -204,6 +204,9 @@ class TestCli:
             ["linearize", "--plant", "plant.json", "--at", "a;0;2"],
             ["linearize", "--plant", "plant.json", "--at", "2;0;2", "--mode", "fd:abc"],
             ["simulate", "--system", "sys.json", "--x0", "a", "u.csv"],
+            # a binary float where an exact rational is read
+            ["syzygy", "float.json"],
+            ["consistency", "k_float.json"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -223,6 +226,9 @@ class TestCli:
         matrix = io_formats.poly_matrix_to_json(R)
         (workdir / "rows.json").write_text(json.dumps(dict(matrix, rows="a")))
         (workdir / "entries.json").write_text(json.dumps(dict(matrix, entries=5)))
+        # 0.1 used to be read as 3602879701896397/36028797018963968
+        (workdir / "float.json").write_text(json.dumps({"rows": 2, "cols": 1, "entries": [[[0.1]], [[1]]]}))
+        (workdir / "k_float.json").write_text(json.dumps(dict(kernel, c=[0.1, 0])))
         system = io_formats.system_to_json(reference_system())
         (workdir / "sys_a.json").write_text(json.dumps(dict(system, A="x")))
         plant = {"n": 1, "m": 1, "f": [["var", "x1"]], "h": [["var", "x1"]]}

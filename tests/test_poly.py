@@ -1,11 +1,23 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atisys import Poly, poly_gcd
+from atisys import (
+    AffineKernelRep,
+    OffsetSequence,
+    Poly,
+    PolyMatrix,
+    consistent_constant,
+    consistent_sequence,
+    exactla,
+    io_formats,
+    poly_gcd,
+)
+from atisys.errors import InvalidArgument, NonFiniteEntry
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=6)
 
@@ -18,7 +30,7 @@ def test_trailing_zeros_stripped():
 
 def test_float_coercion_is_strict():
     assert Poly([2.0]).coefficients == (2,)
-    with pytest.raises(TypeError):
+    with pytest.raises(InvalidArgument):
         Poly([0.1])
 
 
@@ -243,3 +255,100 @@ def test_equal_polynomials_hash_equal(a, b):
         assert left == right and hash(left) == hash(right)
         assert (left.numerators, left.denominator) == (right.numerators, right.denominator)
         assert gcd(left.denominator, *left.numerators) == 1 and left.denominator > 0
+
+
+# -- one reader for exact numbers ------------------------------------------
+
+
+def _stored(p: Poly) -> tuple:
+    """The numerator and denominator a constant polynomial stores."""
+    return (*p.numerators, p.denominator)
+
+
+def _fraction(f: Fraction) -> tuple:
+    return f.numerator, f.denominator
+
+
+def _exactla(value) -> tuple:
+    assert exactla.rank([[value]]) == 1
+    return _fraction(exactla.solve([[1]], [value])[0])
+
+
+READERS = {
+    "Poly": lambda v: _stored(Poly([v])),
+    "PolyMatrix": lambda v: _stored(PolyMatrix([[v]]).entry(0, 0)),
+    "from_coefficient_blocks": lambda v: _stored(
+        PolyMatrix.from_coefficient_blocks([[[v]]]).entry(0, 0)
+    ),
+    "AffineKernelRep": lambda v: _fraction(AffineKernelRep(PolyMatrix([[1]]), [v]).c[0]),
+    "OffsetSequence": lambda v: _fraction(OffsetSequence([[v]]).values[0][0]),
+    "OffsetSequence.constant": lambda v: _fraction(OffsetSequence.constant([v], 2).values[1][0]),
+    "poly_matrix_from_json": lambda v: _stored(
+        io_formats.poly_matrix_from_json({"rows": 1, "cols": 1, "entries": [[[v]]]}).entry(0, 0)
+    ),
+    "kernel_rep_from_json": lambda v: _fraction(
+        io_formats.kernel_rep_from_json({"rows": 1, "cols": 1, "entries": [[[1]]], "c": [v]})[1][0]
+    ),
+    "exactla": _exactla,
+}
+PARSERS = {"poly_matrix_from_json", "kernel_rep_from_json"}
+# each value with the (numerator, denominator) every reader stores, or the error it raises
+VALUES = {
+    "int": (3, (3, 1)),
+    "bool": (True, (1, 1)),
+    "int64": (np.int64(2**40), (2**40, 1)),
+    "fraction-of-int64": (Fraction(np.int64(5)), (5, 1)),
+    "fraction": (Fraction(3, 4), (3, 4)),
+    "string": ("3/4", (3, 4)),
+    "integer-float": (2.0, (2, 1)),
+    "float": (0.1, InvalidArgument),
+    "nan": (float("nan"), NonFiniteEntry),
+    "inf": (float("inf"), NonFiniteEntry),
+    "zero-denominator": ("1/0", InvalidArgument),
+    "not-a-number": ("abc", InvalidArgument),
+    "object": (object(), InvalidArgument),
+}
+
+
+@pytest.mark.parametrize(
+    "reader, value, expected",
+    [
+        pytest.param(name, value, expected, id=f"{name}-{kind}")
+        for name in READERS
+        for kind, (value, expected) in VALUES.items()
+        # exactla reads a binary float as the rational it encodes
+        if not (name == "exactla" and isinstance(value, float))
+    ],
+)
+@pytest.mark.filterwarnings("error")
+def test_every_entry_point_reads_by_one_rule(reader, value, expected):
+    read = READERS[reader]
+    if isinstance(expected, tuple):
+        stored = read(value)
+        assert stored == expected and all(type(v) is int for v in stored)
+        return
+    error = io_formats.FormatError if reader in PARSERS else expected
+    with pytest.raises(error):
+        read(value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_offsets_do_not_overflow():
+    R = PolyMatrix([[1], [2**40]])  # the syzygy (2**40, -1) tests 2**40 c_1 = c_2
+    offsets = [2**24 + 1, 2**40]
+    assert not consistent_constant(AffineKernelRep(R, offsets))
+    assert not consistent_constant(AffineKernelRep(R, np.array(offsets)))
+    assert not consistent_sequence(R, OffsetSequence([offsets]))
+    assert not consistent_sequence(R, OffsetSequence(np.array([offsets])))
+
+
+@pytest.mark.filterwarnings("error")
+def test_coefficient_blocks_store_python_integers():
+    R = PolyMatrix.from_coefficient_blocks([np.array([[2**40]]), np.array([[1]])])
+    e = R.entry(0, 0)
+    assert (e * e).coefficient(0) == 2**80
+
+
+def test_coefficient_blocks_from_one_array():
+    R = PolyMatrix.from_coefficient_blocks(np.array([[[1, 2]], [[3, 4]]]))
+    assert R == PolyMatrix([[Poly([1, 3]), Poly([2, 4])]])
