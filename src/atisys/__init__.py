@@ -54,7 +54,7 @@ from .kernelrep import (
 )
 from .plants import NonlinearPlant, expr_from_json, input_var, linearize, state_var
 from .poly import Poly, poly_gcd
-from .polymatrix import PolyMatrix, SmithDecomposition, poly_rank, row_hermite, smith_form
+from .polymatrix import PolyMatrix, SmithDecomposition, smith_form
 from .trajectories import (
     HankelMatrix,
     Trajectory,
@@ -111,12 +111,10 @@ __all__ = [
     "pe_order_linear_report",
     "pe_profile",
     "poly_gcd",
-    "poly_rank",
     "rank_condition_affine",
     "rank_condition_affine_report",
     "recover_kernel",
     "restrict",
-    "row_hermite",
     "sampling_gap",
     "shift",
     "simulate",

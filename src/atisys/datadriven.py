@@ -36,7 +36,7 @@ from .kernelrep import AffineKernelRep
 from .poly import Poly
 from .polymatrix import PolyMatrix
 from .trajectories import HankelMatrix, Trajectory, check_tolerance, hankel, numerical_rank
-from .trajectories import rank_of, restrict
+from .trajectories import rank_of
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -83,7 +83,7 @@ def rank_condition_affine_report(
         )
     T = u_d.length
     Hu = hankel(u_d, depth).entries
-    Hx = hankel(restrict(x_d, 1, T - depth + 1), 1).entries
+    Hx = x_d.data[: T - depth + 1].T
     stacked = ones_augmented(np.vstack([Hx, Hu]))
     return rank_verdict(stacked, u_d.q * depth + x_d.q + 1, tol)
 

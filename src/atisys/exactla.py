@@ -206,14 +206,6 @@ def _missed_rows(vectors, rows: Matrix) -> Matrix:
     return [rows[i] for i in sorted(missed)]
 
 
-def left_null_space(matrix, nrows: int | None = None) -> list[list[Fraction]]:
-    """Basis of the left null space (row vectors v with v @ M = 0)."""
-    rows = _rows(matrix)
-    if nrows is None:
-        nrows = len(rows)
-    return null_space(list(zip(*rows)), ncols=nrows)
-
-
 def solve(matrix, rhs) -> list[Fraction] | None:
     """Solve M x = b exactly; ``None`` when the system is inconsistent.
 

@@ -136,18 +136,18 @@ def _body_error(path, exc: ValueError) -> FormatError:
     return FormatError(f"{path}: row {row}: {reason}")
 
 
-def write_trajectory_csv(path, w: Trajectory, write_sidecar: bool = True):
+def write_trajectory_csv(path, w: Trajectory):
+    """Write the CSV and, next to it, the sidecar holding ``m`` and the labels."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"w{i + 1}" for i in range(w.q)])
         for t in range(w.length):
             writer.writerow([t + 1] + [repr(float(v)) for v in w.data[t]])
-    if write_sidecar:
-        meta = {"m": w.m}
-        if w.labels:
-            meta["labels"] = list(w.labels)
-        sidecar_path(path).write_text(json.dumps(meta) + "\n")
+    meta = {"m": w.m}
+    if w.labels:
+        meta["labels"] = list(w.labels)
+    sidecar_path(path).write_text(json.dumps(meta) + "\n")
 
 
 # -- state-space and plant JSON ---------------------------------------
@@ -216,15 +216,21 @@ def poly_matrix_to_json(R: PolyMatrix) -> dict:
 
 def poly_matrix_from_json(doc: dict) -> PolyMatrix:
     try:
-        g, q = int(doc["rows"]), int(doc["cols"])
-        entries = doc["entries"]
-        shaped = len(entries) == g and all(len(row) == q for row in entries)
+        g, q, entries = doc["rows"], doc["cols"], doc["entries"]
     except KeyError as exc:
         raise FormatError(f"matrix JSON missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"matrix JSON invalid: {exc}") from None
+    for name, size in (("rows", g), ("cols", q)):
+        if type(size) is not int or size < 0:
+            raise FormatError(f"matrix JSON '{name}' must be a non-negative integer, got {size!r}")
+    shaped = (
+        isinstance(entries, list)
+        and len(entries) == g
+        and all(isinstance(row, list) and len(row) == q for row in entries)
+    )
     if not shaped:
         raise FormatError("matrix JSON entries do not match the declared shape")
+    if not all(isinstance(cell, list) for row in entries for cell in row):
+        raise FormatError("matrix JSON entries must be lists of coefficients")
     try:
         rows = [[Poly(cell) for cell in row] for row in entries]
     except (TypeError, ValueError, NonFiniteEntry) as exc:
@@ -255,8 +261,11 @@ def kernel_rep_from_json(doc: dict) -> tuple[PolyMatrix, object]:
     raw = doc["c"]
     if not isinstance(raw, list):
         raise FormatError("kernel JSON offset 'c' must be a list")
+    window = bool(raw) and isinstance(raw[0], list)
+    if window and not all(isinstance(row, list) for row in raw):
+        raise FormatError("kernel JSON offset window rows must all be lists")
     try:
-        if raw and isinstance(raw[0], list):
+        if window:
             return R, OffsetSequence(raw)
         return R, tuple(_fraction(v) for v in raw)
     except (TypeError, ValueError, NonFiniteEntry) as exc:

@@ -4,7 +4,8 @@ A pair (R(x), c) represents the trajectory set {w : R(sigma) w = c}, where
 sigma is the time shift.  Unlike the offset-free case, such a set can be
 empty: every polynomial row dependency (syzygy) of R imposes a constraint on
 c, and consistency holds exactly when all of them are met.  Every decision
-reads one reduction of [R | I] to Popov form, kept with R (:func:`_reduce`).
+reads one weak Popov reduction of [R | I], kept with R
+(:meth:`PolyMatrix.popov_reduction`, described in :mod:`atisys.polymatrix`).
 Everything here runs in exact rational arithmetic; floating point enters
 only when a representation is applied to measured data windows.
 """
@@ -24,7 +25,7 @@ from .errors import (
     WindowTooShort,
 )
 from .poly import Poly, _fraction
-from .polymatrix import PolyMatrix, clear_denominators, identity_augmented, subtract_multiple
+from .polymatrix import PolyMatrix
 from .trajectories import check_tolerance, window_matrix
 
 OffsetVector = tuple[Fraction, ...]
@@ -88,87 +89,15 @@ class OffsetSequence:
 def syzygy_basis(R: PolyMatrix) -> list[tuple[Poly, ...]]:
     """A minimal basis of the left syzygy module {lambda : lambda R = 0}.
 
-    The I parts of the rows of the reduced [R | I] (:func:`_reduce`) whose R
-    part vanished are rows of a unimodular transform, so they span the
-    syzygies and are left prime; being row reduced, they form a minimal basis
-    in Forney's sense.  Each generator is scaled to integer coefficients with
-    content one.  Full-row-rank matrices return the empty list; the zero
-    matrix returns the coordinate rows.  Each call returns a fresh list.
+    The I parts of the rows of the reduced [R | I]
+    (:meth:`PolyMatrix.popov_reduction`) whose R part vanished are rows of a
+    unimodular transform, so they span the syzygies and are left prime; being
+    row reduced, they form a minimal basis in Forney's sense.  Each generator
+    is scaled to integer coefficients with content one.  Full-row-rank
+    matrices return the empty list; the zero matrix returns the coordinate
+    rows.  Each call returns a fresh list.
     """
-    *_, syzygies = R._memo(_reduce)
-    return list(syzygies)
-
-
-def _reduce(R: PolyMatrix) -> tuple:
-    """The weak Popov reduction of [R | I], with the surviving R parts made Popov.
-
-    Returns those R parts in Popov form, canonical for their row module
-    (Kailath, *Linear Systems*, 1980), their I parts at 1, which send an
-    offset c to theirs, and the I parts of the rows whose R part vanished.
-    """
-    q = R.shape[1]
-    rows = identity_augmented(R)
-    _weak_popov(rows, q)
-    kept = _popov([row for row in rows if any(row[:q])], q)
-    popov = tuple(tuple(row[:q]) for row in kept)
-    at_one = tuple(tuple(e(1) for e in row[q:]) for row in kept)
-    syzygies = tuple(tuple(clear_denominators(row[q:])) for row in rows if not any(row[:q]))
-    return popov, at_one, syzygies
-
-
-def _leading(row: Sequence[Poly], width: int) -> tuple[int, int] | None:
-    """Degree and position of the rightmost entry of maximal degree among the
-    first ``width`` entries, or among the rest once those are zero."""
-    for part in (range(width), range(width, len(row))):
-        degree = max((row[j].degree for j in part), default=-1)
-        if degree >= 0:
-            return degree, max(j for j in part if row[j].degree == degree)
-    return None
-
-
-def _weak_popov(rows: list[list[Poly]], width: int) -> None:
-    """Reduce rows in place until no two nonzero rows lead at one position.
-
-    Mulders & Storjohann, "On lattice reduction for polynomial matrices"
-    (J. Symbolic Comput. 35(4), 2003): of two rows leading at one position,
-    the one of higher degree loses its leading term to a monomial multiple of
-    the other, so its degree drops or its leading position moves left, and no
-    degree grows.  On exit the nonzero rows are row reduced.
-    """
-    lead = [_leading(row, width) for row in rows]
-    owner: dict[int, int] = {}
-    for i in range(len(rows)):
-        while lead[i] is not None:
-            j = lead[i][1]
-            k = owner.setdefault(j, i)
-            if k == i:
-                break
-            if lead[k][0] > lead[i][0]:  # the owner is the one to reduce
-                owner[j], i, k = i, k, i
-            factor = rows[i][j].leading_coefficient / rows[k][j].leading_coefficient
-            monomial = Poly.x(lead[i][0] - lead[k][0]).scale(factor)
-            rows[i] = subtract_multiple(rows[i], monomial, rows[k])
-            lead[i] = _leading(rows[i], width)
-
-
-def _popov(rows: list[list[Poly]], width: int) -> list[list[Poly]]:
-    """Weak Popov rows made Popov: each row reduced modulo the others' leading
-    entries (the terms brought in lie below those cancelled, so every leading
-    entry stays), then scaled monic and sorted by leading position."""
-    lead = [_leading(row, width) for row in rows]
-    for i in range(len(rows)):
-        reducible = True
-        while reducible:
-            reducible = False
-            for k, (d, j) in enumerate(lead):
-                if k != i and rows[i][j].degree >= d:
-                    quo = rows[i][j] // rows[k][j]
-                    rows[i] = subtract_multiple(rows[i], quo, rows[k])
-                    reducible = True
-    return [
-        [e.scale(1 / row[j].leading_coefficient) for e in row]
-        for (_, j), row in sorted(zip(lead, rows), key=lambda pair: pair[0][1])
-    ]
+    return list(R.popov_reduction().syzygies)
 
 
 def _row_degree(row: Sequence[Poly]) -> int:
@@ -288,17 +217,18 @@ def _within(lam: Sequence[Poly], columns: np.ndarray, T: int, tol: float) -> boo
 def minimize(rep: AffineKernelRep) -> AffineKernelRep:
     """Equivalent representation with full-row-rank R in canonical (Popov) form.
 
-    The reduction U [R | I] of :func:`_reduce` sends the offset to U(1) c;
-    the entries against the rows whose R part vanished, lambda(1) c, must
-    vanish, or the representation was inconsistent to begin with.
+    The reduction U [R | I] of :meth:`PolyMatrix.popov_reduction` sends the
+    offset to U(1) c; the entries against the rows whose R part vanished,
+    lambda(1) c, must vanish, or the representation was inconsistent to begin
+    with.
     """
     if not consistent_constant(rep):
         raise InconsistentRepresentation(
             "zero rows of the reduced matrix carry nonzero offsets"
         )
-    popov, at_one, _ = rep.R._memo(_reduce)
-    offset = tuple(sum(u * v for u, v in zip(row, rep.c)) for row in at_one)
-    return AffineKernelRep(PolyMatrix(popov, ncols=rep.q), offset)
+    reduction = rep.R.popov_reduction()
+    offset = tuple(sum(u * v for u, v in zip(row, rep.c)) for row in reduction.at_one)
+    return AffineKernelRep(PolyMatrix(reduction.popov, ncols=rep.q), offset)
 
 
 def equivalent(rep1: AffineKernelRep, rep2: AffineKernelRep) -> bool:
@@ -355,10 +285,7 @@ def controllable_kernel(rep: AffineKernelRep) -> bool:
     row-reduced rows, whose determinant's degree is the sum of their degrees,
     so that holds exactly when every such row has degree 0.
     """
-    reduced = minimize(rep)
-    rows = [list(row) for row in reduced.R.transpose().rows]
-    _weak_popov(rows, reduced.g)
-    return all(_row_degree(row) <= 0 for row in rows)
+    return all(d <= 0 for d in minimize(rep).R.transpose().weak_popov_degrees())
 
 
 def lag_of(rep: AffineKernelRep) -> int:

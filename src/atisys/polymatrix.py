@@ -1,14 +1,24 @@
 """Matrices over the univariate rational polynomials.
 
-Provides rank and determinant over the rational-function field, and the
-Smith decomposition and canonical row-Hermite reduction with their
-unimodular transforms, which the CLI ``smith`` and the tests use; the
-kernel-representation procedures run on a reduction of their own
-(:mod:`atisys.kernelrep`).  Pivoting always selects a minimum-degree nonzero
-entry, which keeps intermediate degrees small at the scale these matrices
-have.  Every reduction tracks its transform in identity columns: it runs on
-the rows of [M | I] (the Smith form on [M | I] over [I | 0], so that its
-column operations build V below M).
+Provides rank and determinant over the rational-function field (Bareiss
+elimination), the Smith decomposition with its unimodular transforms, which
+the CLI ``smith`` uses, and the weak Popov reduction behind every exact
+kernel decision of :mod:`atisys.kernelrep`.  Each tracks its transform in
+identity columns: it runs on the rows of [M | I] (the Smith form on [M | I]
+over [I | 0], so that its column operations build V below M).  The Smith
+pivot is a minimum-degree nonzero entry, which keeps intermediate degrees
+small at the scale these matrices have.
+
+The weak Popov reduction (Mulders & Storjohann, "On lattice reduction for
+polynomial matrices", J. Symbolic Comput. 35(4), 2003) reduces the rows of
+[M | I] until no two nonzero M parts lead at one position.  The surviving M
+parts are then made Popov, canonical for their row module (Kailath, *Linear
+Systems*, 1980), and the I parts of the rows whose M part vanished span the
+left syzygies of M.  :meth:`PolyMatrix.popov_reduction` returns the result
+as a :class:`PopovReduction` and keeps it with the matrix (``_reduced``), so
+every exact decision on one matrix pays for the reduction once.  The memo
+is private, never compared, hashed or copied, and lives only as long as the
+matrix.
 """
 
 from __future__ import annotations
@@ -16,21 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, ZeroMatrix
 from .poly import Poly, _as_poly
 
 
 class PolyMatrix:
-    """Immutable rectangular grid of :class:`Poly` entries.
-
-    Each instance also holds its kernel-representation reduction once
-    something has asked for it (``_reduced``, see :mod:`atisys.kernelrep`), so
-    every exact decision on one matrix pays for that reduction once.  It is
-    private, never compared, hashed or copied, and lives only as long as the
-    matrix.
-    """
+    """Immutable rectangular grid of :class:`Poly` entries, with the memo of
+    its weak Popov reduction (module docstring)."""
 
     __slots__ = ("rows", "_ncols", "_reduced")
 
@@ -48,12 +52,6 @@ class PolyMatrix:
     def __reduce__(self):
         # copies and pickles rebuild from the entries alone, without the memo
         return (PolyMatrix, (self.rows, self._ncols))
-
-    def _memo(self, reduce):
-        """``reduce(self)``, computed on first use and kept in ``_reduced``."""
-        if self._reduced is None:
-            object.__setattr__(self, "_reduced", reduce(self))
-        return self._reduced
 
     # -- constructors -------------------------------------------------
 
@@ -222,12 +220,20 @@ class PolyMatrix:
         d = self.determinant()
         return d.is_constant and not d.is_zero
 
+    def popov_reduction(self) -> "PopovReduction":
+        """The weak Popov reduction of [M | I], computed on first use and kept."""
+        if self._reduced is None:
+            object.__setattr__(self, "_reduced", _reduce(self))
+        return self._reduced
 
-def poly_rank(matrix: PolyMatrix) -> int:
-    return matrix.rank()
+    def weak_popov_degrees(self) -> tuple[int, ...]:
+        """The row degrees of a weak Popov form of M, -1 for a row that vanished."""
+        rows = [list(row) for row in self.rows]
+        _weak_popov(rows, self._ncols)
+        return tuple(max((e.degree for e in row), default=-1) for row in rows)
 
 
-def identity_augmented(matrix: PolyMatrix) -> list[list[Poly]]:
+def _identity_augmented(matrix: PolyMatrix) -> list[list[Poly]]:
     """The rows of [M | I] as lists: row operations on them build, in the
     identity columns, the transform that applies them to M."""
     one, zero = Poly.one(), Poly.zero()
@@ -238,7 +244,7 @@ def identity_augmented(matrix: PolyMatrix) -> list[list[Poly]]:
     ]
 
 
-def subtract_multiple(row: list[Poly], factor: Poly, other: Sequence[Poly]) -> list[Poly]:
+def _subtract_multiple(row: list[Poly], factor: Poly, other: Sequence[Poly]) -> list[Poly]:
     """row - factor * other, passing over the entries where other is zero."""
     return [a - factor * b if b else a for a, b in zip(row, other)]
 
@@ -275,7 +281,7 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
     g, q = matrix.shape
     # [M | I_g] over [I_q | 0]: row operations build U beside M, column
     # operations build V below it
-    M = identity_augmented(matrix) + [
+    M = _identity_augmented(matrix) + [
         [*row, *[Poly.zero()] * g] for row in PolyMatrix.identity(q).rows
     ]
     minus_one = Poly.constant(-1)
@@ -311,7 +317,7 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
             for i in range(g):
                 if i != k and not M[i][k].is_zero:
                     quo, rem = divmod(M[i][k], M[k][k])
-                    M[i] = subtract_multiple(M[i], quo, M[k])
+                    M[i] = _subtract_multiple(M[i], quo, M[k])
                     if not rem.is_zero:
                         row_swap(i, k)
                         restart = True
@@ -339,7 +345,7 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
             if offender is None:
                 break
             # pull a non-divisible entry into the pivot row and keep reducing
-            M[k] = subtract_multiple(M[k], minus_one, M[offender])
+            M[k] = _subtract_multiple(M[k], minus_one, M[offender])
         rank += 1
 
     for k in range(rank):
@@ -351,74 +357,85 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
     return SmithDecomposition(U, V, tuple(M[k][k] for k in range(rank)), matrix.shape)
 
 
-@dataclass(frozen=True)
-class RowHermite:
-    """Canonical staircase form H = U R with tracked unimodular transforms."""
+class PopovReduction(NamedTuple):
+    """The weak Popov reduction U [M | I] (module docstring): the nonzero rows
+    of U M in Popov form, their rows of U(1), and the rows of U against the
+    zero rows of U M (the syzygies), integral with content one."""
 
-    H: PolyMatrix
-    U: PolyMatrix
-    pivot_columns: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivot_columns)
-
-    @property
-    def U_inverse(self) -> PolyMatrix:
-        """The inverse of U, computed on each access.
-
-        U is unimodular, so its canonical form is the identity and the
-        transform that reduces it is U's inverse.
-        """
-        return row_hermite(self.U).U
+    popov: tuple[tuple[Poly, ...], ...]
+    at_one: tuple[tuple[Fraction, ...], ...]
+    syzygies: tuple[tuple[Poly, ...], ...]
 
 
-def row_hermite(matrix: PolyMatrix) -> RowHermite:
-    """Reduce to the canonical row-Hermite form using unimodular row ops.
+def _reduce(matrix: PolyMatrix) -> PopovReduction:
+    q = matrix.shape[1]
+    rows = _identity_augmented(matrix)
+    _weak_popov(rows, q)
+    kept = _popov([row for row in rows if any(row[:q])], q)
+    return PopovReduction(
+        popov=tuple(tuple(row[:q]) for row in kept),
+        at_one=tuple(tuple(e(1) for e in row[q:]) for row in kept),
+        syzygies=tuple(
+            tuple(_clear_denominators(row[q:])) for row in rows if not any(row[:q])
+        ),
+    )
 
-    Pivots are monic, entries above a pivot have degree strictly below the
-    pivot's, nonzero rows come first in staircase order.  Full-row-rank
-    matrices with equal row modules reduce to the identical canonical form.
+
+def _leading(row: Sequence[Poly], width: int) -> tuple[int, int] | None:
+    """Degree and position of the rightmost entry of maximal degree among the
+    first ``width`` entries, or among the rest once those are zero."""
+    for part in (range(width), range(width, len(row))):
+        degree = max((row[j].degree for j in part), default=-1)
+        if degree >= 0:
+            return degree, max(j for j in part if row[j].degree == degree)
+    return None
+
+
+def _weak_popov(rows: list[list[Poly]], width: int) -> None:
+    """Reduce rows in place until no two nonzero rows lead at one position.
+
+    Of two rows leading at one position, the one of higher degree loses its
+    leading term to a monomial multiple of the other, so its degree drops or
+    its leading position moves left, and no degree grows.  On exit the
+    nonzero rows are row reduced.
     """
-    g, q = matrix.shape
-    M = identity_augmented(matrix)
-
-    pr = 0
-    pivots = []
-    for col in range(q):
-        while True:
-            candidates = [i for i in range(pr, g) if not M[i][col].is_zero]
-            if not candidates:
+    lead = [_leading(row, width) for row in rows]
+    owner: dict[int, int] = {}
+    for i in range(len(rows)):
+        while lead[i] is not None:
+            j = lead[i][1]
+            k = owner.setdefault(j, i)
+            if k == i:
                 break
-            best = min(candidates, key=lambda i: M[i][col].degree)
-            M[best], M[pr] = M[pr], M[best]
-            clean = True
-            for i in range(pr + 1, g):
-                if not M[i][col].is_zero:
-                    quo, rem = divmod(M[i][col], M[pr][col])
-                    M[i] = subtract_multiple(M[i], quo, M[pr])
-                    if not rem.is_zero:
-                        clean = False
-            if clean:
-                break
-        if pr < g and not M[pr][col].is_zero:
-            pivots.append(col)
-            pr += 1
-            if pr == g:
-                break
-    # canonical normalization: monic pivots, reduced entries above
-    for r, col in enumerate(pivots):
-        lead = M[r][col].leading_coefficient
-        if lead != 1:
-            M[r] = [e.scale(1 / lead) for e in M[r]]
-        for i in range(r):
-            if not M[i][col].is_zero and M[i][col].degree >= M[r][col].degree:
-                M[i] = subtract_multiple(M[i], M[i][col] // M[r][col], M[r])
-    H = PolyMatrix([row[:q] for row in M])
-    return RowHermite(H, PolyMatrix([row[q:] for row in M]), tuple(pivots))
+            if lead[k][0] > lead[i][0]:  # the owner is the one to reduce
+                owner[j], i, k = i, k, i
+            factor = rows[i][j].leading_coefficient / rows[k][j].leading_coefficient
+            monomial = Poly.x(lead[i][0] - lead[k][0]).scale(factor)
+            rows[i] = _subtract_multiple(rows[i], monomial, rows[k])
+            lead[i] = _leading(rows[i], width)
 
 
-def clear_denominators(polys: Sequence[Poly]) -> list[Poly]:
+def _popov(rows: list[list[Poly]], width: int) -> list[list[Poly]]:
+    """Weak Popov rows made Popov: each row reduced modulo the others' leading
+    entries (the terms brought in lie below those cancelled, so every leading
+    entry stays), then scaled monic and sorted by leading position."""
+    lead = [_leading(row, width) for row in rows]
+    for i in range(len(rows)):
+        reducible = True
+        while reducible:
+            reducible = False
+            for k, (d, j) in enumerate(lead):
+                if k != i and rows[i][j].degree >= d:
+                    quo = rows[i][j] // rows[k][j]
+                    rows[i] = _subtract_multiple(rows[i], quo, rows[k])
+                    reducible = True
+    return [
+        [e.scale(1 / row[j].leading_coefficient) for e in row]
+        for (_, j), row in sorted(zip(lead, rows), key=lambda pair: pair[0][1])
+    ]
+
+
+def _clear_denominators(polys: Sequence[Poly]) -> list[Poly]:
     """Scale a row of polynomials to integer coefficients with content 1."""
     den = lcm(*(p.denominator for p in polys))
     rows = [[n * (den // p.denominator) for n in p.numerators] for p in polys]

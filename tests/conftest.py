@@ -1,10 +1,14 @@
-"""Shared generators for randomized suites.
+"""Shared generators for randomized suites, and the exact references they
+compare against.
 
 All randomness flows through explicitly seeded numpy generators so every
 suite is reproducible run to run.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from atisys import (
     PolyMatrix,
     Trajectory,
     controllable,
+    exactla,
     numerical_rank,
     pe_order_affine,
     simulate,
@@ -134,3 +139,77 @@ def random_unimodular(rng, size, ops=4, factor_degree=1) -> PolyMatrix:
                 rows[j] = [a + f * b for a, b in zip(rows[j], rows[i])]
         U = PolyMatrix(rows)
     return U
+
+
+# -- exact references ----------------------------------------------------
+
+
+def left_null_space(matrix, nrows: int | None = None) -> list[list[Fraction]]:
+    """Basis of the left null space (row vectors v with v @ M = 0)."""
+    rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
+    if nrows is None:
+        nrows = len(rows)
+    return exactla.null_space(list(zip(*rows)), ncols=nrows)
+
+
+@dataclass(frozen=True)
+class RowHermite:
+    """Canonical staircase form H = U R with its unimodular transform."""
+
+    H: PolyMatrix
+    U: PolyMatrix
+    pivot_columns: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_columns)
+
+
+def _subtract_multiple(row, factor, other):
+    return [a - factor * b if b else a for a, b in zip(row, other)]
+
+
+def row_hermite(matrix: PolyMatrix) -> RowHermite:
+    """Reduce to the canonical row-Hermite form using unimodular row ops.
+
+    Runs on the rows of [R | I], so the identity columns build U.  Pivots
+    are monic, entries above a pivot have degree strictly below the pivot's,
+    nonzero rows come first in staircase order.  Full-row-rank matrices with
+    equal row modules reduce to the identical canonical form.
+    """
+    g, q = matrix.shape
+    M = [list(row) + list(unit) for row, unit in zip(matrix.rows, PolyMatrix.identity(g).rows)]
+
+    pr = 0
+    pivots = []
+    for col in range(q):
+        while True:
+            candidates = [i for i in range(pr, g) if not M[i][col].is_zero]
+            if not candidates:
+                break
+            best = min(candidates, key=lambda i: M[i][col].degree)
+            M[best], M[pr] = M[pr], M[best]
+            clean = True
+            for i in range(pr + 1, g):
+                if not M[i][col].is_zero:
+                    quo, rem = divmod(M[i][col], M[pr][col])
+                    M[i] = _subtract_multiple(M[i], quo, M[pr])
+                    if not rem.is_zero:
+                        clean = False
+            if clean:
+                break
+        if pr < g and not M[pr][col].is_zero:
+            pivots.append(col)
+            pr += 1
+            if pr == g:
+                break
+    # canonical normalization: monic pivots, reduced entries above
+    for r, col in enumerate(pivots):
+        lead = M[r][col].leading_coefficient
+        if lead != 1:
+            M[r] = [e.scale(1 / lead) for e in M[r]]
+        for i in range(r):
+            if not M[i][col].is_zero and M[i][col].degree >= M[r][col].degree:
+                M[i] = _subtract_multiple(M[i], M[i][col] // M[r][col], M[r])
+    H = PolyMatrix([row[:q] for row in M])
+    return RowHermite(H, PolyMatrix([row[q:] for row in M]), tuple(pivots))

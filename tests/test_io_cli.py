@@ -155,6 +155,13 @@ class TestKernelJson:
         assert isinstance(c, OffsetSequence)
         assert c.length == 3 and c.g == 1
 
+    @pytest.mark.parametrize("row", ["0", "00"])
+    def test_window_row_that_is_not_a_list(self, row):
+        # "0" used to be read as a sample, and "00" raised DimensionMismatch
+        doc = dict(io_formats.poly_matrix_to_json(PolyMatrix([[X]])), c=[["0"], row])
+        with pytest.raises(io_formats.FormatError):
+            io_formats.kernel_rep_from_json(doc)
+
 
 class TestCli:
     def test_pe_exit_codes(self, workdir, capsys):
@@ -207,6 +214,15 @@ class TestCli:
             # a binary float where an exact rational is read
             ["syzygy", "float.json"],
             ["consistency", "k_float.json"],
+            # a cell that is not a coefficient list
+            ["smith", "cell_text.json"],
+            ["smith", "cell_object.json"],
+            # a shape that is not an integer
+            ["smith", "rows_float.json"],
+            ["smith", "rows_bool.json"],
+            ["smith", "cols_text.json"],
+            # an offset-window row that is not a list
+            ["consistency", "k_window_text.json"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -229,6 +245,16 @@ class TestCli:
         # 0.1 used to be read as 3602879701896397/36028797018963968
         (workdir / "float.json").write_text(json.dumps({"rows": 2, "cols": 1, "entries": [[[0.1]], [[1]]]}))
         (workdir / "k_float.json").write_text(json.dumps(dict(kernel, c=[0.1, 0])))
+        # "12" used to be read as 1 + 2x, and {"3": 0} as the constant 3
+        scalar = {"rows": 1, "cols": 1, "entries": [[["1"]]]}
+        (workdir / "cell_text.json").write_text(json.dumps(dict(scalar, entries=[["12"]])))
+        (workdir / "cell_object.json").write_text(json.dumps(dict(scalar, entries=[[{"3": 0}]])))
+        # each used to be read as 1
+        (workdir / "rows_float.json").write_text(json.dumps(dict(scalar, rows=1.9)))
+        (workdir / "rows_bool.json").write_text(json.dumps(dict(scalar, rows=True)))
+        (workdir / "cols_text.json").write_text(json.dumps(dict(scalar, cols="1")))
+        # "0" used to be read as a sample
+        (workdir / "k_window_text.json").write_text(json.dumps(dict(scalar, c=[["0"], "0"])))
         system = io_formats.system_to_json(reference_system())
         (workdir / "sys_a.json").write_text(json.dumps(dict(system, A="x")))
         plant = {"n": 1, "m": 1, "f": [["var", "x1"]], "h": [["var", "x1"]]}

