@@ -8,15 +8,16 @@ over that affine span, recovers an explicit kernel representation from the
 left null space of the data matrix, and reads the integer invariants (input
 cardinality, order, lag) off the dimension profile of the data.
 
-The constraint 1^T g = 1 is eliminated by the difference parametrisation
-g = e_1 + D z with D = [-1^T; I]: every z is feasible and H D = H[:, 1:] - H[:, :1],
-so a constrained fit is one least-squares solve, linear in the record length.
+With [1^T; H]^T = QR, only g = Q y moves [1^T; H] g: 1^T g = R_00 y_0 and
+H g = R[:, 1:]^T y.  So the constraint fixes y_0, and a fit is one
+least-squares solve for the other (at most qL) entries of y.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +26,6 @@ from . import exactla
 from .errors import (
     AmbiguousContinuation,
     DimensionMismatch,
-    EmptyRepresentation,
     ExcitationDeficient,
     Infeasible,
     InvalidArgument,
@@ -35,8 +35,8 @@ from .excitation import ExcitationReport, ones_augmented, rank_verdict
 from .kernelrep import AffineKernelRep
 from .poly import Poly
 from .polymatrix import PolyMatrix
-from .trajectories import HankelMatrix, Trajectory, check_tolerance, hankel, numerical_rank
-from .trajectories import rank_of
+from .trajectories import HankelMatrix, Trajectory, _augmented_r, _augmented_rank, _check_depth
+from .trajectories import _factor, check_tolerance, default_rank_tolerance, hankel, rank_of
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -46,15 +46,23 @@ class DataDrivenRep:
     """Depth-L Hankel matrix of a measured trajectory, combined affinely.
 
     The represented set is {H g : 1^T g = 1}; the input cardinality of the
-    underlying trajectory fixes the io partition of every window.
+    underlying trajectory fixes the io partition of every window.  The
+    Hankel matrix and the Q and R of [1^T; H]^T are built on first use.
     """
 
     trajectory: Trajectory
     depth: int
-    hankel: HankelMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "hankel", hankel(self.trajectory, self.depth))
+        _check_depth(self.trajectory, self.depth)
+
+    @cached_property
+    def hankel(self) -> HankelMatrix:
+        return hankel(self.trajectory, self.depth)
+
+    @cached_property
+    def _qr(self) -> tuple[np.ndarray, np.ndarray]:
+        return _factor(self.trajectory, self.depth, "reduced")
 
     @property
     def q(self) -> int:
@@ -70,7 +78,7 @@ class DataDrivenRep:
 
     @property
     def columns(self) -> int:
-        return self.hankel.columns
+        return self.trajectory.length - self.depth + 1
 
 
 def rank_condition_affine_report(
@@ -94,19 +102,14 @@ def rank_condition_affine(
     return rank_condition_affine_report(x_d, u_d, depth, tol).ok
 
 
-def _affine_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimise ||A g - b|| subject to 1^T g = 1.
-
-    With g = e_1 + D z the residual is (A[:, 1:] - A[:, :1]) z - (b - A[:, 0]),
-    so z comes from one least-squares solve on the column differences.
-    """
-    g = np.zeros(A.shape[1])
-    g[0] = 1.0
-    if A.shape[1] > 1:
-        z = np.linalg.lstsq(A[:, 1:] - A[:, :1], b - A[:, 0], rcond=None)[0]
-        g[0] -= z.sum()
-        g[1:] = z
-    return g
+def _affine_solve(rep: DataDrivenRep, A: np.ndarray, b: np.ndarray):
+    """Minimise ||A y - b|| over R_00 y_0 = 1, A rows of H Q; return y, g = Q y and the residual."""
+    Q, R = rep._qr
+    y = np.zeros(A.shape[1])
+    y[0] = 1 / R[0, 0]
+    rcond = default_rank_tolerance((len(b) + 1, rep.columns))
+    y[1:] = np.linalg.lstsq(A[:, 1:], b - A[:, 0] * y[0], rcond=rcond)[0]
+    return y, Q @ y, float(np.linalg.norm(A @ y - b))
 
 
 class MembershipResult(NamedTuple):
@@ -118,19 +121,15 @@ class MembershipResult(NamedTuple):
 def membership(rep: DataDrivenRep, window, tol: float = DEFAULT_RESIDUAL_TOL) -> MembershipResult:
     """Best affine combination of the data columns matching a window.
 
-    Solves min ||H g - w|| subject to 1^T g = 1 by eliminating the
-    constraint; the window is a member when the optimal residual is below
+    Solves min ||H g - w|| subject to 1^T g = 1 in the coordinates y = Q^T g;
+    the window is a member when the optimal residual is below
     ``tol * (1 + ||w||)``.  ``tol`` must be positive and finite.
     """
     check_tolerance(tol)
-    H = rep.hankel.entries
-    if H.shape[1] == 0:
-        raise EmptyRepresentation("the data matrix has no columns")
     w = np.asarray(getattr(window, "data", window), dtype=float).ravel()
-    if w.size != H.shape[0]:
-        raise DimensionMismatch(f"window has {w.size} entries, expected {H.shape[0]}")
-    g = _affine_lstsq(H, w)
-    residual = float(np.linalg.norm(H @ g - w))
+    if w.size != rep.q * rep.depth:
+        raise DimensionMismatch(f"window has {w.size} entries, expected {rep.q * rep.depth}")
+    _, g, residual = _affine_solve(rep, rep._qr[1][:, 1:].T, w)
     return MembershipResult(residual <= tol * (1 + np.linalg.norm(w)), g, residual)
 
 
@@ -167,32 +166,30 @@ def complete(
             f"prefix ({t_ini}) plus future ({u_f.length}) must equal the depth {L}"
         )
 
-    H = rep.hankel.entries
-    if H.shape[1] == 0:
-        raise EmptyRepresentation("the data matrix has no columns")
-    # rows of H by (time, variable): the prefix samples and future inputs are matched
-    blocks = H.reshape(L, q, -1)
-    C = np.vstack([H[: q * t_ini], blocks[t_ini:, :m].reshape(-1, H.shape[1])])
+    R = rep._qr[1]
+    M = R[:, 1:].T  # H Q, the rows of H in the coordinates y
+    # rows of M by (time, variable): the prefix samples and future inputs are matched
+    blocks = M.reshape(L, q, -1)
+    C = np.vstack([M[: q * t_ini], blocks[t_ini:, :m].reshape(-1, M.shape[1])])
     prefix = [] if w_ini is None else [w_ini.data.ravel()]
     b = np.concatenate(prefix + [u_f.data.ravel()])
-    Y = blocks[t_ini:, m:].reshape(-1, H.shape[1])
+    Y = blocks[t_ini:, m:].reshape(-1, M.shape[1])
 
-    g = _affine_lstsq(C, b)
-    residual = float(np.linalg.norm(C @ g - b))
+    y, g, residual = _affine_solve(rep, C, b)
     if residual > tol * (1 + np.linalg.norm(b)):
         raise Infeasible(
             f"constraint residual {residual:.3e} exceeds the tolerance"
         )
-    S = ones_augmented(C)
+    S = np.vstack([R[:, 0], C])  # [1^T; C] Q
     _, svals, Vt = np.linalg.svd(S, full_matrices=False)
-    V = Vt[: rank_of(svals, S.shape)]
+    V = Vt[: rank_of(svals, (S.shape[0], rep.columns))]
     if V.shape[0] < S.shape[1]:
         spread = float(np.linalg.norm(Y - (Y @ V.T) @ V))
         if spread > tol * (1 + np.linalg.norm(Y)):
             raise AmbiguousContinuation(
                 f"future outputs vary by {spread:.3e} over the solution set"
             )
-    y_f = (H @ g).reshape(L, q)[t_ini:, m:]
+    y_f = (M @ y).reshape(L, q)[t_ini:, m:]
     return CompletionResult(Trajectory(y_f, m=0), g, residual)
 
 
@@ -239,26 +236,26 @@ def recover_kernel(
     integer and the values may already be rounded; both raise
     :class:`InvalidArgument`.
     """
-    H = rep.hankel.entries
-    if H.shape[1] == 0:
-        raise EmptyRepresentation("the data matrix has no columns")
-    S = ones_augmented(H)
     qL = rep.q * rep.depth
     target = None if n is None else rep.m * rep.depth + n + 1
     if method == "svd":
-        # complete U (null directions included) but never the T x T right factor
-        U, svals, _ = np.linalg.svd(S, full_matrices=S.shape[1] < S.shape[0])
-        rank, kind = rank_of(svals, S.shape, tol), "measured"
-        null_rows = exactla._integer_rows(map(_normalize_largest, U[:, rank:].T.tolist()))
+        # [1^T; H] = R^T Q^T has R^T's left singular vectors; the ones row moves last
+        U, svals, _ = np.linalg.svd(_augmented_r(rep.trajectory, rep.depth).T)
+        rank, kind = rank_of(svals, (qL + 1, rep.columns), tol), "measured"
+        null = np.roll(U[:, rank:], -1, axis=0).T.tolist()
+        null_rows = exactla._integer_rows(map(_normalize_largest, null))
     elif method == "exact":
         if tol is not None:
             raise InvalidArgument("the exact method takes no tolerance")
+        H = rep.hankel.entries
         if np.any(np.abs(H) >= 2.0**53):
             raise InvalidArgument(
                 "data entries of magnitude 2**53 or more may be rounded; "
                 "the exact method cannot read them"
             )
-        null_rows = list(exactla._null_vectors(S.T, qL + 1).values())
+        S = ones_augmented(H).T
+        rows = S.astype(np.int64).tolist() if np.array_equal(S, np.trunc(S)) else S  # read once
+        null_rows = list(exactla._null_vectors(rows, qL + 1).values())
         rank, kind = qL + 1 - len(null_rows), "exact"
     else:
         raise InvalidArgument(f"method must be 'svd' or 'exact', got {method!r}")
@@ -309,10 +306,8 @@ def invariants_from_data(
     if t_max < 2:
         raise InvalidArgument(f"t_max must be at least 2, got {t_max}")
     q = w_d.q
-    d = []
-    for t in range(1, t_max + 1):
-        stacked = ones_augmented(hankel(w_d, t).entries)
-        d.append(numerical_rank(stacked, tol).rank - 1)
+    # every depth reads the one factor at t_max
+    d = [_augmented_rank(w_d, t, tol, t_max).rank - 1 for t in range(1, t_max + 1)]
     rho = [d[0]] + [d[t] - d[t - 1] for t in range(1, t_max)]
     if rho[-1] != rho[-2]:
         raise NotConverged(

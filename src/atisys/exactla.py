@@ -58,20 +58,20 @@ def _integer_rows(rows) -> Matrix:
     """Each row times the positive rational that makes it integral with content 1."""
     out = []
     for row in rows:
-        try:  # the float bridge: a finite float is the rational it encodes
-            pairs = list(map(float.as_integer_ratio, row))
-        except (TypeError, ValueError, OverflowError):
-            pairs = [
-                x.as_integer_ratio() if isinstance(x, float) and isfinite(x) else _ratio(x)
-                for x in row
-            ]
-        denominator = lcm(*(d for _, d in pairs))
-        if denominator == 1:
-            ints = [n for n, _ in pairs]
+        if all(type(x) is int for x in row):
+            ints = row
         else:
+            try:  # the float bridge: a finite float is the rational it encodes
+                pairs = list(map(float.as_integer_ratio, row))
+            except (TypeError, ValueError, OverflowError):
+                pairs = [
+                    x.as_integer_ratio() if isinstance(x, float) and isfinite(x) else _ratio(x)
+                    for x in row
+                ]
+            denominator = lcm(*(d for _, d in pairs))
             ints = [n * (denominator // d) for n, d in pairs]
         content = gcd(*ints)
-        out.append([v // content for v in ints] if content > 1 else ints)
+        out.append([v // content for v in ints] if content > 1 else list(ints))
     return out
 
 

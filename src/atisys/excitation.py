@@ -15,7 +15,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument
-from .trajectories import Trajectory, check_tolerance, hankel, numerical_rank
+from .trajectories import Trajectory, _augmented_rank, check_tolerance, hankel, numerical_rank
 
 ModelClass = Literal["linear", "affine"]
 
@@ -159,7 +159,8 @@ def gape_report(
         target = w.m * order + n + 1
     else:
         target = d_L + 1
-    return rank_verdict(ones_augmented(hankel(w, order).entries), target, tol)
+    rank, svals = _augmented_rank(w, order, tol)
+    return ExcitationReport(rank == target, rank, target, svals)
 
 
 def gape_check(

@@ -10,7 +10,8 @@ Polynomial matrices serialize as ``{"rows", "cols", "entries"}`` where
 degree as ``"num/den"`` strings.  A kernel representation adds ``"c"``: a
 flat list for a constant offset, or a list of per-time rows for an offset
 sequence on a window.  Coefficients and offsets are integers or ``"num/den"``
-strings (:mod:`atisys.poly`'s rule); any other JSON number is a FormatError.
+strings (:mod:`atisys.poly`'s rule); any other JSON number, and ``true`` or
+``false``, is a FormatError.
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ def poly_matrix_from_json(doc: dict) -> PolyMatrix:
         raise FormatError("matrix JSON entries do not match the declared shape")
     if not all(isinstance(cell, list) for row in entries for cell in row):
         raise FormatError("matrix JSON entries must be lists of coefficients")
+    if any(type(v) is bool for row in entries for cell in row for v in cell):
+        raise FormatError("matrix JSON coefficients must not be true or false")
     try:
         rows = [[Poly(cell) for cell in row] for row in entries]
     except (TypeError, ValueError, NonFiniteEntry) as exc:
@@ -264,6 +267,8 @@ def kernel_rep_from_json(doc: dict) -> tuple[PolyMatrix, object]:
     window = bool(raw) and isinstance(raw[0], list)
     if window and not all(isinstance(row, list) for row in raw):
         raise FormatError("kernel JSON offset window rows must all be lists")
+    if any(type(v) is bool for v in ([v for row in raw for v in row] if window else raw)):
+        raise FormatError("kernel JSON offsets must not be true or false")
     try:
         if window:
             return R, OffsetSequence(raw)

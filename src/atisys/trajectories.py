@@ -7,6 +7,12 @@ each sample are inputs, the remaining ``p = q - m`` are outputs.  Time is
 
 All objects are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
+
+The float rank tests, the SVD kernel and the affine solves share one factor
+per depth L: S = [1ᵀ; H_L(w)] (ones row first), Sᵀ = QR.  The trajectory keeps
+R, at most (qL+1) x (qL+1) whatever T, which carries every singular value and
+left singular vector of S.  The memo is write-once (a racing thread computes
+the same R), so sharing a trajectory across threads stays safe.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ class Trajectory:
     data: np.ndarray
     m: int = 0
     labels: tuple[str, ...] | None = None
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_time_major(self.data).copy()
@@ -171,14 +178,15 @@ def hankel(w: Trajectory, depth: int) -> HankelMatrix:
     DepthExceedsLength
         If ``depth > w.length``.
     """
+    _check_depth(w, depth)
+    return HankelMatrix(window_matrix(w.data, depth), depth=depth, block_rows=w.q)
+
+
+def _check_depth(w: Trajectory, depth: int):
     if depth < 1:
         raise DepthExceedsLength(f"depth must be >= 1, got {depth}")
-    T, q = w.length, w.q
-    if T == 0:
-        raise EmptyTrajectory("cannot build a Hankel matrix from no samples")
-    if depth > T:
-        raise DepthExceedsLength(f"depth {depth} exceeds trajectory length {T}")
-    return HankelMatrix(window_matrix(w.data, depth), depth=depth, block_rows=q)
+    if depth > w.length:
+        raise DepthExceedsLength(f"depth {depth} exceeds trajectory length {w.length}")
 
 
 def window_matrix(data: np.ndarray, depth: int) -> np.ndarray:
@@ -188,6 +196,37 @@ def window_matrix(data: np.ndarray, depth: int) -> np.ndarray:
     """
     windows = np.lib.stride_tricks.sliding_window_view(data, depth, axis=0)
     return windows.transpose(2, 1, 0).reshape(depth * data.shape[1], -1)
+
+
+def _augmented_windows(data: np.ndarray, depth: int) -> np.ndarray:
+    """[1ᵀ; H]ᵀ for the windows of ``data``: one row per window, a leading one."""
+    H = window_matrix(data, depth)
+    return np.vstack([np.ones(H.shape[1]), H]).T
+
+
+def _factor(w: Trajectory, depth: int, mode: str):
+    """``np.linalg.qr`` of [1ᵀ; H_depth(w)]ᵀ: the one O(T) factorization."""
+    _check_depth(w, depth)
+    return np.linalg.qr(_augmented_windows(w.data, depth), mode=mode)
+
+
+def _augmented_r(w: Trajectory, depth: int) -> np.ndarray:
+    """R of [1ᵀ; H_depth(w)]ᵀ = QR, factored on first use and kept with ``w``."""
+    if depth not in w._factors:
+        w._factors.setdefault(depth, _factor(w, depth, "r")).setflags(write=False)
+    return w._factors[depth]
+
+
+def _augmented_rank(w: Trajectory, depth: int, tol=None, factored: int | None = None):
+    """:func:`numerical_rank` of [H_depth(w); 1ᵀ], from the R kept at depth ``factored``:
+    [1ᵀ; H_depth]ᵀ is [1ᵀ; H_factored]ᵀ (factored >= depth) cut to its first q*depth + 1
+    columns, whose R is R's leading block, over the windows after the last long one."""
+    k = w.q * depth + 1
+    R = _augmented_r(w, depth if factored is None else factored)[:k, :k]
+    if factored not in (None, depth):
+        R = np.vstack([R, _augmented_windows(w.data[w.length - factored + 1 :], depth)])
+    svals = np.linalg.svd(R, compute_uv=False)
+    return RankResult(rank_of(svals, (k, w.length - depth + 1), tol), svals)
 
 
 def restrict(w: Trajectory, t0: int, t1: int) -> Trajectory:

@@ -1,5 +1,6 @@
-"""Shared generators for randomized suites, and the exact references they
-compare against.
+"""Shared generators for randomized suites, and the references they compare
+against: the exact left null space and row-Hermite form, and the affine
+least-squares solve that the data-driven fits replaced.
 
 All randomness flows through explicitly seeded numpy generators so every
 suite is reproducible run to run.
@@ -213,3 +214,22 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
                 M[i] = _subtract_multiple(M[i], M[i][col] // M[r][col], M[r])
     H = PolyMatrix([row[:q] for row in M])
     return RowHermite(H, PolyMatrix([row[q:] for row in M]), tuple(pivots))
+
+
+# -- float references ----------------------------------------------------
+
+
+def affine_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimise ||A g - b|| subject to 1^T g = 1, on the full T-column matrix.
+
+    The difference parametrisation g = e_1 + D z, D = [-1^T; I], makes every
+    z feasible: the residual is (A[:, 1:] - A[:, :1]) z - (b - A[:, 0]), so z
+    comes from one least-squares solve on the column differences.
+    """
+    g = np.zeros(A.shape[1])
+    g[0] = 1.0
+    if A.shape[1] > 1:
+        z = np.linalg.lstsq(A[:, 1:] - A[:, :1], b - A[:, 0], rcond=None)[0]
+        g[0] -= z.sum()
+        g[1:] = z
+    return g

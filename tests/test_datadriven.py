@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atisys import (
     AffineStateSpace,
@@ -9,9 +11,12 @@ from atisys import (
     behavior_apply,
     complete,
     gape_check,
+    gape_report,
+    hankel,
     invariants_from_data,
     lag_of,
     membership,
+    numerical_rank,
     rank_condition_affine,
     rank_condition_affine_report,
     recover_kernel,
@@ -25,8 +30,16 @@ from atisys.errors import (
     InvalidArgument,
     NotConverged,
 )
+from atisys import trajectories
+from atisys.excitation import ones_augmented
 from atisys.scenario import reference_input, reference_system
-from conftest import experiment, pe_affine_input, random_minimal_integer_system, random_system
+from conftest import (
+    affine_lstsq,
+    experiment,
+    pe_affine_input,
+    random_minimal_integer_system,
+    random_system,
+)
 
 
 def reference_data(name, length, rng=None, x0=None):
@@ -344,3 +357,119 @@ class TestInvariants:
             assert (inv.m, inv.n) == (sys.m, sys.n)
             kernel = recover_kernel(DataDrivenRep(w, sys.n + 1), n=sys.n, method="exact")
             assert lag_of(kernel) == inv.ell
+
+
+@st.composite
+def factored_records(draw):
+    """A record and a depth: short ones with fewer windows than rows, long
+    ones, and records of a random system, whose matrices are rank deficient."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, p, L = draw(st.integers(1, 2)), draw(st.integers(0, 2)), draw(st.integers(1, 4))
+    T = draw(st.one_of(st.integers(L, (m + p) * L + L - 1), st.integers(200, 1500)))
+    if p and draw(st.booleans()):
+        sys = random_system(rng, draw(st.integers(0, 2)), m, p)
+        return experiment(sys, rng, Trajectory.inputs(rng.normal(size=(T, m))))[0], L
+    return Trajectory(rng.normal(size=(T, m + p)), m=m), L
+
+
+class TestSharedFactor:
+    @settings(max_examples=150, deadline=None)
+    @given(factored_records())
+    def test_singular_values_match_the_explicit_matrix(self, record):
+        """The kept R at depth L, and each smaller depth read off it as
+        invariants_from_data does, against an SVD of [H_t(w); 1^T] itself."""
+        w, L = record
+        for t in range(1, L + 1):
+            S = ones_augmented(hankel(w, t).entries)
+            direct = numerical_rank(S)
+            got = trajectories._augmented_rank(w, t, None, L)
+            assert len(got.singular_values) == len(direct.singular_values) == min(S.shape)
+            gap = np.max(np.abs(got.singular_values - direct.singular_values))
+            assert gap <= 1e-13 * direct.singular_values[0]
+            assert got.rank == direct.rank
+
+    @staticmethod
+    def count_long_factorizations(monkeypatch, columns):
+        """Record every numpy QR, SVD and least-squares call on a matrix with
+        ``columns`` or more rows or columns: the ones whose cost grows with T."""
+        calls = []
+        for name in ("qr", "svd", "lstsq"):
+            routine = getattr(np.linalg, name)
+
+            def counting(a, *args, _name=name, _routine=routine, **kwargs):
+                if max(np.shape(a)) >= columns:
+                    calls.append((_name, kwargs.get("mode")))
+                return _routine(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return calls
+
+    def test_one_r_and_one_q_per_depth(self, monkeypatch, rng):
+        n, m, p = 2, 1, 1
+        L, T = n + 2, 300
+        w, _ = experiment(random_system(rng, n, m, p), rng, Trajectory.inputs(rng.normal(size=(T, m))))
+        calls = self.count_long_factorizations(monkeypatch, T - L + 1)
+        for kept in ([("qr", "r"), ("qr", "reduced")], [("qr", "reduced")]):
+            calls.clear()
+            assert gape_report(w, L, n).ok
+            inv = invariants_from_data(w, L)
+            assert (inv.m, inv.n) == (m, n)
+            rep = DataDrivenRep(w, L)
+            assert recover_kernel(rep, n=n).g == p * L - n
+            for start in (1, 50, 120):
+                assert membership(rep, w.data[start - 1 : start - 1 + L].ravel()).is_member
+            for start in (7, 90):
+                window = restrict(w, start, start + L - 1)
+                outcome = complete(rep, restrict(window, 1, n), Trajectory.inputs(window.data[n:, :m]))
+                assert np.allclose(outcome.y_f.data, window.data[n:, m:], atol=1e-8)
+            # the record keeps its R; each representation factors once for its Q
+            assert calls == kept
+
+    def test_exact_route_factors_nothing(self, monkeypatch):
+        _, u, result = reference_data("experiment-1", 9)
+        w = Trajectory(np.round(result.io(u).data * 8), m=1)
+        calls = self.count_long_factorizations(monkeypatch, w.length - 1)
+        recover_kernel(DataDrivenRep(w, 2), method="exact")
+        assert calls == [] and not w._factors
+
+
+class TestLstsqReference:
+    """membership and complete against the difference-parametrised solve on H itself."""
+
+    def cases(self, rng):
+        for _ in range(6):
+            n, m, p = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            L, T = n + 2, int(rng.integers(40, 400))
+            sys = random_system(rng, n, m, p)
+            w, _ = experiment(sys, rng, Trajectory.inputs(rng.normal(size=(T, m))))
+            yield sys, w, DataDrivenRep(w, L)
+
+    def test_membership(self, rng):
+        for sys, w, rep in self.cases(rng):
+            H = rep.hankel.entries
+            fresh_u = Trajectory.inputs(rng.normal(size=(rep.depth, rep.m)))
+            fresh, _ = experiment(sys, rng, fresh_u)
+            outside = fresh.data.ravel() + 0.01 * rng.normal(size=H.shape[0])
+            for window in (H[:, 3], 0.3 * H[:, 0] + 0.7 * H[:, -1], fresh.data.ravel(), outside):
+                verdict = membership(rep, window)
+                reference = np.linalg.norm(H @ affine_lstsq(H, window) - window)
+                scale = 1 + np.linalg.norm(window)
+                assert verdict.is_member == (reference <= 1e-8 * scale)
+                assert abs(verdict.residual - reference) <= 1e-12 * scale
+                assert abs(np.linalg.norm(H @ verdict.g - window) - verdict.residual) <= 1e-10 * scale
+                assert abs(verdict.g.sum() - 1) <= 1e-12
+            assert not membership(rep, outside).is_member
+
+    def test_complete(self, rng):
+        for sys, w, rep in self.cases(rng):
+            H, (q, m, L) = rep.hankel.entries, (rep.q, rep.m, rep.depth)
+            t_ini = L - 2
+            for start in (1, int(rng.integers(2, rep.columns + 1))):
+                window = restrict(w, start, start + L - 1)
+                outcome = complete(rep, restrict(window, 1, t_ini), Trajectory.inputs(window.data[t_ini:, :m]))
+                matched = list(range(q * t_ini)) + [t * q + i for t in range(t_ini, L) for i in range(m)]
+                g = affine_lstsq(H[matched], window.data.ravel()[matched])
+                reference = (H @ g).reshape(L, q)[t_ini:, m:]
+                assert np.max(np.abs(outcome.y_f.data - reference)) <= 1e-10
+                assert np.allclose((H @ outcome.g).reshape(L, q)[t_ini:, m:], outcome.y_f.data, atol=1e-10)
+                assert abs(outcome.g.sum() - 1) <= 1e-12

@@ -223,6 +223,9 @@ class TestCli:
             ["smith", "cols_text.json"],
             # an offset-window row that is not a list
             ["consistency", "k_window_text.json"],
+            # JSON true as a coefficient or an offset
+            ["smith", "cell_bool.json"],
+            ["consistency", "k_bool.json"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -255,6 +258,9 @@ class TestCli:
         (workdir / "cols_text.json").write_text(json.dumps(dict(scalar, cols="1")))
         # "0" used to be read as a sample
         (workdir / "k_window_text.json").write_text(json.dumps(dict(scalar, c=[["0"], "0"])))
+        # each used to be read as 1
+        (workdir / "cell_bool.json").write_text(json.dumps(dict(scalar, entries=[[[True]]])))
+        (workdir / "k_bool.json").write_text(json.dumps(dict(scalar, c=[True])))
         system = io_formats.system_to_json(reference_system())
         (workdir / "sys_a.json").write_text(json.dumps(dict(system, A="x")))
         plant = {"n": 1, "m": 1, "f": [["var", "x1"]], "h": [["var", "x1"]]}

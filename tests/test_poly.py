@@ -323,7 +323,8 @@ VALUES = {
 @pytest.mark.filterwarnings("error")
 def test_every_entry_point_reads_by_one_rule(reader, value, expected):
     read = READERS[reader]
-    if isinstance(expected, tuple):
+    # a JSON true or false is not a number; the library readers take bool as int
+    if isinstance(expected, tuple) and not (reader in PARSERS and type(value) is bool):
         stored = read(value)
         assert stored == expected and all(type(v) is int for v in stored)
         return

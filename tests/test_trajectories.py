@@ -226,6 +226,17 @@ class TestExactElimination:
         if x is not None:
             assert all(sum(a * xi for a, xi in zip(row, x)) == v for row, v in zip(M, b))
 
+    def test_integer_rows_read_like_integer_floats_and_stay_unchanged(self):
+        # Python ints skip the float bridge; the elimination must still work on copies
+        M = [[2, 4, 6], [0, 0, 0], [3, -9, 0], [1, 2, 3]]
+        given_rows = [list(row) for row in M]
+        floats = [[float(v) for v in row] for row in M]
+        assert exactla._integer_rows(M) == exactla._integer_rows(floats) == [
+            [1, 2, 3], [0, 0, 0], [1, -3, 0], [1, 2, 3]
+        ]
+        assert exactla.rank(M) == 2 and exactla.null_space(M) == exactla.null_space(floats)
+        assert M == given_rows
+
 
 # -- reference: elimination over Fractions --------------------------------
 #
