@@ -62,7 +62,6 @@ from .trajectories import (
     numerical_rank,
     restrict,
     shift,
-    stack_io,
 )
 
 __version__ = "0.1.0"
@@ -119,6 +118,5 @@ __all__ = [
     "shift",
     "simulate",
     "smith_form",
-    "stack_io",
     "syzygy_basis",
 ]

@@ -92,9 +92,6 @@ class AffineStateSpace:
     def q(self) -> int:
         return self.m + self.p
 
-    def is_linear(self) -> bool:
-        return not (np.any(self.E) or np.any(self.F))
-
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:

@@ -9,7 +9,7 @@ Subcommands accept only the options they read:
 
 - ``--tol`` (a positive, finite rank or residual tolerance): pe, gape,
   rank-check, complete, ident-kernel (svd method only), invariants,
-  consistency (offset sequences only), example-sec7;
+  example-sec7;
 - ``--table`` (a fixed-column summary in place of JSON): pe, gape,
   rank-check, example-sec7;
 - ``--out`` (a directory for file artifacts): complete, ident-kernel,
@@ -43,7 +43,7 @@ from .datadriven import (
     rank_condition_affine_report,
     recover_kernel,
 )
-from .errors import AtisysError, InvalidArgument
+from .errors import AtisysError
 from .excitation import gape_report, pe_order_affine_report, pe_order_linear_report
 from .kernelrep import (
     AffineKernelRep,
@@ -310,7 +310,7 @@ def _cmd_linearize(args) -> int:
 def _cmd_consistency(args) -> int:
     R, offset = io_formats.read_kernel_json(args.kernel)
     if isinstance(offset, OffsetSequence):
-        report = consistent_sequence_report(R, offset, args.tol)
+        report = consistent_sequence_report(R, offset)
         _emit(
             {
                 "offset_kind": "sequence",
@@ -321,8 +321,6 @@ def _cmd_consistency(args) -> int:
             }
         )
         return 0 if report.consistent else 2
-    if args.tol is not None:
-        raise InvalidArgument("--tol applies to offset sequences only; this offset is constant")
     ok = consistent_constant(AffineKernelRep(R, offset))
     _emit({"offset_kind": "constant", "consistent": bool(ok)})
     return 0 if ok else 2
@@ -404,6 +402,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _floats(text: str) -> list[float]:
     """Comma-separated numbers; empty items are skipped."""
     try:
@@ -472,7 +477,7 @@ def build_parser() -> _Parser:
     p.add_argument("states")
 
     p = add("complete", _cmd_complete, "continue a prefix through the data-driven representation", "--tol", "--out")
-    p.add_argument("--tini", type=int, required=True)
+    p.add_argument("--tini", type=_nonnegative, required=True)
     p.add_argument("--L", dest="depth", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("data")
@@ -504,7 +509,7 @@ def build_parser() -> _Parser:
     p.add_argument("--at", type=_point, required=True, help="operating point 'x1,..;u1,..;y1,..'")
     p.add_argument("--mode", type=_mode, default="analytic", help="'analytic' or 'fd:<step>'")
 
-    p = add("consistency", _cmd_consistency, "decide consistency of a kernel representation", "--tol")
+    p = add("consistency", _cmd_consistency, "decide consistency of a kernel representation")
     p.add_argument("kernel")
 
     p = add("equiv", _cmd_equiv, "decide equivalence of two kernel representations")

@@ -223,8 +223,8 @@ def recover_kernel(
     [R_0 ... R_{L-1}] and one offset entry, so the result has
     p*L - n rows whose solution set on length-L windows is exactly the
     affine span of the data columns.  Requires the generalized affine
-    excitation condition; pass the order ``n`` to have it verified, or leave
-    it to be inferred from the measured rank.
+    excitation condition; pass the order ``n`` (nonnegative) to have it
+    verified, or leave it to be inferred from the measured rank.
 
     ``method="svd"`` orthonormalizes the null basis in floating point;
     ``method="exact"`` computes it in rational arithmetic, which gives the
@@ -236,6 +236,8 @@ def recover_kernel(
     integer and the values may already be rounded; both raise
     :class:`InvalidArgument`.
     """
+    if n is not None and n < 0:
+        raise InvalidArgument(f"the order n must be nonnegative, got {n}")
     qL = rep.q * rep.depth
     target = None if n is None else rep.m * rep.depth + n + 1
     if method == "svd":

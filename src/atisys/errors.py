@@ -46,10 +46,6 @@ class StepTooSmall(AtisysError):
     """Finite-difference step is below the numerically safe minimum."""
 
 
-class EmptyRepresentation(AtisysError):
-    """A data-driven representation has no columns to combine."""
-
-
 class Infeasible(AtisysError):
     """No affine combination matches the completion constraints."""
 

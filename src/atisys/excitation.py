@@ -146,8 +146,8 @@ def gape_report(
     The target rank is ``m*order + n + 1`` (valid whenever the depth is at
     least the behavior's lag).  Passing ``d_L`` instead of ``n`` switches to
     the general form ``d_L + 1``, where ``d_L`` is the affine dimension of
-    the restricted behavior at depth L; passing both raises
-    :class:`InvalidArgument`.
+    the restricted behavior at depth L; passing both, or a negative ``n`` or
+    ``d_L``, raises :class:`InvalidArgument`.
     """
     if order < 1:
         raise InvalidArgument(f"order must be >= 1, got {order}")
@@ -157,6 +157,8 @@ def gape_report(
         if n is None or n < 0:
             raise InvalidArgument("a nonnegative order n is required unless d_L is given")
         target = w.m * order + n + 1
+    elif d_L < 0:
+        raise InvalidArgument(f"the dimension d_L must be nonnegative, got {d_L}")
     else:
         target = d_L + 1
     rank, svals = _augmented_rank(w, order, tol)

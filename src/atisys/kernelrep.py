@@ -26,7 +26,7 @@ from .errors import (
 )
 from .poly import Poly, _fraction
 from .polymatrix import PolyMatrix
-from .trajectories import check_tolerance, window_matrix
+from .trajectories import window_matrix
 
 OffsetVector = tuple[Fraction, ...]
 
@@ -122,15 +122,11 @@ def consistent_constant(rep: AffineKernelRep) -> bool:
     return not any(sum(e(1) * v for e, v in zip(lam, rep.c)) for lam in syzygy_basis(rep.R))
 
 
-def consistent_sequence(
-    R: PolyMatrix, c: OffsetSequence, tol: float | None = None
-) -> bool:
-    return consistent_sequence_report(R, c, tol).consistent
+def consistent_sequence(R: PolyMatrix, c: OffsetSequence) -> bool:
+    return consistent_sequence_report(R, c).consistent
 
 
-def consistent_sequence_report(
-    R: PolyMatrix, c: OffsetSequence, tol: float | None = None
-) -> ConsistencyReport:
+def consistent_sequence_report(R: PolyMatrix, c: OffsetSequence) -> ConsistencyReport:
     """Finite-window consistency test for a general offset sequence.
 
     The window system stacks (R(sigma) w)(t) = c(t) for t = 1..T.  A left
@@ -150,12 +146,6 @@ def consistent_sequence_report(
     extension of c built from windows of this length at every shift) when T
     is at least one more than the maximal minimal degree, the reported
     ``syzygy_degree``; a finitely specified offset cannot certify more.
-
-    The filter is exact by default, which treats the offsets as the exact
-    rationals they encode.  With ``tol`` (positive, finite) it runs in
-    floats, the right reading for measured offsets known only to float
-    accuracy: a constraint counts as met when its residual is at most
-    ``tol`` times the sum of the magnitudes of its terms.
     """
     if R.shape[0] != c.g:
         raise DimensionMismatch(f"offset width {c.g} != row count {R.shape[0]}")
@@ -164,17 +154,11 @@ def consistent_sequence_report(
     if T < d + 1:
         raise WindowTooShort(f"window {T} shorter than degree bound {d + 1}")
     syz = syzygy_basis(R)
-    if tol is None:
-        scale = lcm(*(v.denominator for row in c.values for v in row))
-        columns = [
-            [v.numerator * (scale // v.denominator) for v in column]
-            for column in zip(*c.values)
-        ]
-        consistent = all(not any(_filter(lam, columns, T)) for lam in syz)
-    else:
-        check_tolerance(tol)
-        columns = np.array(c.values, dtype=float).T
-        consistent = all(_within(lam, columns, T, tol) for lam in syz)
+    scale = lcm(*(v.denominator for row in c.values for v in row))
+    columns = [
+        [v.numerator * (scale // v.denominator) for v in column] for column in zip(*c.values)
+    ]
+    consistent = all(not any(_filter(lam, columns, T)) for lam in syz)
     delta = max((_row_degree(lam) for lam in syz), default=-1)
     return ConsistencyReport(
         consistent=consistent,
@@ -197,21 +181,6 @@ def _filter(lam: Sequence[Poly], columns: list[list[int]], T: int) -> list[int]:
             if a:
                 acc = [x + a * y for x, y in zip(acc, column[j : j + n])]
     return acc
-
-
-def _within(lam: Sequence[Poly], columns: np.ndarray, T: int, tol: float) -> bool:
-    """Float residuals of the filter, each at most tol times the magnitude of its terms."""
-    n = T - _row_degree(lam)
-    if n <= 0:
-        return True
-    acc = np.zeros(n)
-    size = np.zeros(n)
-    for e, column in zip(lam, columns):
-        for j, a in enumerate(e.numerators):
-            if a:
-                acc += float(a) * column[j : j + n]
-                size += abs(float(a)) * np.abs(column[j : j + n])
-    return bool(np.all(np.abs(acc) <= tol * size))
 
 
 def minimize(rep: AffineKernelRep) -> AffineKernelRep:

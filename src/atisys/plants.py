@@ -263,12 +263,6 @@ class NonlinearPlant:
             raise NonFiniteEvaluation(f"{what} evaluated to a non-finite value")
         return values
 
-    def eval_f(self, x, u) -> np.ndarray:
-        return self._eval(self.f, np.concatenate([np.ravel(x), np.ravel(u)]))
-
-    def eval_h(self, x, u) -> np.ndarray:
-        return self._eval(self.h, np.concatenate([np.ravel(x), np.ravel(u)]))
-
 
 def _check_point(plant: NonlinearPlant, xbar, ubar, ybar):
     xbar = np.asarray(xbar, dtype=float).reshape(-1)

@@ -22,7 +22,9 @@ Every value enters the exact layer through one reader, :func:`_ratio`: ints,
 bools and Fractions as they are, numpy integers (also inside a Fraction)
 through ``int()``, ``"num/den"`` strings by Fraction, integer-valued floats as
 those integers.  NaN and infinity raise :class:`NonFiniteEntry`; other floats,
-malformed strings and other types raise :class:`InvalidArgument`.  The float
+malformed strings and other types raise :class:`InvalidArgument`.  Points of
+evaluation are read by the same rule as coefficients, so evaluating a
+polynomial always gives an exact Fraction.  The float
 bridges, which read a binary float as the rational it encodes, are the float
 rows of ``exactla._integer_rows`` (exact recovery's data under its 2**53 rule,
 and the SVD route's null rows) and ``affine_ss.char_poly_at_one``.
@@ -283,25 +285,19 @@ class Poly:
         lead = nums[-1]
         return _make(list(nums) if lead > 0 else [-n for n in nums], abs(lead))
 
-    def __call__(self, value):
-        """Evaluate via Horner; exact (a Fraction) for int and Fraction arguments.
+    def __call__(self, value) -> Fraction:
+        """Evaluate at an exact value, read by the module's rule, via Horner.
 
         For p/q, the integer Horner sum of n_k p^k q^(deg-k) is divided once
-        by denominator·q^deg.  Any other argument (a float, say) is combined
-        with the Fraction coefficients one Horner step at a time.
+        by denominator·q^deg.
         """
         nums = self.numerators
-        if isinstance(value, (int, Fraction)):
-            p, q = value.numerator, value.denominator
-            acc, qpow = 0, 1
-            for n in reversed(nums):
-                acc = acc * p + n * qpow
-                qpow *= q
-            return Fraction(acc, self.denominator * (qpow // q if nums else 1))
-        result = value * 0
-        for c in reversed(self.coefficients):
-            result = result * value + c
-        return result
+        p, q = _ratio(value)
+        acc, qpow = 0, 1
+        for n in reversed(nums):
+            acc = acc * p + n * qpow
+            qpow *= q
+        return Fraction(acc, self.denominator * (qpow // q if nums else 1))
 
     # -- comparisons --------------------------------------------------
 

@@ -97,7 +97,7 @@ class PolyMatrix:
         return [self.coefficient_block(k) for k in range(self.degree + 1)]
 
     def evaluate(self, value) -> list[list]:
-        """Entrywise evaluation; exact for Fraction/int arguments."""
+        """Entrywise evaluation at an exact value, read by :mod:`atisys.poly`'s rule."""
         return [[e(value) for e in row] for row in self.rows]
 
     def transpose(self) -> "PolyMatrix":

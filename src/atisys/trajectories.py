@@ -110,25 +110,6 @@ class Trajectory:
             raise OutOfRange(f"time {t} outside [1, {self.length}]")
         return self.data[t - 1]
 
-    def restrict(self, t0: int, t1: int) -> "Trajectory":
-        return restrict(self, t0, t1)
-
-    def shift(self, k: int) -> "Trajectory":
-        return shift(self, k)
-
-    def split_io(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return the (input columns, output columns) of the data array."""
-        return self.data[:, : self.m], self.data[:, self.m :]
-
-
-def stack_io(u: Trajectory, y: Trajectory) -> Trajectory:
-    """Combine an input trajectory and an output trajectory into w = (u, y)."""
-    if u.length != y.length:
-        raise DimensionMismatch(
-            f"input length {u.length} != output length {y.length}"
-        )
-    return Trajectory(np.hstack([u.data, y.data]), m=u.q)
-
 
 @dataclass(frozen=True, eq=False)
 class HankelMatrix:
@@ -164,10 +145,6 @@ class HankelMatrix:
         if not 1 <= j <= self.columns:
             raise OutOfRange(f"column {j} outside [1, {self.columns}]")
         return self.entries[:, j - 1]
-
-    def window(self, j: int) -> np.ndarray:
-        """Window starting at time j as an (L, q) array."""
-        return self.column(j).reshape(self.depth, self.block_rows)
 
 
 def hankel(w: Trajectory, depth: int) -> HankelMatrix:

@@ -289,6 +289,13 @@ class TestRecoverKernel:
         with pytest.raises(ExcitationDeficient):
             recover_kernel(rep, n=4)
 
+    @pytest.mark.parametrize("method", ["svd", "exact"])
+    def test_negative_order_is_an_argument_error(self, method):
+        # no rank can meet a target below m*L + 1; that is not a data verdict
+        _, u, result = reference_data("experiment-1", 9)
+        with pytest.raises(InvalidArgument):
+            recover_kernel(DataDrivenRep(result.io(u), 2), n=-1, method=method)
+
     def test_membership_and_kernel_agree(self, rng):
         # the recovered representation and the span test accept and reject
         # exactly the same windows

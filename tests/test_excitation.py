@@ -202,6 +202,10 @@ class TestGape:
             gape_report(w, 2)
         with pytest.raises(InvalidArgument):
             gape_report(w, 2, 1, d_L=2)
+        # an affine set has dimension at least 0, so no rank meets d_L + 1 <= 0
+        for d_L in (-5, -1):
+            with pytest.raises(InvalidArgument):
+                gape_report(w, 2, d_L=d_L)
 
 
 class TestDataRequirements:

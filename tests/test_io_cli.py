@@ -193,7 +193,7 @@ class TestCli:
             ["complete", "--tini", "0", "--L", "1", "--tol", "0", "w.csv", "none.csv", "u1.csv"],
             ["gape", "--order", "0", "--n", "1", "u.csv"],
             ["invariants", "--tmax", "1", "u.csv"],
-            # --tol reads only offset sequences; k.json's offset is constant
+            # consistency is exact and takes no tolerance
             ["consistency", "--tol", "0.5", "k.json"],
             # arguments the data leaves unread
             ["ident-kernel", "--L", "1", "--method", "exact", "--tol", "1e-6", "w.csv"],
@@ -226,6 +226,11 @@ class TestCli:
             # JSON true as a coefficient or an offset
             ["smith", "cell_bool.json"],
             ["consistency", "k_bool.json"],
+            # a target no rank can meet, and an order below zero
+            ["gape", "--order", "2", "--d-l", "-3", "w.csv"],
+            ["ident-kernel", "--L", "2", "--n", "-1", "w.csv"],
+            # a prefix length below zero, whose prefix file would go unread
+            ["complete", "--tini", "-4", "--L", "1", "w.csv", "missing.csv", "u1.csv"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -281,9 +286,13 @@ class TestCli:
             ["invariants", "--out", "art", "--tmax", "3", "u.csv"],
             ["hankel", "--m", "1", "--depth", "2", "u.csv"],
             ["invariants", "--m", "1", "--tmax", "3", "u.csv"],
+            # the consistency filter is exact, on constant offsets and windows alike
+            ["consistency", "--tol", "1e-9", "window.json"],
         ],
     )
     def test_unread_flag_is_usage_error(self, workdir, capsys, argv):
+        kernel = {"rows": 1, "cols": 1, "entries": [[["1", "1"]]], "c": [["0"], ["1"], ["1/2"]]}
+        (workdir / "window.json").write_text(json.dumps(kernel))
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -108,15 +108,6 @@ class TestConsistencySequence:
         with pytest.raises(WindowTooShort):
             consistent_sequence(deficient_matrix(), OffsetSequence.constant([0, 0], 2))
 
-    def test_numerical_route_agrees_on_worked_instances(self):
-        R = deficient_matrix()
-        good = OffsetSequence(
-            tuple((Fraction((-1) ** t), Fraction(-2 * (-1) ** t)) for t in range(1, 7))
-        )
-        bad = OffsetSequence.constant([0, 1], 6)
-        assert consistent_sequence(R, good, tol=1e-9)
-        assert not consistent_sequence(R, bad, tol=1e-9)
-
     def test_agreement_with_constant_oracle(self, rng):
         # dual-route check on random instances, half with forced deficiency
         checked = 0
@@ -230,8 +221,6 @@ class TestSyzygyFilter:
             rhs = [v for row in seq.values for v in row]
             verdict = solvable(block_toeplitz(R, seq.length), rhs)
             assert consistent_sequence_report(R, seq).consistent == verdict
-            # integer data is exact in floats, so the residual route agrees
-            assert consistent_sequence_report(R, seq, tol=1e-9).consistent == verdict
             seen.add(verdict)
 
         check()

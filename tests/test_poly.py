@@ -269,6 +269,13 @@ def _fraction(f: Fraction) -> tuple:
     return f.numerator, f.denominator
 
 
+def _evaluated(value) -> tuple:
+    """The value of x at ``value``: evaluation reads its point by the one rule."""
+    result = Poly.x()(value)
+    assert type(result) is Fraction
+    return _fraction(result)
+
+
 def _exactla(value) -> tuple:
     assert exactla.rank([[value]]) == 1
     return _fraction(exactla.solve([[1]], [value])[0])
@@ -283,6 +290,7 @@ READERS = {
     "AffineKernelRep": lambda v: _fraction(AffineKernelRep(PolyMatrix([[1]]), [v]).c[0]),
     "OffsetSequence": lambda v: _fraction(OffsetSequence([[v]]).values[0][0]),
     "OffsetSequence.constant": lambda v: _fraction(OffsetSequence.constant([v], 2).values[1][0]),
+    "Poly.__call__": _evaluated,
     "poly_matrix_from_json": lambda v: _stored(
         io_formats.poly_matrix_from_json({"rows": 1, "cols": 1, "entries": [[[v]]]}).entry(0, 0)
     ),
