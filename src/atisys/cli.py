@@ -17,10 +17,12 @@ Subcommands accept only the options they read:
 
 An option that the given data leaves unread is an error (exit 1): ``--tol``
 as marked above, ``gape --n`` together with ``--d-l``, ``simulate
---horizon`` on a model with inputs, and an inputs file for a model without.
+--horizon`` on a model with inputs, an inputs file for a model without, and
+a prefix file for ``complete --tini 0``, whose prefix argument must be ``-``.
 So is a malformed input file (a JSON file that is not a JSON object, or whose
 fields do not parse), and so are ``--at``, ``--mode`` and ``--x0`` values
-that do not parse, which argparse reports as usage errors.
+that do not parse, which argparse reports as usage errors.  ``rank-check``
+has no ``--n``: the width of its state file fixes n.
 """
 
 from __future__ import annotations
@@ -192,10 +194,6 @@ def _cmd_gape(args) -> int:
 def _cmd_rank_check(args) -> int:
     u = _read_traj(args, attr="inputs", all_inputs=True)
     x = io_formats.read_trajectory_csv(args.states)
-    if args.n is not None and args.n != x.q:
-        raise AtisysError(
-            f"--n {args.n} contradicts the state file with {x.q} components"
-        )
     report = rank_condition_affine_report(x, u, args.depth, args.tol)
     return _report_verdict(
         args,
@@ -208,7 +206,10 @@ def _cmd_rank_check(args) -> int:
 def _cmd_complete(args) -> int:
     data = _read_traj(args, attr="data")
     prefix = None
-    if args.tini > 0:
+    if args.tini == 0:
+        if args.prefix != "-":
+            raise AtisysError(f"--tini 0 reads no prefix: pass '-' in its place, not {args.prefix!r}")
+    else:
         prefix = io_formats.read_trajectory_csv(args.prefix, m=data.m)
         if prefix.length != args.tini:
             raise AtisysError(
@@ -396,14 +397,20 @@ def _cmd_example_sec7(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # reported as out of range, below
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # reported as out of range, below
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return value
@@ -472,7 +479,6 @@ def build_parser() -> _Parser:
 
     p = add("rank-check", _cmd_rank_check, "data-driven rank condition from inputs and states", "--tol", "--table")
     p.add_argument("--L", dest="depth", type=int, required=True)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("inputs")
     p.add_argument("states")
 
@@ -481,7 +487,7 @@ def build_parser() -> _Parser:
     p.add_argument("--L", dest="depth", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("data")
-    p.add_argument("prefix")
+    p.add_argument("prefix", help="prefix file; '-' when --tini is 0")
     p.add_argument("future_inputs")
 
     p = add("ident-kernel", _cmd_ident_kernel, "recover a kernel representation from data", "--tol", "--out")

@@ -147,10 +147,8 @@ def gape_report(
     least the behavior's lag).  Passing ``d_L`` instead of ``n`` switches to
     the general form ``d_L + 1``, where ``d_L`` is the affine dimension of
     the restricted behavior at depth L; passing both, or a negative ``n`` or
-    ``d_L``, raises :class:`InvalidArgument`.
+    ``d_L``, raises :class:`InvalidArgument`, as does an order below 1.
     """
-    if order < 1:
-        raise InvalidArgument(f"order must be >= 1, got {order}")
     if n is not None and d_L is not None:
         raise InvalidArgument("pass the order n or the dimension d_L, not both")
     if d_L is None:

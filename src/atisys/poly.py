@@ -201,19 +201,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = Poly.one()
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def scale(self, value) -> "Poly":
         n, d = _ratio(value)
         return _make([n * x for x in self.numerators], self.denominator * d)

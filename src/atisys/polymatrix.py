@@ -6,8 +6,12 @@ the CLI ``smith`` uses, and the weak Popov reduction behind every exact
 kernel decision of :mod:`atisys.kernelrep`.  Each tracks its transform in
 identity columns: it runs on the rows of [M | I] (the Smith form on [M | I]
 over [I | 0], so that its column operations build V below M).  The Smith
-pivot is a minimum-degree nonzero entry, which keeps intermediate degrees
-small at the scale these matrices have.
+pivot is the first nonzero entry of least degree in row-major order, which
+keeps intermediate degrees small at the scale these matrices have.  Each
+pivot then repeats the first of three steps that acts, until none does:
+clear its column by division (a nonzero remainder becomes the pivot), clear
+its row the same way by column operations, or add to the pivot row the first
+trailing row holding an entry that the pivot does not divide.
 
 The weak Popov reduction (Mulders & Storjohann, "On lattice reduction for
 polynomial matrices", J. Symbolic Comput. 35(4), 2003) reduces the rows of
@@ -106,21 +110,21 @@ class PolyMatrix:
 
     # -- algebra ------------------------------------------------------
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+    def _combine(self, other: "PolyMatrix", sign: int) -> "PolyMatrix":
+        """self + sign * other, entry by entry."""
         if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot add shapes {self.shape} and {other.shape}")
+            verb = "add" if sign > 0 else "subtract"
+            raise DimensionMismatch(f"cannot {verb} shapes {self.shape} and {other.shape}")
         return PolyMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            [[a._combine(b, sign) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             ncols=self._ncols,
         )
 
+    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"cannot subtract shapes {self.shape} and {other.shape}")
-        return PolyMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self._ncols,
-        )
+        return self._combine(other, -1)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         g, k = self.shape
@@ -284,68 +288,44 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
     M = _identity_augmented(matrix) + [
         [*row, *[Poly.zero()] * g] for row in PolyMatrix.identity(q).rows
     ]
-    minus_one = Poly.constant(-1)
-
-    def row_swap(i, j):
-        if i != j:
-            M[i], M[j] = M[j], M[i]
 
     def col_swap(i, j):
-        if i != j:
-            for row in M:
-                row[i], row[j] = row[j], row[i]
-
-    def col_sub(j, k, quo):
         for row in M:
-            if row[k]:
-                row[j] = row[j] - quo * row[k]
+            row[i], row[j] = row[j], row[i]
 
     rank = 0
     for k in range(min(g, q)):
-        best = None
-        for i in range(k, g):
-            for j in range(k, q):
-                e = M[i][j]
-                if not e.is_zero and (best is None or e.degree < M[best[0]][best[1]].degree):
-                    best = (i, j)
-        if best is None:
+        # the pivot: the first nonzero entry of least degree, in row-major order
+        nonzero = [(M[i][j].degree, i, j) for i in range(k, g) for j in range(k, q) if M[i][j]]
+        if not nonzero:
             break
-        row_swap(k, best[0])
-        col_swap(k, best[1])
+        _, i, j = min(nonzero)
+        M[k], M[i] = M[i], M[k]
+        col_swap(k, j)
         while True:
-            restart = False
-            for i in range(g):
-                if i != k and not M[i][k].is_zero:
-                    quo, rem = divmod(M[i][k], M[k][k])
-                    M[i] = _subtract_multiple(M[i], quo, M[k])
-                    if not rem.is_zero:
-                        row_swap(i, k)
-                        restart = True
-                        break
-            if restart:
+            i = next((i for i in range(g) if i != k and M[i][k]), None)
+            if i is not None:  # clear column k; a remainder becomes the pivot
+                quo, rem = divmod(M[i][k], M[k][k])
+                M[i] = _subtract_multiple(M[i], quo, M[k])
+                if rem:
+                    M[k], M[i] = M[i], M[k]
                 continue
-            for j in range(q):
-                if j != k and not M[k][j].is_zero:
-                    quo, rem = divmod(M[k][j], M[k][k])
-                    col_sub(j, k, quo)
-                    if not rem.is_zero:
-                        col_swap(j, k)
-                        restart = True
-                        break
-            if restart:
+            j = next((j for j in range(q) if j != k and M[k][j]), None)
+            if j is not None:  # clear row k by column operations, likewise
+                quo, rem = divmod(M[k][j], M[k][k])
+                for row in M:
+                    if row[k]:
+                        row[j] = row[j] - quo * row[k]
+                if rem:
+                    col_swap(k, j)
                 continue
-            offender = None
-            for a in range(k + 1, g):
-                for b in range(k + 1, q):
-                    if not M[k][k].divides(M[a][b]):
-                        offender = a
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            pivot = M[k][k]
+            trailing = ((a, b) for a in range(k + 1, g) for b in range(k + 1, q))
+            a = next((a for a, b in trailing if not pivot.divides(M[a][b])), None)
+            if a is None:
                 break
-            # pull a non-divisible entry into the pivot row and keep reducing
-            M[k] = _subtract_multiple(M[k], minus_one, M[offender])
+            # pull a non-divisible entry into the pivot row and reduce again
+            M[k] = [e + f for e, f in zip(M[k], M[a])]
         rank += 1
 
     for k in range(rank):
@@ -416,19 +396,19 @@ def _weak_popov(rows: list[list[Poly]], width: int) -> None:
 
 
 def _popov(rows: list[list[Poly]], width: int) -> list[list[Poly]]:
-    """Weak Popov rows made Popov: each row reduced modulo the others' leading
-    entries (the terms brought in lie below those cancelled, so every leading
-    entry stays), then scaled monic and sorted by leading position."""
+    """Weak Popov rows made Popov: each row reduced by the first other row
+    whose leading entry still reduces it, until none does (the terms brought
+    in lie below those cancelled, so every leading entry stays), then scaled
+    monic and sorted by leading position."""
     lead = [_leading(row, width) for row in rows]
     for i in range(len(rows)):
-        reducible = True
-        while reducible:
-            reducible = False
-            for k, (d, j) in enumerate(lead):
-                if k != i and rows[i][j].degree >= d:
-                    quo = rows[i][j] // rows[k][j]
-                    rows[i] = _subtract_multiple(rows[i], quo, rows[k])
-                    reducible = True
+        while True:
+            # the first other row whose leading position still reduces row i
+            k = next((k for k, (d, j) in enumerate(lead) if k != i and rows[i][j].degree >= d), None)
+            if k is None:
+                break
+            j = lead[k][1]
+            rows[i] = _subtract_multiple(rows[i], rows[i][j] // rows[k][j], rows[k])
     return [
         [e.scale(1 / row[j].leading_coefficient) for e in row]
         for (_, j), row in sorted(zip(lead, rows), key=lambda pair: pair[0][1])

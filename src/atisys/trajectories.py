@@ -152,6 +152,8 @@ def hankel(w: Trajectory, depth: int) -> HankelMatrix:
 
     Raises
     ------
+    InvalidArgument
+        If ``depth < 1``.
     DepthExceedsLength
         If ``depth > w.length``.
     """
@@ -161,7 +163,7 @@ def hankel(w: Trajectory, depth: int) -> HankelMatrix:
 
 def _check_depth(w: Trajectory, depth: int):
     if depth < 1:
-        raise DepthExceedsLength(f"depth must be >= 1, got {depth}")
+        raise InvalidArgument(f"depth must be >= 1, got {depth}")
     if depth > w.length:
         raise DepthExceedsLength(f"depth {depth} exceeds trajectory length {w.length}")
 

@@ -207,6 +207,31 @@ class TestGape:
             with pytest.raises(InvalidArgument):
                 gape_report(w, 2, d_L=d_L)
 
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_is_an_argument_error(self, order):
+        w = Trajectory(np.ones((4, 2)), m=1)
+        with pytest.raises(InvalidArgument):
+            gape_report(w, order, 1)
+        with pytest.raises(InvalidArgument):
+            gape_report(w, order, d_L=1)
+
+
+class TestGapRatio:
+    def test_below_full_rank_is_the_gap_at_the_cut(self):
+        report = excitation.rank_verdict(np.diag([4.0, 2.0, 1e-16]), 3)
+        assert report.rank == 2 and not report.ok
+        assert report.gap_ratio == pytest.approx(2.0 / 1e-16)
+        report = excitation.ExcitationReport(False, 1, 2, np.array([3.0, 0.5, 0.25]))
+        assert report.gap_ratio == 6.0  # sigma_1 / sigma_2
+
+    def test_rank_zero_is_zero(self):
+        report = excitation.rank_verdict(np.zeros((2, 3)), 1)
+        assert report.rank == 0 and report.gap_ratio == 0.0
+
+    def test_full_rank_is_infinite(self):
+        report = excitation.rank_verdict(np.diag([4.0, 2.0]), 2)
+        assert report.rank == 2 and report.gap_ratio == math.inf
+
 
 class TestDataRequirements:
     @settings(max_examples=150, deadline=None)

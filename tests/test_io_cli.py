@@ -231,6 +231,9 @@ class TestCli:
             ["ident-kernel", "--L", "2", "--n", "-1", "w.csv"],
             # a prefix length below zero, whose prefix file would go unread
             ["complete", "--tini", "-4", "--L", "1", "w.csv", "missing.csv", "u1.csv"],
+            # --tini 0 reads no prefix, so the prefix argument must be '-'
+            ["complete", "--tini", "0", "--L", "1", "w.csv", "does-not-exist.csv", "u1.csv"],
+            ["complete", "--tini", "0", "--L", "1", "w.csv", "u.csv", "u1.csv"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -288,6 +291,8 @@ class TestCli:
             ["invariants", "--m", "1", "--tmax", "3", "u.csv"],
             # the consistency filter is exact, on constant offsets and windows alike
             ["consistency", "--tol", "1e-9", "window.json"],
+            # the state file fixes n
+            ["rank-check", "--n", "2", "--L", "2", "u.csv", "x.csv"],
         ],
     )
     def test_unread_flag_is_usage_error(self, workdir, capsys, argv):
@@ -295,6 +300,42 @@ class TestCli:
         (workdir / "window.json").write_text(json.dumps(kernel))
         assert main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_complete_without_prefix_reads_dash(self, workdir, capsys):
+        write_inputs("u1.csv", [3])
+        io_formats.write_trajectory_csv("w.csv", Trajectory(np.repeat([[1.0], [2.0], [4.0]], 2, axis=1), m=1))
+        assert main(["complete", "--tini", "0", "--L", "1", "w.csv", "-", "u1.csv"]) == 0
+        assert json.loads(capsys.readouterr().out)["y_f"] == [[3.0]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hankel", "--depth", "0", "u.csv"],
+            ["hankel", "--depth", "-1", "u.csv"],
+            ["ident-kernel", "--L", "0", "w.csv"],
+            ["ident-kernel", "--L", "-2", "w.csv"],
+        ],
+    )
+    def test_depth_below_one_is_an_argument_error(self, workdir, capsys, argv):
+        write_inputs("u.csv", [1, 2, 1, 2, 1, 2])
+        io_formats.write_trajectory_csv("w.csv", Trajectory(np.repeat([[1.0], [2.0], [4.0]], 2, axis=1), m=1))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidArgument:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["pe", "--class", "linear", "--order", "2", "--tol", "abc", "u.csv"], "--tol"),
+            (["complete", "--tini", "x", "--L", "1", "w.csv", "-", "u1.csv"], "--tini"),
+            (["complete", "--tini", "1.5", "--L", "1", "w.csv", "p.csv", "u1.csv"], "--tini"),
+        ],
+    )
+    def test_type_error_names_the_option_not_the_parser(self, workdir, capsys, argv, option):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"argument {option}:" in err
+        assert "_tolerance" not in err and "_nonnegative" not in err
 
     def test_missing_file_is_exit_one(self, workdir, capsys):
         assert main(["pe", "--class", "linear", "--order", "1", "nope.csv"]) == 1
@@ -388,6 +429,31 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert np.allclose(payload["y_f"], window.data[2:, 1:], atol=1e-8)
         assert (workdir / "art" / "y_f.csv").exists()
+
+    def test_out_artifacts_read_back_to_the_printed_document(self, workdir, capsys):
+        from atisys import simulate
+        from atisys.scenario import reference_input
+
+        sys = reference_system()
+        u = reference_input("experiment-1")
+        io_formats.write_trajectory_csv("w.csv", simulate(sys, np.zeros(2), u).io(u))
+        assert main(["ident-kernel", "--L", "2", "--n", "2", "--out", "ident", "w.csv"]) == 0
+        printed = io_formats.kernel_rep_from_json(json.loads(capsys.readouterr().out))
+        R, c = io_formats.read_kernel_json("ident/kernel.json")
+        assert R == printed[0] and c == printed[1]
+
+        io_formats.write_system_json("sys.json", sys)
+        write_inputs("u.csv", [0.5, -0.5])
+        assert main(["simulate", "--system", "sys.json", "--out", "sim", "u.csv"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert io_formats.read_trajectory_csv("sim/states.csv").data.tolist() == printed["x"]
+        assert io_formats.read_trajectory_csv("sim/outputs.csv").data.tolist() == printed["y"]
+
+        plant = {"n": 1, "m": 1, "f": [["+", ["*", ["var", "x1"], ["var", "x1"]], ["var", "u1"]]], "h": [["var", "x1"]]}
+        (workdir / "plant.json").write_text(json.dumps(plant))
+        assert main(["linearize", "--plant", "plant.json", "--at", "2;0;2", "--out", "lin"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert io_formats.system_to_json(io_formats.read_system_json("lin/system.json")) == printed
 
     def test_consistency_and_equiv(self, workdir, capsys):
         R = PolyMatrix([[X + 1, X, X + 2], [X * X - 1, X * X - X, X * X + X - 2]])

@@ -108,6 +108,32 @@ class TestSmith:
             assert dec.rank == R.rank()
 
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[X, 0], [0, X + 1]],
+            [[X * X, 0], [0, X + 1]],
+            [[X, 0, 0], [0, X + 1, 0], [0, 0, X + 2]],
+            [[X, 1], [0, X + 1]],
+        ],
+        ids=["x,x+1", "x2,x+1", "x,x+1,x+2", "triangular"],
+    )
+    def test_divisibility_repair(self, rows):
+        # a pivot that does not divide the trailing entries: the chain
+        # d_1 | d_2 | ... holds only once a trailing row is pulled into the pivot row
+        R = PolyMatrix(rows)
+        dec = smith_form(R)
+        assert dec.U @ R @ dec.V == dec.diagonal()
+        assert dec.U.is_unimodular() and dec.V.is_unimodular()
+        factors = dec.invariant_factors
+        assert all(d.leading_coefficient == 1 for d in factors)
+        assert all(a.divides(b) for a, b in zip(factors, factors[1:]))
+        product = Poly.one()
+        for d in factors:
+            product = product * d
+        assert product == R.determinant().monic()
+
+
 class TestDeterminant:
     def test_known_two_by_two(self):
         R = PolyMatrix([[X, 1], [0, X]])

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atisys import Trajectory, hankel, numerical_rank, restrict, shift
+from atisys import DataDrivenRep, Trajectory, hankel, numerical_rank, restrict, shift
 from atisys import exactla
 from conftest import left_null_space
 from atisys.errors import (
     DepthExceedsLength,
     DimensionMismatch,
     EmptyTrajectory,
+    InvalidArgument,
     NonFiniteEntry,
     OutOfRange,
     ShiftTooLarge,
@@ -65,6 +66,14 @@ class TestHankel:
     def test_depth_exceeds_length(self):
         with pytest.raises(DepthExceedsLength):
             hankel(Trajectory([1, 2]), 3)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_an_argument_error(self, depth):
+        w = Trajectory(np.arange(8.0).reshape(4, 2), m=1)
+        with pytest.raises(InvalidArgument, match="depth must be >= 1"):
+            hankel(w, depth)
+        with pytest.raises(InvalidArgument):
+            DataDrivenRep(w, depth)
 
     def test_block_structure(self):
         w = Trajectory(np.arange(12.0).reshape(6, 2), m=1)
