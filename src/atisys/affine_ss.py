@@ -122,32 +122,30 @@ def simulate(
 ) -> SimulationResult:
     """Run the state recursion from x(1) = x0 over the input trajectory.
 
-    For models with no inputs, pass ``horizon`` instead of ``u``; passing
-    the argument the model does not read raises :class:`InvalidArgument`.
+    For models with no inputs, pass a ``horizon`` of at least 1 instead of
+    ``u``.  A missing length, a horizon below 1, or the argument the model
+    does not read raises :class:`InvalidArgument`.
 
     The record is computed in whole-array products, not sample by sample.
     The drive v(t) = B u(t) + E and the outputs y = C x + D u + F are one
-    product each over all samples.  The states follow in blocks of K = 64
-    samples: from the state x(t0) before a block,
-
-        x(t0+j) = A^j x(t0) + sum_{i<j} A^(j-1-i) v(t0+i),    j = 1..K,
-
-    that is x(t0+1..t0+K) = Φ x(t0) + Γ v(t0..t0+K-1), with Φ stacking
-    A^1..A^K and Γ the lower block-Toeplitz matrix of powers of A.
-    :func:`_state_sequence` says how the blocks are scheduled.
+    product each over all samples.  The states are one prefix scan of the
+    drive by recursive doubling through powers A^s, which stops doubling
+    once s² >= T + 1 or once A^(2s) would overflow (:func:`_state_sequence`).
+    They match the plain recursion to rounding, amplified only as far as
+    the powers of A amplify it, and exactly on integer data within 2⁵³.
     """
     if sys.m == 0:
         if u is not None:
             raise InvalidArgument("a model without inputs takes a horizon, not u")
         if horizon is None or horizon < 1:
-            raise DimensionMismatch("a positive horizon is required when m = 0")
+            raise InvalidArgument("a model without inputs needs a horizon of at least 1")
         T = horizon
         u_data = np.zeros((T, 0))
     else:
         if horizon is not None:
             raise InvalidArgument("a model with inputs takes its length from u, not a horizon")
         if u is None:
-            raise DimensionMismatch("an input trajectory is required when m > 0")
+            raise InvalidArgument("a model with inputs needs an input trajectory u")
         if u.q != sys.m:
             raise DimensionMismatch(f"input has {u.q} components, model expects {sys.m}")
         T = u.length
@@ -157,62 +155,41 @@ def simulate(
     y = x[:T] @ sys.C.T + u_data @ sys.D.T + sys.F
     x_traj = Trajectory(x[:T], m=0) if sys.n > 0 else None
     y_traj = Trajectory(y, m=0) if sys.p > 0 else None
-    return SimulationResult(x_traj, y_traj, x[T])
-
-
-_BLOCK = 64  # samples per block of the state recursion
+    # a copy: a view of the last row would keep every state alive
+    return SimulationResult(x_traj, y_traj, x[T].copy())
 
 
 def _state_sequence(A: np.ndarray, x0: np.ndarray, v: np.ndarray) -> np.ndarray:
     """States x(1..T+1) of x(t+1) = A x(t) + v(t), one row per time step.
 
-    The record is cut into blocks of K samples, the last one padded with
-    zero drive, and the block recursion of :func:`simulate` runs in three
-    passes:
+    A prefix scan by recursive doubling over the rows X = (x0, v(1..T)),
+    whose row t must become x(t+1) = sum_{i<=t} A^(t-i) X(i).  While row t
+    holds the terms with t - i < s and P = A^s, the pass
+    X[s:] += X[:-s] Pᵀ extends every row to t - i < 2s, and s doubles.
+    Rows below s are then complete, so the same update finishes the record
+    s rows at a time from the rows before them.
 
-    1. Γ v for every block at once, as a K-step recursion from a zero state;
-       only its last row, the zero-state response at j = K, is kept.
-    2. The block starts, one block at a time: x(t0+K) = A^K x(t0) plus that
-       response.  A^K is the last block of Φ, the only one formed.
-    3. The K-step recursion again for every block at once, now from the
-       block starts, which fills in every state.
-
-    That is 2K + T/K steps of array products in place of T matrix-vector
-    steps, with O(T n + n²) memory and about twice the flops of the plain
-    recursion.  Inside a block the arithmetic is the plain recursion's; only
-    the block starts go through A^K, so the result matches the plain
-    recursion to rounding, amplified only by how far A^K amplifies it.
-
-    K is 64, cut to T on short records and to the highest finite power of
-    A, so that 0 * inf never appears where the plain recursion keeps a zero.
+    Doubling stops once s² >= T + 1, which balances the log s full passes
+    against the (T + 1)/s finishing steps, or once A^(2s) would overflow,
+    so that 0 * inf never appears where the plain recursion keeps a zero.
+    Memory is O(T n + n²).  Each state sums the plain recursion's terms in
+    another grouping, so the two agree to rounding, amplified only by how
+    far the powers of A amplify it; on integer data within 2⁵³ both are
+    exact.
     """
-    T, n = v.shape
-    K, hop = 1, A  # hop = A^K
-    while K < min(_BLOCK, T):
+    X = np.vstack([x0, v])
+    N = len(X)
+    s, P = 1, A
+    while s * s < N:
         with np.errstate(over="ignore", invalid="ignore"):
-            nxt = A @ hop
-        if not np.all(np.isfinite(nxt)):
+            P2 = P @ P
+        if not np.all(np.isfinite(P2)):
             break
-        K, hop = K + 1, nxt
-    blocks = -(-T // K)
-    padded = np.zeros((blocks * K, n))
-    padded[:T] = v
-    drive = padded.reshape(blocks, K, n).transpose(1, 0, 2).copy()  # [j, block]
-    states = np.empty_like(drive)
-
-    def fill(starts):
-        previous = starts
-        for j in range(K):
-            states[j] = previous @ A.T + drive[j]
-            previous = states[j]
-
-    fill(np.zeros((blocks, n)))
-    starts = np.empty((blocks, n))
-    starts[0] = x0
-    for b in range(1, blocks):
-        starts[b] = hop @ starts[b - 1] + states[-1, b - 1]
-    fill(starts)
-    return np.vstack([x0, states.transpose(1, 0, 2).reshape(blocks * K, n)[:T]])
+        X[s:] += X[:-s] @ P.T
+        s, P = 2 * s, P2
+    for t in range(s, N, s):
+        X[t : t + s] += X[t - s : t][: N - t] @ P.T
+    return X
 
 
 def controllability_matrix(sys: AffineStateSpace) -> np.ndarray:

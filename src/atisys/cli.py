@@ -19,6 +19,8 @@ An option that the given data leaves unread is an error (exit 1): ``--tol``
 as marked above, ``gape --n`` together with ``--d-l``, ``simulate
 --horizon`` on a model with inputs, an inputs file for a model without, and
 a prefix file for ``complete --tini 0``, whose prefix argument must be ``-``.
+``simulate`` without its length (``--horizon`` of at least 1 on a model
+without inputs, an inputs file on a model with inputs) is an argument error.
 So is a malformed input file (a JSON file that is not a JSON object, or whose
 fields do not parse), and so are ``--at``, ``--mode`` and ``--x0`` values
 that do not parse, which argparse reports as usage errors.  ``rank-check``
@@ -57,7 +59,7 @@ from .kernelrep import (
 )
 from .plants import linearize
 from .polymatrix import smith_form
-from .scenario import run_reference_experiments
+from .scenario import EXPERIMENT_LENGTHS, WINDOW_LENGTH, run_reference_experiments
 from .trajectories import Trajectory, hankel
 
 
@@ -364,33 +366,13 @@ def _cmd_smith(args) -> int:
 
 
 def _cmd_example_sec7(args) -> int:
-    results = run_reference_experiments(args.tol)
-    doc = [
-        {
-            "experiment": r.name,
-            "T": r.length,
-            "L": r.window,
-            "rank": r.rank,
-            "target": r.target,
-            "gap_ratio": r.gap_ratio,
-            "ok": r.ok,
-            "singular_values": list(r.singular_values),
-        }
-        for r in results
-    ]
-    rows = [
-        {
-            "experiment": r.name,
-            "T": r.length,
-            "L": r.window,
-            "rank": r.rank,
-            "target": r.target,
-            "gap": r.gap_ratio,
-            "verdict": _pass_fail(r.ok),
-        }
-        for r in results
-    ]
-    return _verdict(args, doc, rows, all(r.ok for r in results))
+    reports = run_reference_experiments(args.tol)
+    doc, rows = [], []
+    for (name, T), r in zip(EXPERIMENT_LENGTHS.items(), reports):
+        lead = {"experiment": name, "T": T, "L": WINDOW_LENGTH, "rank": r.rank, "target": r.target}
+        doc.append(dict(lead, gap_ratio=r.gap_ratio, ok=r.ok, singular_values=r.singular_values))
+        rows.append(dict(lead, gap=r.gap_ratio, verdict=_pass_fail(r.ok)))
+    return _verdict(args, doc, rows, all(r.ok for r in reports))
 
 
 # -- parser --------------------------------------------------------------

@@ -116,9 +116,11 @@ def _null_vector(R: Matrix, pivots: list[int], free: int, width: int) -> list[in
 
     Returned as integers y over the nonzero denominator y[free].  From the
     last pivot row up, the pivot entry must be -s / p, with s the row's dot
-    product with y so far and p its pivot; y is scaled by p / gcd(s, p) so
-    that it stays an integer, and then divided by its content, so y[free]
-    never exceeds the lcm of the solution's denominators.
+    product with y so far and p its pivot; with g = gcd(s, p), y is scaled
+    by p / g and its pivot entry set to -s / g, which keeps it an integer.
+    y stays primitive (content 1): it starts as a unit vector, and after a
+    step its content is gcd(p / g, s / g) = 1.  So y[free] never exceeds the
+    lcm of the solution's denominators.
     """
     y = [0] * width
     y[free] = 1
@@ -133,9 +135,6 @@ def _null_vector(R: Matrix, pivots: list[int], free: int, width: int) -> list[in
         if m != 1:
             y = [v * m for v in y]
         y[c] = -s // g
-        content = gcd(*y)
-        if content > 1:
-            y = [v // content for v in y]
     return y
 
 

@@ -14,12 +14,11 @@ sufficient but not necessary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .affine_ss import AffineStateSpace, simulate
 from .datadriven import rank_condition_affine_report
+from .excitation import ExcitationReport
 from .trajectories import Trajectory, restrict
 
 WINDOW_LENGTH = 2
@@ -51,36 +50,13 @@ def reference_input(name: str) -> Trajectory:
     return Trajectory.inputs(np.array(INPUT_RECORDS[name]).reshape(-1, 1))
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    name: str
-    length: int
-    window: int
-    rank: int
-    target: int
-    ok: bool
-    gap_ratio: float
-    singular_values: tuple[float, ...]
-
-
-def run_reference_experiments(tol: float | None = None) -> list[ExperimentResult]:
-    """Rank-condition check for each record, states re-derived by simulation."""
+def run_reference_experiments(tol: float | None = None) -> list[ExcitationReport]:
+    """Rank-condition report for each record in ``EXPERIMENT_LENGTHS`` order,
+    states re-derived by simulation, at window length ``WINDOW_LENGTH``."""
     sys = reference_system()
-    results = []
+    reports = []
     for name, T in EXPERIMENT_LENGTHS.items():
         u = restrict(reference_input(name), 1, T)
         sim = simulate(sys, np.zeros(2), u)
-        report = rank_condition_affine_report(sim.x, u, WINDOW_LENGTH, tol)
-        results.append(
-            ExperimentResult(
-                name=name,
-                length=T,
-                window=WINDOW_LENGTH,
-                rank=report.rank,
-                target=report.target,
-                ok=report.ok,
-                gap_ratio=report.gap_ratio,
-                singular_values=tuple(float(s) for s in report.singular_values),
-            )
-        )
-    return results
+        reports.append(rank_condition_affine_report(sim.x, u, WINDOW_LENGTH, tol))
+    return reports

@@ -60,6 +60,12 @@ class TestSimulate:
         assert np.allclose(result.final_state, expected)
         assert result.x.length == u.length
 
+    def test_final_state_does_not_hold_the_record(self):
+        # x is copied into the trajectory; the final state must not keep the
+        # scan's (T + 1) x n array alive as a view of its last row
+        result = simulate(reference_system(), np.zeros(2), reference_input("experiment-1"))
+        assert result.final_state.base is None and result.final_state.shape == (2,)
+
     def test_input_width_checked(self):
         sys = reference_system()
         with pytest.raises(DimensionMismatch):
@@ -120,7 +126,11 @@ def assert_close(got, want, rtol=1e-12):
 
 
 class TestSimulateBlocks:
-    """The block recursion against the per-sample loop (blocks are 64 samples)."""
+    """The doubling scan against the per-sample loop.
+
+    T = 63/64/65 and 127/128/129 bracket powers of two, where the scan's
+    doubling and finishing passes change length.
+    """
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -183,19 +193,50 @@ class TestSimulateBlocks:
         assert result.x.length == T
         assert_close(np.vstack([result.x.data, result.final_state]), x_ref)
         assert_close(result.y.data, y_ref)
-        with pytest.raises(InvalidArgument):
-            simulate(sys, x0, Trajectory.inputs(np.zeros(T)))
+        for bad in ({"u": Trajectory.inputs(np.zeros(T))}, {}, {"horizon": 0}, {"horizon": -1}):
+            with pytest.raises(InvalidArgument):
+                simulate(sys, x0, **bad)
 
     def test_horizon_with_inputs_is_refused(self):
         with pytest.raises(InvalidArgument):
             simulate(reference_system(), np.zeros(2), Trajectory.inputs(np.ones(3)), horizon=3)
+        with pytest.raises(InvalidArgument):
+            simulate(reference_system(), np.zeros(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 4), m=st.integers(1, 2), T=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_integer_models_are_bitwise_exact(self, n, m, T, seed):
+        # entries in {-1, 0, 1} and spectral radius <= 1 keep every partial
+        # sum an integer far below 2**53, so any grouping is exact
+        rng = np.random.default_rng(seed)
+        A = rng.integers(-1, 2, (n, n))
+        while np.max(np.abs(np.linalg.eigvals(A))) > 1 + 1e-9:
+            A = rng.integers(-1, 2, (n, n))
+        sys = AffineStateSpace(A, rng.integers(-1, 2, (n, m)), np.eye(n), np.zeros((n, m)), rng.integers(-2, 3, n), np.zeros(n))
+        u = rng.integers(-3, 4, (T, m)).astype(float)
+        x0 = rng.integers(-3, 4, n)
+        result = simulate(sys, x0, Trajectory.inputs(u))
+        x_ref, y_ref = per_sample_reference(sys, x0, u)
+        assert np.array_equal(np.vstack([result.x.data, result.final_state]), x_ref)
+        assert np.array_equal(result.y.data, y_ref)
 
     def test_zero_state_kept_when_powers_overflow(self):
-        # A^64 overflows here; the plain recursion keeps x = 0 exactly
+        # A^t overflows from t = 52 on; the plain recursion keeps x = 0 exactly
         sys = AffineStateSpace.linear([[1e6]], [[1.0]], [[1.0]], [[0.0]])
         result = simulate(sys, [0.0], Trajectory.inputs(np.zeros(100)))
         assert not np.any(result.x.data) and not np.any(result.y.data)
         assert result.final_state.tolist() == [0.0]
+
+    @pytest.mark.parametrize("a, T", [(1e6, 5000), (1e100, 100), (1e150, 100)])
+    def test_doubling_stops_before_an_overflowing_power(self, a, T):
+        # A^(2s) overflows before s reaches sqrt(T + 1), so the finishing
+        # steps run with the last finite power; 0 * inf would leave NaN
+        sys = AffineStateSpace.linear([[a]], [[1.0]], [[1.0]], [[0.0]])
+        u = np.zeros(T)
+        u[-3] = 1.0
+        result = simulate(sys, [0.0], Trajectory.inputs(u))
+        assert not np.any(result.x.data[: T - 2]) and result.x.data[T - 2 :, 0].tolist() == [1.0, a]
+        assert result.final_state.tolist() == [a * a]
 
 
 class TestControllable:
@@ -209,6 +250,10 @@ class TestControllable:
     def test_scalar(self):
         sys = AffineStateSpace.linear([[0.0]], [[1.0]], [[1.0]], [[0.0]])
         assert controllable(sys)
+
+    def test_states_without_inputs_fail(self):
+        sys = AffineStateSpace([[0.5]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0)), [1.0], [0.0])
+        assert not controllable(sys)
 
     def test_order_zero_by_convention(self):
         sys = AffineStateSpace(

@@ -289,6 +289,13 @@ class TestRecoverKernel:
         with pytest.raises(ExcitationDeficient):
             recover_kernel(rep, n=4)
 
+    @pytest.mark.parametrize("method, kind", [("svd", "measured"), ("exact", "exact")])
+    def test_rank_below_the_affine_floor_is_deficient(self, method, kind):
+        # a constant input leaves [1; H] at rank 2, below m*L + 1 = 4 at depth 3
+        w = Trajectory(np.column_stack([np.ones(8), np.arange(1.0, 9.0)]), m=1)
+        with pytest.raises(ExcitationDeficient, match=f"{kind} rank 2 below the affine excitation floor"):
+            recover_kernel(DataDrivenRep(w, 3), method=method)
+
     @pytest.mark.parametrize("method", ["svd", "exact"])
     def test_negative_order_is_an_argument_error(self, method):
         # no rank can meet a target below m*L + 1; that is not a data verdict

@@ -234,6 +234,16 @@ class TestCli:
             # --tini 0 reads no prefix, so the prefix argument must be '-'
             ["complete", "--tini", "0", "--L", "1", "w.csv", "does-not-exist.csv", "u1.csv"],
             ["complete", "--tini", "0", "--L", "1", "w.csv", "u.csv", "u1.csv"],
+            # a kernel without offsets, or with offsets that are not a list
+            ["consistency", "k_no_c.json"],
+            ["consistency", "k_c_text.json"],
+            # a matrix without its row count
+            ["smith", "no_rows.json"],
+            # a CSV without bytes, and one with only the time column
+            ["hankel", "--depth", "1", "empty.csv"],
+            ["hankel", "--depth", "1", "t_only.csv"],
+            # a plant without its input count
+            ["linearize", "--plant", "plant_no_m.json", "--at", "2;0;2"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -275,6 +285,12 @@ class TestCli:
         (workdir / "plant.json").write_text(json.dumps(plant))
         # x1^2.5 used to be read as x1^2
         (workdir / "pow.json").write_text(json.dumps(dict(plant, f=[["pow", ["var", "x1"], 2.5]])))
+        (workdir / "plant_no_m.json").write_text(json.dumps({k: v for k, v in plant.items() if k != "m"}))
+        (workdir / "k_no_c.json").write_text(json.dumps(matrix))
+        (workdir / "k_c_text.json").write_text(json.dumps(dict(kernel, c="0")))
+        (workdir / "no_rows.json").write_text(json.dumps({k: v for k, v in matrix.items() if k != "rows"}))
+        (workdir / "empty.csv").write_text("")
+        (workdir / "t_only.csv").write_text("t\n")
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -319,6 +335,22 @@ class TestCli:
     def test_depth_below_one_is_an_argument_error(self, workdir, capsys, argv):
         write_inputs("u.csv", [1, 2, 1, 2, 1, 2])
         io_formats.write_trajectory_csv("w.csv", Trajectory(np.repeat([[1.0], [2.0], [4.0]], 2, axis=1), m=1))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidArgument:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--system", "free.json"],
+            ["simulate", "--system", "free.json", "--horizon", "0"],
+            ["simulate", "--system", "sys.json"],
+        ],
+    )
+    def test_simulate_without_length_is_an_argument_error(self, workdir, capsys, argv):
+        io_formats.write_system_json("sys.json", reference_system())
+        free = AffineStateSpace([[0.5]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0)), [1.0], [0.0])
+        io_formats.write_system_json("free.json", free)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidArgument:") and err.count("\n") == 1

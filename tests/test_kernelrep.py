@@ -22,7 +22,7 @@ from atisys import (
     syzygy_basis,
 )
 from atisys import exactla, polymatrix
-from atisys.errors import AtisysError, InconsistentRepresentation, WindowTooShort
+from atisys.errors import AtisysError, DimensionMismatch, InconsistentRepresentation, WindowTooShort
 from conftest import left_null_space, random_poly_matrix, random_unimodular, row_hermite
 
 X = Poly.x()
@@ -590,6 +590,15 @@ class TestBehaviorApply:
     def test_increment_law_violation(self):
         rep = AffineKernelRep(PolyMatrix([[Poly([-1, 1])]]), (1,))
         assert behavior_apply(rep, np.array([3.0, 4.0, 6.0])).ravel().tolist() == [0.0, 1.0]
+
+    def test_flat_window_is_read_sample_by_sample(self):
+        # w1(t+1) - w1(t) - w2(t) = 0 on the samples (0, 1), (1, 2), (3, 0)
+        rep = AffineKernelRep(PolyMatrix([[Poly([-1, 1]), Poly([-1])]]), (0,))
+        flat = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 0.0])
+        assert behavior_apply(rep, flat).tolist() == [[0.0], [0.0]]
+        assert behavior_apply(rep, flat + [0, 0, 0, 0, 1, 0]).tolist() == [[0.0], [1.0]]
+        with pytest.raises(DimensionMismatch):
+            behavior_apply(rep, flat[:5])
 
     def test_window_too_short(self):
         rep = AffineKernelRep(PolyMatrix([[Poly([-1, 0, 1])]]), (0,))

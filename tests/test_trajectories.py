@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -410,6 +411,8 @@ class TestIntegerRowElimination:
             if nrows > ncols + 1:
                 # the leading block's basis either covered every row or missed some
                 seen.add("missed" if len(passes) == 2 else "verified" if null else "full rank")
+            # each integer null vector comes out primitive, with no division
+            assert all(gcd(*y) == 1 for y in exactla._null_vectors(M, None).values())
             left = left_null_space(M)
             assert left == ref_left_null_space(M) and all_fractions(left)
             x = exactla.solve(M, b)
