@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, NonFiniteEntry
+from .errors import DimensionMismatch, InvalidArgument, NonFiniteEntry, _count, check_tolerance
 from .polymatrix import PolyMatrix
 from .trajectories import Trajectory, numerical_rank
 
@@ -123,8 +123,8 @@ def simulate(
     """Run the state recursion from x(1) = x0 over the input trajectory.
 
     For models with no inputs, pass a ``horizon`` of at least 1 instead of
-    ``u``.  A missing length, a horizon below 1, or the argument the model
-    does not read raises :class:`InvalidArgument`.
+    ``u``.  A missing length, a horizon that is not an integer of at least 1,
+    or the argument the model does not read raises :class:`InvalidArgument`.
 
     The record is computed in whole-array products, not sample by sample.
     The drive v(t) = B u(t) + E and the outputs y = C x + D u + F are one
@@ -137,9 +137,7 @@ def simulate(
     if sys.m == 0:
         if u is not None:
             raise InvalidArgument("a model without inputs takes a horizon, not u")
-        if horizon is None or horizon < 1:
-            raise InvalidArgument("a model without inputs needs a horizon of at least 1")
-        T = horizon
+        T = _count(horizon, "the horizon of a model without inputs", 1)
         u_data = np.zeros((T, 0))
     else:
         if horizon is not None:
@@ -206,8 +204,11 @@ def controllable(sys: AffineStateSpace, tol: float | None = None) -> bool:
 
     The offsets play no role: translating a behavior never changes whether
     trajectories can be patched, so the test on the difference system settles
-    the affine one.  Order-zero models are controllable by convention.
+    the affine one.  Order-zero models are controllable by convention.  An
+    explicit ``tol`` must be positive and finite, whatever the model.
     """
+    if tol is not None:
+        check_tolerance(tol)
     if sys.n == 0:
         return True
     if sys.m == 0:

@@ -47,7 +47,7 @@ from .datadriven import (
     rank_condition_affine_report,
     recover_kernel,
 )
-from .errors import AtisysError
+from .errors import AtisysError, _count, check_tolerance
 from .excitation import gape_report, pe_order_affine_report, pe_order_linear_report
 from .kernelrep import (
     AffineKernelRep,
@@ -208,7 +208,7 @@ def _cmd_rank_check(args) -> int:
 def _cmd_complete(args) -> int:
     data = _read_traj(args, attr="data")
     prefix = None
-    if args.tini == 0:
+    if _count(args.tini, "--tini") == 0:
         if args.prefix != "-":
             raise AtisysError(f"--tini 0 reads no prefix: pass '-' in its place, not {args.prefix!r}")
     else:
@@ -380,22 +380,9 @@ def _cmd_example_sec7(args) -> int:
 
 def _tolerance(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan  # reported as out of range, below
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
-
-
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # reported as out of range, below
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return value
+        return check_tolerance(float(text))
+    except ValueError:  # not a number, or out of range (InvalidArgument is a ValueError)
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}") from None
 
 
 def _floats(text: str) -> list[float]:
@@ -465,7 +452,7 @@ def build_parser() -> _Parser:
     p.add_argument("states")
 
     p = add("complete", _cmd_complete, "continue a prefix through the data-driven representation", "--tol", "--out")
-    p.add_argument("--tini", type=_nonnegative, required=True)
+    p.add_argument("--tini", type=int, required=True)
     p.add_argument("--L", dest="depth", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("data")

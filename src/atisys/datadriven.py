@@ -30,13 +30,15 @@ from .errors import (
     Infeasible,
     InvalidArgument,
     NotConverged,
+    _count,
+    check_tolerance,
 )
 from .excitation import ExcitationReport, ones_augmented, rank_verdict
 from .kernelrep import AffineKernelRep
 from .poly import Poly
 from .polymatrix import PolyMatrix
 from .trajectories import HankelMatrix, Trajectory, _augmented_r, _augmented_rank, _check_depth
-from .trajectories import _factor, check_tolerance, default_rank_tolerance, hankel, rank_of
+from .trajectories import _factor, default_rank_tolerance, hankel, rank_of
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -54,7 +56,7 @@ class DataDrivenRep:
     depth: int
 
     def __post_init__(self):
-        _check_depth(self.trajectory, self.depth)
+        object.__setattr__(self, "depth", _check_depth(self.trajectory, self.depth))
 
     @cached_property
     def hankel(self) -> HankelMatrix:
@@ -130,7 +132,8 @@ def membership(rep: DataDrivenRep, window, tol: float = DEFAULT_RESIDUAL_TOL) ->
     if w.size != rep.q * rep.depth:
         raise DimensionMismatch(f"window has {w.size} entries, expected {rep.q * rep.depth}")
     _, g, residual = _affine_solve(rep, rep._qr[1][:, 1:].T, w)
-    return MembershipResult(residual <= tol * (1 + np.linalg.norm(w)), g, residual)
+    with np.errstate(over="ignore"):  # a bound past the float range admits any residual
+        return MembershipResult(residual <= tol * (1 + np.linalg.norm(w)), g, residual)
 
 
 class CompletionResult(NamedTuple):
@@ -176,16 +179,17 @@ def complete(
     Y = blocks[t_ini:, m:].reshape(-1, M.shape[1])
 
     y, g, residual = _affine_solve(rep, C, b)
-    if residual > tol * (1 + np.linalg.norm(b)):
-        raise Infeasible(
-            f"constraint residual {residual:.3e} exceeds the tolerance"
-        )
+    with np.errstate(over="ignore"):  # bounds past the float range admit everything
+        residual_bound = tol * (1 + np.linalg.norm(b))
+        spread_bound = tol * (1 + np.linalg.norm(Y))
+    if residual > residual_bound:
+        raise Infeasible(f"constraint residual {residual:.3e} exceeds the tolerance")
     S = np.vstack([R[:, 0], C])  # [1^T; C] Q
     _, svals, Vt = np.linalg.svd(S, full_matrices=False)
     V = Vt[: rank_of(svals, (S.shape[0], rep.columns))]
     if V.shape[0] < S.shape[1]:
         spread = float(np.linalg.norm(Y - (Y @ V.T) @ V))
-        if spread > tol * (1 + np.linalg.norm(Y)):
+        if spread > spread_bound:
             raise AmbiguousContinuation(
                 f"future outputs vary by {spread:.3e} over the solution set"
             )
@@ -236,10 +240,8 @@ def recover_kernel(
     integer and the values may already be rounded; both raise
     :class:`InvalidArgument`.
     """
-    if n is not None and n < 0:
-        raise InvalidArgument(f"the order n must be nonnegative, got {n}")
     qL = rep.q * rep.depth
-    target = None if n is None else rep.m * rep.depth + n + 1
+    target = None if n is None else rep.m * rep.depth + _count(n, "the order n") + 1
     if method == "svd":
         # [1^T; H] = R^T Q^T has R^T's left singular vectors; the ones row moves last
         U, svals, _ = np.linalg.svd(_augmented_r(rep.trajectory, rep.depth).T)
@@ -305,8 +307,7 @@ def invariants_from_data(
     increments must have stabilized by then or :class:`NotConverged` is
     raised.
     """
-    if t_max < 2:
-        raise InvalidArgument(f"t_max must be at least 2, got {t_max}")
+    t_max = _count(t_max, "t_max", 2)
     q = w_d.q
     # every depth reads the one factor at t_max
     d = [_augmented_rank(w_d, t, tol, t_max).rank - 1 for t in range(1, t_max + 1)]

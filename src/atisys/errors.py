@@ -1,9 +1,23 @@
-"""Exception types raised by the toolkit.
+"""Exception types raised by the toolkit, and the readers of its counts and tolerances.
 
 Every error raised on a documented failure path derives from
 :class:`AtisysError`, so callers (and the CLI) can distinguish data/usage
 problems from conditions that merely evaluate to false.
+
+A count (depth, order, length, horizon, degree, shift, variable count) is
+read by :func:`_count`: a Python or numpy integer, not a bool, of at least its
+minimum.  A tolerance (rank or residual tolerance, finite-difference step) is
+read by :func:`check_tolerance`: a real number, not a bool, positive and
+finite.  Anything else is an :class:`InvalidArgument` (a FormatError when a
+file holds it).  Upper bounds set by the data keep their own types
+(:class:`DepthExceedsLength`, :class:`OutOfRange`, :class:`ShiftTooLarge`,
+:class:`DimensionMismatch`).  Out of scope: arguments that must be a model,
+trajectory or kernel (``lift(2.5)`` raises AttributeError), and the size of
+a valid count (``PolyMatrix.zeros(10**9, 1)`` builds 10**9 rows).
 """
+
+from math import inf
+from numbers import Integral, Real
 
 
 class AtisysError(Exception):
@@ -72,3 +86,21 @@ class InconsistentRepresentation(AtisysError):
 
 class WindowTooShort(AtisysError):
     """A window is shorter than the representation's degree allows."""
+
+
+def _count(value, name: str, minimum: int = 0, error: type = InvalidArgument) -> int:
+    """``value`` as a plain int if it is an integer (not a bool) of at least ``minimum``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise error(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def check_tolerance(tol, name: str = "tolerance"):
+    """Return ``tol`` if it is a real number (not a bool), positive and finite."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < inf:
+        raise InvalidArgument(f"{name} must be positive and finite, got {tol!r}")
+    return tol

@@ -14,8 +14,8 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument
-from .trajectories import Trajectory, _augmented_rank, check_tolerance, hankel, numerical_rank
+from .errors import DimensionMismatch, InvalidArgument, _count, check_tolerance
+from .trajectories import Trajectory, _augmented_rank, hankel, numerical_rank
 
 ModelClass = Literal["linear", "affine"]
 
@@ -146,20 +146,17 @@ def gape_report(
     The target rank is ``m*order + n + 1`` (valid whenever the depth is at
     least the behavior's lag).  Passing ``d_L`` instead of ``n`` switches to
     the general form ``d_L + 1``, where ``d_L`` is the affine dimension of
-    the restricted behavior at depth L; passing both, or a negative ``n`` or
-    ``d_L``, raises :class:`InvalidArgument`, as does an order below 1.
+    the restricted behavior at depth L; passing both, or an ``n`` or ``d_L``
+    that is not a nonnegative integer, raises :class:`InvalidArgument`, as
+    does an order that is not a positive integer.
     """
     if n is not None and d_L is not None:
         raise InvalidArgument("pass the order n or the dimension d_L, not both")
+    rank, svals = _augmented_rank(w, order, tol)  # reads the order before the target does
     if d_L is None:
-        if n is None or n < 0:
-            raise InvalidArgument("a nonnegative order n is required unless d_L is given")
-        target = w.m * order + n + 1
-    elif d_L < 0:
-        raise InvalidArgument(f"the dimension d_L must be nonnegative, got {d_L}")
+        target = w.m * order + _count(n, "the order n (unless d_L is given)") + 1
     else:
-        target = d_L + 1
-    rank, svals = _augmented_rank(w, order, tol)
+        target = _count(d_L, "the dimension d_L") + 1
     return ExcitationReport(rank == target, rank, target, svals)
 
 
@@ -184,14 +181,11 @@ def min_data_length(m: int, order: int, model_class: ModelClass = "linear") -> i
     lower order it needs (see :func:`sampling_gap`).
     """
     _check_class(model_class)
-    if m < 1 or order < 1:
-        raise InvalidArgument("m and order must be positive")
+    m, order = _count(m, "m", 1), _count(order, "order", 1)
     rows = m * order + (model_class == "affine")
     return rows + order - 1
 
 
 def sampling_gap(m: int) -> int:
     """Sample-count reduction T_{n+L+1}(linear) - T_{n+L}(affine) = m."""
-    if m < 1:
-        raise InvalidArgument("m must be positive")
-    return m
+    return _count(m, "m", 1)

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .affine_ss import AffineStateSpace
-from .errors import AtisysError, DimensionMismatch, NonFiniteEntry
+from .errors import AtisysError, DimensionMismatch, NonFiniteEntry, _count
 from .kernelrep import AffineKernelRep, OffsetSequence
 from .plants import NonlinearPlant, expr_from_json
 from .poly import Poly, _fraction
@@ -95,7 +95,7 @@ def read_trajectory_csv(
     data = table[:, 1:]
     if all_inputs:
         return Trajectory.inputs(data, labels=labels)
-    return Trajectory(data, m=0 if m is None else int(m), labels=labels)
+    return Trajectory(data, m=0 if m is None else m, labels=labels)
 
 
 def _read_json(path, what: str) -> dict:
@@ -113,8 +113,8 @@ def _read_sidecar(side: Path, q: int) -> tuple[int | None, list | None]:
     """The split ``m`` and the labels of a sidecar, checked against q variables."""
     meta = _read_json(side, "sidecar")
     m, labels = meta.get("m"), meta.get("labels")
-    if m is not None and (type(m) is not int or not 0 <= m <= q):
-        raise FormatError(f"{side}: sidecar 'm' must be an integer in [0, {q}], got {m!r}")
+    if m is not None and _count(m, f"{side}: sidecar 'm'", error=FormatError) > q:
+        raise FormatError(f"{side}: sidecar 'm' must be <= {q}, got {m!r}")
     if labels is not None and (type(labels) is not list or len(labels) != q):
         raise FormatError(f"{side}: sidecar 'labels' must be a list of {q} names")
     return m, labels
@@ -188,7 +188,7 @@ def plant_from_json(doc: dict) -> NonlinearPlant:
     try:
         f = tuple(expr_from_json(e) for e in doc["f"])
         h = tuple(expr_from_json(e) for e in doc["h"])
-        return NonlinearPlant(f=f, h=h, n=int(doc["n"]), m=int(doc["m"]))
+        return NonlinearPlant(f=f, h=h, n=doc["n"], m=doc["m"])
     except KeyError as exc:
         raise FormatError(f"plant JSON missing field {exc}") from None
     except (DimensionMismatch, TypeError, ValueError) as exc:
@@ -220,9 +220,8 @@ def poly_matrix_from_json(doc: dict) -> PolyMatrix:
         g, q, entries = doc["rows"], doc["cols"], doc["entries"]
     except KeyError as exc:
         raise FormatError(f"matrix JSON missing field {exc}") from None
-    for name, size in (("rows", g), ("cols", q)):
-        if type(size) is not int or size < 0:
-            raise FormatError(f"matrix JSON '{name}' must be a non-negative integer, got {size!r}")
+    g = _count(g, "matrix JSON 'rows'", error=FormatError)
+    q = _count(q, "matrix JSON 'cols'", error=FormatError)
     shaped = (
         isinstance(entries, list)
         and len(entries) == g

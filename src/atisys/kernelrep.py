@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentRepresentation,
     WindowTooShort,
+    _count,
 )
 from .poly import Poly, _fraction
 from .polymatrix import PolyMatrix
@@ -75,7 +76,7 @@ class OffsetSequence:
 
     @classmethod
     def constant(cls, c: Sequence, length: int) -> "OffsetSequence":
-        return cls([tuple(c)] * length)
+        return cls([tuple(c)] * _count(length, "length"))
 
     @property
     def length(self) -> int:

@@ -14,13 +14,13 @@ central differences; its first n columns give A (or C), the rest B (or D).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .affine_ss import AffineStateSpace
-from .errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation, StepTooSmall
+from .errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation, StepTooSmall, _count
+from .errors import check_tolerance
 
 
 class Expr:
@@ -167,8 +167,7 @@ class Pow(Expr):
     tag = "pow"
 
     def __post_init__(self):
-        if isinstance(self.exponent, bool) or not isinstance(self.exponent, int) or self.exponent < 0:
-            raise InvalidArgument(f"exponent must be a nonnegative integer, got {self.exponent!r}")
+        object.__setattr__(self, "exponent", _count(self.exponent, "exponent"))
 
     def evaluate(self, env):
         return self.base.evaluate(env) ** self.exponent
@@ -213,11 +212,11 @@ _READ = {"Expr": expr_from_json, "float": _number, "str": str, "int": lambda v: 
 
 
 def state_var(i: int) -> Var:
-    return Var(f"x{i}")
+    return Var(f"x{_count(i, 'i', 1)}")
 
 
 def input_var(i: int) -> Var:
-    return Var(f"u{i}")
+    return Var(f"u{_count(i, 'i', 1)}")
 
 
 @dataclass(frozen=True)
@@ -236,6 +235,8 @@ class NonlinearPlant:
     def __post_init__(self):
         object.__setattr__(self, "f", tuple(self.f))
         object.__setattr__(self, "h", tuple(self.h))
+        object.__setattr__(self, "n", _count(self.n, "n"))
+        object.__setattr__(self, "m", _count(self.m, "m"))
         if len(self.f) != self.n:
             raise DimensionMismatch(f"expected {self.n} state updates, got {len(self.f)}")
         # the coordinates of the stacked point z = (x, u)
@@ -283,8 +284,7 @@ def _jacobian(plant: NonlinearPlant, exprs, z, mode: str, step: float) -> np.nda
         return plant._eval(derivatives, z, "plant Jacobian").reshape(len(exprs), z.size)
     if mode != "fd":
         raise InvalidArgument(f"mode must be 'analytic' or 'fd', got {mode!r}")
-    if not math.isfinite(step) or step <= 0:
-        raise StepTooSmall(f"finite-difference step must be positive, got {step}")
+    check_tolerance(step, "finite-difference step")
     scale = max(1.0, float(np.max(np.abs(np.concatenate([z, [0.0]])))))
     if step < 64 * np.finfo(float).eps * scale:
         raise StepTooSmall(f"step {step} below the safe minimum for scale {scale}")
@@ -312,7 +312,9 @@ def linearize(
     which vanish exactly at an equilibrium.  ``mode`` is either ``analytic``
     (exact differentiation of the expression trees) or ``fd`` (central
     differences with the given step); any other mode raises
-    :class:`InvalidArgument`.
+    :class:`InvalidArgument`, as does an ``fd`` step that is not positive
+    and finite.  A step below the safe minimum for the point raises
+    :class:`StepTooSmall`.
     """
     xbar, ubar, ybar = _check_point(plant, xbar, ubar, ybar)
     z = np.concatenate([xbar, ubar])

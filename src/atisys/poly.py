@@ -37,7 +37,7 @@ from math import gcd, isfinite, lcm
 from numbers import Integral
 from typing import Iterable
 
-from .errors import InvalidArgument, NonFiniteEntry
+from .errors import InvalidArgument, NonFiniteEntry, _count
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -90,7 +90,7 @@ class Poly:
     def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> "Poly":
         """The polynomial sum_k numerators[k] / denominator * x**k (denominator > 0)."""
         p = object.__new__(cls)
-        _settle(p, list(numerators), denominator)
+        _settle(p, list(numerators), _count(denominator, "denominator", 1))
         return p
 
     @classmethod
@@ -109,9 +109,7 @@ class Poly:
     @classmethod
     def x(cls, degree: int = 1) -> "Poly":
         """The monomial x**degree."""
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        return _make([0] * degree + [1], 1)
+        return _make([0] * _count(degree, "degree") + [1], 1)
 
     # -- structure ----------------------------------------------------
 
@@ -207,9 +205,7 @@ class Poly:
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
-        if not self.numerators:
-            return self
-        return _make([0] * k + list(self.numerators), self.denominator)
+        return _make([0] * _count(k, "shift") + list(self.numerators), self.denominator)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         """Quotient and remainder by fraction-free long division.
@@ -256,7 +252,7 @@ class Poly:
     def exact_div(self, other) -> "Poly":
         q, r = divmod(self, other)
         if not r.is_zero:
-            raise ValueError(f"{self!r} is not divisible by {other!r}")
+            raise InvalidArgument(f"{self!r} is not divisible by {other!r}")
         return q
 
     def divides(self, other: "Poly") -> bool:

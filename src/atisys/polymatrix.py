@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, ZeroMatrix
+from .errors import DimensionMismatch, ZeroMatrix, _count
 from .poly import Poly, _as_poly
 
 
@@ -47,7 +47,7 @@ class PolyMatrix:
         if grid and any(len(row) != len(grid[0]) for row in grid):
             raise DimensionMismatch("rows have differing lengths")
         object.__setattr__(self, "rows", grid)
-        object.__setattr__(self, "_ncols", len(grid[0]) if grid else ncols)
+        object.__setattr__(self, "_ncols", len(grid[0]) if grid else _count(ncols, "ncols"))
         object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):
@@ -61,10 +61,11 @@ class PolyMatrix:
 
     @classmethod
     def zeros(cls, g: int, q: int) -> "PolyMatrix":
-        return cls([[Poly.zero()] * q for _ in range(g)], ncols=q)
+        return cls([[Poly.zero()] * _count(q, "columns") for _ in range(_count(g, "rows"))], ncols=q)
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
+        n = _count(n, "n")
         return cls([[Poly.one() if i == j else Poly.zero() for j in range(n)] for i in range(n)])
 
     @classmethod

@@ -26,10 +26,11 @@ from .errors import (
     DepthExceedsLength,
     DimensionMismatch,
     EmptyTrajectory,
-    InvalidArgument,
     NonFiniteEntry,
     OutOfRange,
     ShiftTooLarge,
+    _count,
+    check_tolerance,
 )
 
 
@@ -71,10 +72,9 @@ class Trajectory:
             raise DimensionMismatch("trajectory must have at least one variable")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteEntry("trajectory contains non-finite entries")
-        if not 0 <= self.m <= arr.shape[1]:
-            raise DimensionMismatch(
-                f"input cardinality m={self.m} outside [0, q={arr.shape[1]}]"
-            )
+        object.__setattr__(self, "m", _count(self.m, "the input cardinality m"))
+        if self.m > arr.shape[1]:
+            raise DimensionMismatch(f"input cardinality m={self.m} outside [0, q={arr.shape[1]}]")
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != arr.shape[1]:
@@ -106,7 +106,7 @@ class Trajectory:
 
     def sample(self, t: int) -> np.ndarray:
         """Return w(t) for 1 <= t <= T."""
-        if not 1 <= t <= self.length:
+        if _count(t, "time", 1) > self.length:
             raise OutOfRange(f"time {t} outside [1, {self.length}]")
         return self.data[t - 1]
 
@@ -128,7 +128,7 @@ class HankelMatrix:
         arr = np.asarray(self.entries, dtype=float).copy()
         if arr.ndim != 2:
             raise DimensionMismatch("Hankel entries must form a matrix")
-        if arr.shape[0] != self.depth * self.block_rows:
+        if arr.shape[0] != _count(self.depth, "depth", 1) * _count(self.block_rows, "block_rows", 1):
             raise DimensionMismatch(
                 f"{arr.shape[0]} rows inconsistent with depth {self.depth} "
                 f"and block size {self.block_rows}"
@@ -142,7 +142,7 @@ class HankelMatrix:
 
     def column(self, j: int) -> np.ndarray:
         """Stacked window starting at time j (1-based)."""
-        if not 1 <= j <= self.columns:
+        if _count(j, "column", 1) > self.columns:
             raise OutOfRange(f"column {j} outside [1, {self.columns}]")
         return self.entries[:, j - 1]
 
@@ -153,19 +153,19 @@ def hankel(w: Trajectory, depth: int) -> HankelMatrix:
     Raises
     ------
     InvalidArgument
-        If ``depth < 1``.
+        If ``depth`` is not an integer of at least 1.
     DepthExceedsLength
         If ``depth > w.length``.
     """
-    _check_depth(w, depth)
+    depth = _check_depth(w, depth)
     return HankelMatrix(window_matrix(w.data, depth), depth=depth, block_rows=w.q)
 
 
-def _check_depth(w: Trajectory, depth: int):
-    if depth < 1:
-        raise InvalidArgument(f"depth must be >= 1, got {depth}")
+def _check_depth(w: Trajectory, depth: int) -> int:
+    depth = _count(depth, "depth", 1)
     if depth > w.length:
         raise DepthExceedsLength(f"depth {depth} exceeds trajectory length {w.length}")
+    return depth
 
 
 def window_matrix(data: np.ndarray, depth: int) -> np.ndarray:
@@ -184,13 +184,13 @@ def _augmented_windows(data: np.ndarray, depth: int) -> np.ndarray:
 
 
 def _factor(w: Trajectory, depth: int, mode: str):
-    """``np.linalg.qr`` of [1ᵀ; H_depth(w)]ᵀ: the one O(T) factorization."""
-    _check_depth(w, depth)
+    """``np.linalg.qr`` of [1ᵀ; H_depth(w)]ᵀ, the one O(T) factorization, at a checked depth."""
     return np.linalg.qr(_augmented_windows(w.data, depth), mode=mode)
 
 
 def _augmented_r(w: Trajectory, depth: int) -> np.ndarray:
     """R of [1ᵀ; H_depth(w)]ᵀ = QR, factored on first use and kept with ``w``."""
+    depth = _check_depth(w, depth)
     if depth not in w._factors:
         w._factors.setdefault(depth, _factor(w, depth, "r")).setflags(write=False)
     return w._factors[depth]
@@ -200,8 +200,9 @@ def _augmented_rank(w: Trajectory, depth: int, tol=None, factored: int | None = 
     """:func:`numerical_rank` of [H_depth(w); 1ᵀ], from the R kept at depth ``factored``:
     [1ᵀ; H_depth]ᵀ is [1ᵀ; H_factored]ᵀ (factored >= depth) cut to its first q*depth + 1
     columns, whose R is R's leading block, over the windows after the last long one."""
+    R = _augmented_r(w, depth if factored is None else factored)  # checks the depth first
     k = w.q * depth + 1
-    R = _augmented_r(w, depth if factored is None else factored)[:k, :k]
+    R = R[:k, :k]
     if factored not in (None, depth):
         R = np.vstack([R, _augmented_windows(w.data[w.length - factored + 1 :], depth)])
     svals = np.linalg.svd(R, compute_uv=False)
@@ -210,7 +211,7 @@ def _augmented_rank(w: Trajectory, depth: int, tol=None, factored: int | None = 
 
 def restrict(w: Trajectory, t0: int, t1: int) -> Trajectory:
     """Samples t0..t1 inclusive, keeping q, m and labels."""
-    if not (1 <= t0 <= t1 <= w.length):
+    if not _count(t0, "t0", 1) <= _count(t1, "t1", 1) <= w.length:
         raise OutOfRange(
             f"window [{t0}, {t1}] leaves the time axis [1, {w.length}]"
         )
@@ -219,9 +220,7 @@ def restrict(w: Trajectory, t0: int, t1: int) -> Trajectory:
 
 def shift(w: Trajectory, k: int) -> Trajectory:
     """Apply the shift operator k times: result(t) = w(t + k), length T - k."""
-    if k < 0:
-        raise OutOfRange(f"shift must be nonnegative, got {k}")
-    if k >= w.length:
+    if _count(k, "shift") >= w.length:
         raise ShiftTooLarge(f"shift {k} >= length {w.length}")
     return Trajectory(w.data[k:], m=w.m, labels=w.labels)
 
@@ -254,14 +253,8 @@ def numerical_rank(matrix, tol: float | None = None) -> RankResult:
     return RankResult(rank_of(svals, M.shape, tol), svals)
 
 
-def check_tolerance(tol: float) -> float:
-    """Return ``tol`` if it is positive and finite, else raise InvalidArgument."""
-    if not 0 < tol < np.inf:
-        raise InvalidArgument(f"tolerance must be positive and finite, got {tol}")
-    return tol
-
-
 def rank_of(svals: np.ndarray, shape: Sequence[int], tol: float | None = None) -> int:
     """The cut of :func:`numerical_rank` applied to given singular values."""
-    tol = default_rank_tolerance(shape) if tol is None else check_tolerance(tol)
+    # a cut at sigma_max or above keeps nothing, and tol * sigma_max could overflow
+    tol = default_rank_tolerance(shape) if tol is None else min(check_tolerance(tol), 1)
     return int(np.count_nonzero(svals > tol * svals[0])) if svals[0] > 0 else 0
