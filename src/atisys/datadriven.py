@@ -258,7 +258,7 @@ def recover_kernel(
                 "the exact method cannot read them"
             )
         S = ones_augmented(H).T
-        rows = S.astype(np.int64).tolist() if np.array_equal(S, np.trunc(S)) else S  # read once
+        rows = S.astype(np.int64) if np.array_equal(S, np.trunc(S)) else S
         null_rows = list(exactla._null_vectors(rows, qL + 1).values())
         rank, kind = qL + 1 - len(null_rows), "exact"
     else:

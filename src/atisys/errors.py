@@ -4,16 +4,18 @@ Every error raised on a documented failure path derives from
 :class:`AtisysError`, so callers (and the CLI) can distinguish data/usage
 problems from conditions that merely evaluate to false.
 
-A count (depth, order, length, horizon, degree, shift, variable count) is
-read by :func:`_count`: a Python or numpy integer, not a bool, of at least its
-minimum.  A tolerance (rank or residual tolerance, finite-difference step) is
+A count (depth, order, length, horizon, degree, shift, variable count,
+coefficient power) is read by :func:`_count`: a Python or numpy integer, not
+a bool, of at least its minimum.  A tolerance (rank or residual tolerance, finite-difference step) is
 read by :func:`check_tolerance`: a real number, not a bool, positive and
 finite.  Anything else is an :class:`InvalidArgument` (a FormatError when a
 file holds it).  Upper bounds set by the data keep their own types
 (:class:`DepthExceedsLength`, :class:`OutOfRange`, :class:`ShiftTooLarge`,
-:class:`DimensionMismatch`).  Out of scope: arguments that must be a model,
-trajectory or kernel (``lift(2.5)`` raises AttributeError), and the size of
-a valid count (``PolyMatrix.zeros(10**9, 1)`` builds 10**9 rows).
+:class:`DimensionMismatch`), and division by the zero polynomial is a
+:class:`ZeroDivisor`.  Out of scope: arguments that must be a model,
+trajectory or kernel (``lift(2.5)`` raises AttributeError), the indices of
+``PolyMatrix.entry``, which index as Python does, and the size of a valid
+count (``PolyMatrix.zeros(10**9, 1)`` builds 10**9 rows).
 """
 
 from math import inf
@@ -26,6 +28,10 @@ class AtisysError(Exception):
 
 class InvalidArgument(AtisysError, ValueError):
     """An argument lies outside its documented domain (tolerance, order, method)."""
+
+
+class ZeroDivisor(AtisysError, ZeroDivisionError):
+    """A polynomial is divided by the zero polynomial."""
 
 
 class EmptyTrajectory(AtisysError):

@@ -29,20 +29,24 @@ with -1 in b's column; a scaled row and its scaled right-hand side give the
 same solution.  Every returned entry is a :class:`fractions.Fraction`.
 
 ``null_space`` of a tall matrix (more than ``ncols + 1`` rows, such as the
-transposed data matrix of exact kernel recovery) eliminates only its first
-``ncols + 1`` rows and checks that block's basis against the other rows by
-exact integer dot products.  Rows it misses join the block's echelon rows
-for one more elimination, whose null space lies inside the first and so
-annihilates every row.  Either way the null space is the whole matrix's,
-and the canonical basis it returns depends on nothing else, so the result
-is identical to eliminating every row; the worst case costs one small
-elimination more.
+transposed data matrix of exact kernel recovery) reads only its first
+``ncols + 1`` rows into Python integers and eliminates them.  It checks that
+block's basis against the other rows with one product: in int64 when the
+matrix is an int64 array and ncols·max|y|·max|entry| < 2**63, so that no
+partial sum overflows, and in Python integers (an object array) otherwise.
+Rows it misses join the block's echelon rows for one more elimination, whose
+null space lies inside the first and so annihilates every row.  Either way
+the null space is the whole matrix's, and the canonical basis it returns
+depends on nothing else, so the result is identical to eliminating every
+row; the worst case costs one small elimination more.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isfinite, lcm
+
+import numpy as np
 
 from .poly import _ratio
 
@@ -151,29 +155,30 @@ def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
     spaces, hence the same pivot columns and the same vectors, whatever the
     order or number of the rows that produced them.
 
-    A tall matrix is eliminated in two steps.  The first ``ncols + 1`` rows
-    are eliminated and their basis is checked against every other row by
-    exact integer dot products.  If no row is missed, that basis annihilates
-    the whole matrix and is returned.  Otherwise the missed rows join the
-    block's echelon rows and the block is eliminated once more; its null
-    space lies inside the first, which already annihilates the rows not
-    missed, so the second basis is the null space of the whole matrix.
+    A tall matrix is eliminated in two steps (module docstring).
     """
     return [[Fraction(v, y[free]) for v in y] for free, y in _null_vectors(matrix, ncols).items()]
 
 
 def _null_vectors(matrix, ncols: int | None) -> dict[int, list[int]]:
     """:func:`null_space`'s basis as integer vectors y over y[free], keyed by free."""
-    M = _integer_rows(_rows(matrix))
     if ncols is None:
-        if not M:
+        if not len(matrix):
             raise ValueError("column count required for an empty matrix")
-        ncols = len(M[0])
-    block, rest = M[: ncols + 1], M[ncols + 1 :]
+        ncols = len(_rows(matrix[:1])[0])
+    block, rest = _integer_rows(_rows(matrix[: ncols + 1])), matrix[ncols + 1 :]
     pivots, basis = _null_basis(block, ncols)
-    missed = _missed_rows(basis.values(), rest)
-    if missed:
-        _, basis = _null_basis(block[: len(pivots)] + missed, ncols)
+    if not basis or not len(rest):
+        return basis
+    if not (isinstance(rest, np.ndarray) and rest.dtype == np.int64):
+        rest = np.array(_integer_rows(_rows(rest)), dtype=object)
+    vectors = list(basis.values())
+    bound = ncols * max(abs(v) for y in vectors for v in y) * max(int(rest.max()), -int(rest.min()))
+    dtype = np.int64 if rest.dtype == np.int64 and bound < 2**63 else object
+    products = rest.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T
+    missed = np.flatnonzero((products != 0).any(axis=1))
+    if len(missed):
+        _, basis = _null_basis(block[: len(pivots)] + _integer_rows(_rows(rest[missed])), ncols)
     return basis
 
 
@@ -184,25 +189,6 @@ def _null_basis(M: Matrix, ncols: int) -> tuple[list[int], dict[int, list[int]]]
     pivot_set = set(pivots)
     free = (c for c in range(ncols) if c not in pivot_set)
     return pivots, {c: _null_vector(M, pivots, c, ncols) for c in free}
-
-
-def _missed_rows(vectors, rows: Matrix) -> Matrix:
-    """The integer rows that some integer null vector does not annihilate.
-
-    Each vector's dot products with all rows are accumulated a column at a
-    time.
-    """
-    if not vectors or not rows:
-        return []
-    columns = list(zip(*rows))
-    missed: set[int] = set()
-    for y in vectors:
-        acc = [0] * len(rows)
-        for a, column in zip(y, columns):
-            if a:
-                acc = [s + a * v for s, v in zip(acc, column)]
-        missed.update(i for i, s in enumerate(acc) if s)
-    return [rows[i] for i in sorted(missed)]
 
 
 def solve(matrix, rhs) -> list[Fraction] | None:

@@ -5,14 +5,15 @@ sigma is the time shift.  Unlike the offset-free case, such a set can be
 empty: every polynomial row dependency (syzygy) of R imposes a constraint on
 c, and consistency holds exactly when all of them are met.  Every decision
 reads one weak Popov reduction of [R | I], kept with R
-(:meth:`PolyMatrix.popov_reduction`, described in :mod:`atisys.polymatrix`).
+(:meth:`PolyMatrix.popov_reduction`, described in :mod:`atisys.polymatrix`),
+and each representation keeps the minimal form that :func:`minimize` builds.
 Everything here runs in exact rational arithmetic; floating point enters
 only when a representation is applied to measured data windows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
@@ -34,10 +35,12 @@ OffsetVector = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class AffineKernelRep:
-    """Polynomial matrix R (g x q) with a constant offset vector c (length g)."""
+    """Polynomial matrix R (g x q) with a constant offset vector c (length g),
+    and the kept result of :func:`minimize` (never compared, hashed or copied)."""
 
     R: PolyMatrix
     c: OffsetVector
+    _minimal: "AffineKernelRep | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(_fraction(v) for v in self.c))
@@ -45,6 +48,9 @@ class AffineKernelRep:
             raise DimensionMismatch(
                 f"offset length {len(self.c)} != row count {self.R.shape[0]}"
             )
+
+    def __reduce__(self):  # copies and pickles rebuild from R and c alone
+        return (AffineKernelRep, (self.R, self.c))
 
     @property
     def g(self) -> int:
@@ -118,9 +124,11 @@ def consistent_constant(rep: AffineKernelRep) -> bool:
     A constant sequence is fixed by the shift, so each syzygy constraint
     lambda(sigma) c = 0 collapses to the scalar test at 1, and lambda(1) c is
     linear in lambda, so it suffices that the generators of
-    :func:`syzygy_basis` pass.
+    :func:`syzygy_basis` pass; they are integral, so c is put over one denominator.
     """
-    return not any(sum(e(1) * v for e, v in zip(lam, rep.c)) for lam in syzygy_basis(rep.R))
+    scale = lcm(*(v.denominator for v in rep.c))
+    c = [v.numerator * (scale // v.denominator) for v in rep.c]
+    return not any(sum(sum(e.numerators) * v for e, v in zip(lam, c)) for lam in syzygy_basis(rep.R))
 
 
 def consistent_sequence(R: PolyMatrix, c: OffsetSequence) -> bool:
@@ -190,8 +198,14 @@ def minimize(rep: AffineKernelRep) -> AffineKernelRep:
     The reduction U [R | I] of :meth:`PolyMatrix.popov_reduction` sends the
     offset to U(1) c; the entries against the rows whose R part vanished,
     lambda(1) c, must vanish, or the representation was inconsistent to begin
-    with.
+    with.  The result is kept with ``rep``; an inconsistent ``rep`` raises on every call.
     """
+    if rep._minimal is None:
+        object.__setattr__(rep, "_minimal", _minimal_form(rep))
+    return rep._minimal
+
+
+def _minimal_form(rep: AffineKernelRep) -> AffineKernelRep:
     if not consistent_constant(rep):
         raise InconsistentRepresentation(
             "zero rows of the reduced matrix carry nonzero offsets"

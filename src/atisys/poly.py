@@ -37,7 +37,7 @@ from math import gcd, isfinite, lcm
 from numbers import Integral
 from typing import Iterable
 
-from .errors import InvalidArgument, NonFiniteEntry, _count
+from .errors import InvalidArgument, NonFiniteEntry, ZeroDivisor, _count
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -139,7 +139,7 @@ class Poly:
         return Fraction(self.numerators[-1], self.denominator)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.numerators):
+        if _count(k, "k") < len(self.numerators):
             return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
 
@@ -208,38 +208,10 @@ class Poly:
         return _make([0] * _count(k, "shift") + list(self.numerators), self.denominator)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
-        """Quotient and remainder by fraction-free long division.
-
-        Each step cancels the top remainder coefficient r against the
-        divisor's leading numerator b: with g = gcd(r, b), the remainder and
-        the quotient so far are multiplied by |b|/g and (r/g)·sign(b) times the
-        shifted divisor is subtracted.  Throughout, s·A = Q·B + R on the
-        integer numerators, s being the product of the multipliers, so the
-        rational quotient is Q·db / (s·da) and the remainder R / (s·da).  A
-        divisor with a unit leading numerator never scales anything.
-        """
+        """Quotient Q·db / (s·da) and remainder R / (s·da), from s·A = Q·B + R
+        of :func:`_pseudo_divide` on the numerators."""
         other = _as_poly(other)
-        B = other.numerators
-        if not B:
-            raise ZeroDivisionError("polynomial division by zero")
-        d, lead = len(B) - 1, B[-1]
-        R = list(self.numerators)
-        Q = [0] * max(0, len(R) - d)
-        s = 1
-        while len(R) > d:
-            top = R.pop()
-            if not top:
-                continue
-            g = gcd(top, lead)
-            m, f = (lead // g, top // g) if lead > 0 else (-lead // g, -top // g)
-            if m != 1:
-                R = [m * v for v in R]
-                Q = [m * v for v in Q]
-                s *= m
-            k = len(R) - d
-            Q[k] = f
-            for i in range(d):
-                R[k + i] -= f * B[i]
+        s, Q, R = _pseudo_divide(self.numerators, other.numerators)
         den = s * self.denominator
         return _make([v * other.denominator for v in Q], den), _make(R, den)
 
@@ -321,6 +293,36 @@ class Poly:
         for term in terms[1:]:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
         return out
+
+
+def _pseudo_divide(A, B) -> tuple[int, list[int], list[int]]:
+    """s > 0, Q and R with s·A = Q·B + R and deg R < deg B, for integer
+    coefficient lists.  Each step cancels the top remainder coefficient r
+    against B's leading b: with g = gcd(r, b), the remainder and the quotient
+    so far are multiplied by |b|/g (s collects these) and (r/g)·sign(b) times
+    the shifted B is subtracted.  A unit leading b never scales anything.
+    """
+    if not B:
+        raise ZeroDivisor("polynomial division by zero")
+    d, lead = len(B) - 1, B[-1]
+    R = list(A)
+    Q = [0] * max(0, len(R) - d)
+    s = 1
+    while len(R) > d:
+        top = R.pop()
+        if not top:
+            continue
+        g = gcd(top, lead)
+        m, f = (lead // g, top // g) if lead > 0 else (-lead // g, -top // g)
+        if m != 1:
+            R = [m * v for v in R]
+            Q = [m * v for v in Q]
+            s *= m
+        k = len(R) - d
+        Q[k] = f
+        for i in range(d):
+            R[k + i] -= f * B[i]
+    return s, Q, R
 
 
 def _settle(p: Poly, nums: list[int], den: int) -> None:

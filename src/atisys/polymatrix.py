@@ -18,11 +18,14 @@ polynomial matrices", J. Symbolic Comput. 35(4), 2003) reduces the rows of
 [M | I] until no two nonzero M parts lead at one position.  The surviving M
 parts are then made Popov, canonical for their row module (Kailath, *Linear
 Systems*, 1980), and the I parts of the rows whose M part vanished span the
-left syzygies of M.  :meth:`PolyMatrix.popov_reduction` returns the result
-as a :class:`PopovReduction` and keeps it with the matrix (``_reduced``), so
-every exact decision on one matrix pays for the reduction once.  The memo
-is private, never compared, hashed or copied, and lives only as long as the
-matrix.
+left syzygies of M.  It runs fraction-free (Beckermann, Labahn & Villard,
+J. Symbolic Comput. 41(6), 2006) on integer rows: each row is the primitive
+positive multiple of its rational row, as coefficient lists, a step is
+a·row - f·other (a > 0) and one content division, and :class:`Poly` objects
+are built only for the result.  :meth:`PolyMatrix.popov_reduction` returns it
+as a :class:`PopovReduction` and keeps it with the matrix (``_reduced``,
+private, never compared, hashed or copied), so every exact decision on one
+matrix pays for the reduction once.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, ZeroMatrix, _count
-from .poly import Poly, _as_poly
+from .poly import Poly, _as_poly, _pseudo_divide
 
 
 class PolyMatrix:
@@ -96,6 +99,7 @@ class PolyMatrix:
         return self.rows[i][j]
 
     def coefficient_block(self, k: int) -> list[list[Fraction]]:
+        k = _count(k, "k")
         return [[e.coefficient(k) for e in row] for row in self.rows]
 
     def coefficient_blocks(self) -> list[list[list[Fraction]]]:
@@ -233,9 +237,9 @@ class PolyMatrix:
 
     def weak_popov_degrees(self) -> tuple[int, ...]:
         """The row degrees of a weak Popov form of M, -1 for a row that vanished."""
-        rows = [list(row) for row in self.rows]
+        rows = [_integer_row(row) for row in self.rows]
         _weak_popov(rows, self._ncols)
-        return tuple(max((e.degree for e in row), default=-1) for row in rows)
+        return tuple(max(map(len, row), default=0) - 1 for row in rows)
 
 
 def _identity_augmented(matrix: PolyMatrix) -> list[list[Poly]]:
@@ -350,35 +354,64 @@ class PopovReduction(NamedTuple):
 
 def _reduce(matrix: PolyMatrix) -> PopovReduction:
     q = matrix.shape[1]
-    rows = _identity_augmented(matrix)
+    rows = [_integer_row(row) for row in _identity_augmented(matrix)]
     _weak_popov(rows, q)
     kept = _popov([row for row in rows if any(row[:q])], q)
     return PopovReduction(
-        popov=tuple(tuple(row[:q]) for row in kept),
-        at_one=tuple(tuple(e(1) for e in row[q:]) for row in kept),
+        popov=tuple(tuple(Poly.from_numerators(e, lead) for e in row[:q]) for lead, row in kept),
+        at_one=tuple(tuple(Fraction(sum(e), lead) for e in row[q:]) for lead, row in kept),
         syzygies=tuple(
-            tuple(_clear_denominators(row[q:])) for row in rows if not any(row[:q])
+            tuple(Poly.from_numerators(e) for e in row[q:]) for row in rows if not any(row[:q])
         ),
     )
 
 
-def _leading(row: Sequence[Poly], width: int) -> tuple[int, int] | None:
+def _integer_row(polys: Sequence[Poly]) -> list[list[int]]:
+    """A row of polynomials as coefficient lists: its primitive positive integer multiple."""
+    den = lcm(*(p.denominator for p in polys))
+    return _primitive([[n * (den // p.denominator) for n in p.numerators] for p in polys])
+
+
+def _primitive(row: list[list[int]]) -> list[list[int]]:
+    content = gcd(*(v for e in row for v in e))
+    return [[v // content for v in e] for e in row] if content > 1 else row
+
+
+def _subtract(row: list[list[int]], a: int, factor: list[int], other: list[list[int]]) -> list[list[int]]:
+    """a·row - factor·other (a > 0, factor a coefficient list) over its content."""
+    out = []
+    for e, f in zip(row, other):
+        if f:
+            e = [a * v for v in e] + [0] * (len(factor) + len(f) - 1 - len(e))
+            for s, c in enumerate(factor):
+                if c:
+                    for t, v in enumerate(f):
+                        e[s + t] -= c * v
+            while e and not e[-1]:
+                e.pop()
+        elif a != 1 and e:
+            e = [a * v for v in e]
+        out.append(e)
+    return _primitive(out)
+
+
+def _leading(row: list[list[int]], width: int) -> tuple[int, int] | None:
     """Degree and position of the rightmost entry of maximal degree among the
     first ``width`` entries, or among the rest once those are zero."""
     for part in (range(width), range(width, len(row))):
-        degree = max((row[j].degree for j in part), default=-1)
-        if degree >= 0:
-            return degree, max(j for j in part if row[j].degree == degree)
+        size = max((len(row[j]) for j in part), default=0)
+        if size:
+            return size - 1, max(j for j in part if len(row[j]) == size)
     return None
 
 
-def _weak_popov(rows: list[list[Poly]], width: int) -> None:
-    """Reduce rows in place until no two nonzero rows lead at one position.
+def _weak_popov(rows: list[list[list[int]]], width: int) -> None:
+    """Reduce integer rows in place until no two nonzero rows lead at one position.
 
-    Of two rows leading at one position, the one of higher degree loses its
-    leading term to a monomial multiple of the other, so its degree drops or
-    its leading position moves left, and no degree grows.  On exit the
-    nonzero rows are row reduced.
+    Of two rows leading at one position, the one of higher degree becomes
+    a·row - b·x^s·other, a/b the other's leading coefficient over its own in
+    lowest terms, a > 0: its degree drops or its leading position moves left,
+    and no degree grows.  On exit the nonzero rows are row reduced.
     """
     lead = [_leading(row, width) for row in rows]
     owner: dict[int, int] = {}
@@ -390,35 +423,32 @@ def _weak_popov(rows: list[list[Poly]], width: int) -> None:
                 break
             if lead[k][0] > lead[i][0]:  # the owner is the one to reduce
                 owner[j], i, k = i, k, i
-            factor = rows[i][j].leading_coefficient / rows[k][j].leading_coefficient
-            monomial = Poly.x(lead[i][0] - lead[k][0]).scale(factor)
-            rows[i] = _subtract_multiple(rows[i], monomial, rows[k])
+            a, b = rows[k][j][-1], rows[i][j][-1]
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            monomial = [0] * (lead[i][0] - lead[k][0]) + [b // g]
+            rows[i] = _subtract(rows[i], a // g, monomial, rows[k])
             lead[i] = _leading(rows[i], width)
 
 
-def _popov(rows: list[list[Poly]], width: int) -> list[list[Poly]]:
-    """Weak Popov rows made Popov: each row reduced by the first other row
-    whose leading entry still reduces it, until none does (the terms brought
-    in lie below those cancelled, so every leading entry stays), then scaled
-    monic and sorted by leading position."""
+def _popov(rows: list[list[list[int]]], width: int) -> list[tuple[int, list[list[int]]]]:
+    """Weak Popov rows made Popov: each row becomes s·row - Q·other, s·A = Q·B + R
+    pseudo-dividing its entry A by the leading entry B of the first other row
+    that still reduces it, until none does (the terms brought in lie below
+    those cancelled, so every leading entry stays).  Returned sorted by
+    leading position, each with its leading coefficient made positive."""
     lead = [_leading(row, width) for row in rows]
     for i in range(len(rows)):
         while True:
             # the first other row whose leading position still reduces row i
-            k = next((k for k, (d, j) in enumerate(lead) if k != i and rows[i][j].degree >= d), None)
+            k = next((k for k, (d, j) in enumerate(lead) if k != i and len(rows[i][j]) > d), None)
             if k is None:
                 break
             j = lead[k][1]
-            rows[i] = _subtract_multiple(rows[i], rows[i][j] // rows[k][j], rows[k])
-    return [
-        [e.scale(1 / row[j].leading_coefficient) for e in row]
-        for (_, j), row in sorted(zip(lead, rows), key=lambda pair: pair[0][1])
-    ]
-
-
-def _clear_denominators(polys: Sequence[Poly]) -> list[Poly]:
-    """Scale a row of polynomials to integer coefficients with content 1."""
-    den = lcm(*(p.denominator for p in polys))
-    rows = [[n * (den // p.denominator) for n in p.numerators] for p in polys]
-    content = gcd(*(n for row in rows for n in row)) or 1
-    return [Poly.from_numerators([n // content for n in row]) for row in rows]
+            s, quotient, _ = _pseudo_divide(rows[i][j], rows[k][j])
+            rows[i] = _subtract(rows[i], s, quotient, rows[k])
+    kept = []
+    for (_, j), row in sorted(zip(lead, rows), key=lambda pair: pair[0][1]):
+        if row[j][-1] < 0:
+            row = [[-v for v in e] for e in row]
+        kept.append((row[j][-1], row))
+    return kept

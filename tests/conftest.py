@@ -1,6 +1,8 @@
 """Shared generators for randomized suites, and the references they compare
-against: the exact left null space and row-Hermite form, and the affine
-least-squares solve that the data-driven fits replaced.
+against: the exact left null space, the row-Hermite form, the weak Popov
+reduction on rows of rational polynomials that the integer-row reduction
+replaced, and the affine least-squares solve that the data-driven fits
+replaced.
 
 All randomness flows through explicitly seeded numpy generators so every
 suite is reproducible run to run.
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from atisys import (
     pe_order_affine,
     simulate,
 )
+from atisys.polymatrix import PopovReduction
 
 
 @pytest.fixture
@@ -214,6 +218,80 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
                 M[i] = _subtract_multiple(M[i], M[i][col] // M[r][col], M[r])
     H = PolyMatrix([row[:q] for row in M])
     return RowHermite(H, PolyMatrix([row[q:] for row in M]), tuple(pivots))
+
+
+def _leading(row, width):
+    for part in (range(width), range(width, len(row))):
+        degree = max((row[j].degree for j in part), default=-1)
+        if degree >= 0:
+            return degree, max(j for j in part if row[j].degree == degree)
+    return None
+
+
+def _weak_popov(rows, width):
+    """Reference weak Popov reduction on rows of rational polynomials: of two
+    rows leading at one position, the one of higher degree loses its leading
+    term to a rational monomial multiple of the other."""
+    lead = [_leading(row, width) for row in rows]
+    owner = {}
+    for i in range(len(rows)):
+        while lead[i] is not None:
+            j = lead[i][1]
+            k = owner.setdefault(j, i)
+            if k == i:
+                break
+            if lead[k][0] > lead[i][0]:
+                owner[j], i, k = i, k, i
+            factor = rows[i][j].leading_coefficient / rows[k][j].leading_coefficient
+            monomial = Poly.x(lead[i][0] - lead[k][0]).scale(factor)
+            rows[i] = _subtract_multiple(rows[i], monomial, rows[k])
+            lead[i] = _leading(rows[i], width)
+
+
+def _popov(rows, width):
+    """Reference Popov step: each row reduced by the rational quotient of the
+    first other row whose leading entry still reduces it, then made monic and
+    sorted by leading position."""
+    lead = [_leading(row, width) for row in rows]
+    for i in range(len(rows)):
+        while True:
+            k = next((k for k, (d, j) in enumerate(lead) if k != i and rows[i][j].degree >= d), None)
+            if k is None:
+                break
+            j = lead[k][1]
+            rows[i] = _subtract_multiple(rows[i], rows[i][j] // rows[k][j], rows[k])
+    return [
+        [e.scale(1 / row[j].leading_coefficient) for e in row]
+        for (_, j), row in sorted(zip(lead, rows), key=lambda pair: pair[0][1])
+    ]
+
+
+def _clear_denominators(polys):
+    den = lcm(*(p.denominator for p in polys))
+    rows = [[n * (den // p.denominator) for n in p.numerators] for p in polys]
+    content = gcd(*(n for row in rows for n in row)) or 1
+    return [Poly.from_numerators([n // content for n in row]) for row in rows]
+
+
+def popov_reduction_reference(matrix: PolyMatrix) -> PopovReduction:
+    """:meth:`PolyMatrix.popov_reduction` on rows of rational polynomials."""
+    g, q = matrix.shape
+    unit = PolyMatrix.identity(g).rows
+    rows = [[*row, *e] for row, e in zip(matrix.rows, unit)]
+    _weak_popov(rows, q)
+    kept = _popov([row for row in rows if any(row[:q])], q)
+    return PopovReduction(
+        popov=tuple(tuple(row[:q]) for row in kept),
+        at_one=tuple(tuple(e(1) for e in row[q:]) for row in kept),
+        syzygies=tuple(tuple(_clear_denominators(row[q:])) for row in rows if not any(row[:q])),
+    )
+
+
+def weak_popov_degrees_reference(matrix: PolyMatrix) -> tuple[int, ...]:
+    """:meth:`PolyMatrix.weak_popov_degrees` on rows of rational polynomials."""
+    rows = [list(row) for row in matrix.rows]
+    _weak_popov(rows, matrix.shape[1])
+    return tuple(max((e.degree for e in row), default=-1) for row in rows)
 
 
 # -- float references ----------------------------------------------------

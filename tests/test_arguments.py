@@ -63,7 +63,7 @@ from atisys import (
     state_var,
 )
 from atisys.cli import main
-from atisys.errors import AtisysError
+from atisys.errors import AtisysError, InvalidArgument
 from atisys.scenario import reference_input, reference_system
 
 SYS = reference_system()
@@ -143,6 +143,9 @@ ARGUMENTS = {
     "Poly.x(degree)": Count(Poly.x, 0),
     "Poly.shift(k)": Count(lambda v: Poly([1, 2]).shift(v), 0),
     "Poly.shift(k) of zero": Count(lambda v: Poly.zero().shift(v), 0),
+    # a power beyond the degree is a zero coefficient, not an error
+    "Poly.coefficient(k)": Count(lambda v: Poly([1, 2]).coefficient(v), 0),
+    "PolyMatrix.coefficient_block(k)": Count(lambda v: PolyMatrix([[Poly([1, 2])]]).coefficient_block(v), 0),
     "PolyMatrix(ncols)": Count(lambda v: PolyMatrix([], ncols=v), 0),
     "PolyMatrix.zeros(g)": Count(lambda v: PolyMatrix.zeros(v, 2), 0),
     "PolyMatrix.zeros(q)": Count(lambda v: PolyMatrix.zeros(2, v), 0),
@@ -193,12 +196,10 @@ ARGUMENTS = {
     ),
 }
 
-# accessors index as Python does, and result records hold what a procedure computed
+# entry indices are Python indices, and result records hold what a procedure computed
 NOT_READ = {
-    "Poly.coefficient(k)",
     "PolyMatrix.entry(i)",
     "PolyMatrix.entry(j)",
-    "PolyMatrix.coefficient_block(k)",
     *(f"IntegerInvariants({name})" for name in ("m", "n", "ell", "n_verbatim", "ell_verbatim")),
 }
 COUNT_NAMES = {"depth", "order", "n", "m", "d_L", "t_max", "horizon", "degree", "k", "length", "g", "q",
@@ -270,6 +271,15 @@ def test_every_count_and_tolerance_argument_is_fuzzed():
     fuzzed = {label.split(" ")[0] for label in ARGUMENTS} | NOT_READ
     names = COUNT_NAMES | TOLERANCE_NAMES
     assert [arg for arg, param in _public_arguments() if param in names and arg not in fuzzed] == []
+
+
+def test_coefficient_powers_read_as_counts():
+    p = Poly([1, 2])
+    assert [p.coefficient(k) for k in (0, 1, 2, np.int64(1), 10**30)] == [1, 2, 0, 2, 0]
+    assert PolyMatrix([[p, Poly.x(3)]]).coefficient_block(np.uint8(3)) == [[0, 1]]
+    for k in (2.5, -1, "3", True):
+        with pytest.raises(InvalidArgument):
+            p.coefficient(k)
 
 
 def test_numpy_integers_read_as_plain_ints():

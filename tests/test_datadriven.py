@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from atisys.errors import (
     InvalidArgument,
     NotConverged,
 )
-from atisys import trajectories
+from atisys import datadriven, exactla, trajectories
 from atisys.excitation import ones_augmented
 from atisys.scenario import reference_input, reference_system
 from conftest import (
@@ -323,6 +325,59 @@ class TestRecoverKernel:
             accept_kernel = float(np.max(np.abs(behavior_apply(kernel, window)))) <= 1e-6
             accept_span = membership(rep, window.ravel(), tol=1e-6).is_member
             assert accept_kernel == accept_span
+
+
+def quarter_turn_record(offset: int, quiet: int, seed: int = 0, T: int = 40) -> Trajectory:
+    """An integer record of A = [[0, 1], [-1, 0]], B = [0; 1], C = [1 0],
+    E = [1, 0] and F = offset, whose input is zero for the first ``quiet``
+    samples and drawn from [-3, 3] after them."""
+    sys = AffineStateSpace([[0, 1], [-1, 0]], [[0], [1]], [[1, 0]], [[0]], [1, 0], [offset])
+    u = np.random.default_rng(seed).integers(-3, 4, (T, 1))
+    u[:quiet] = 0
+    u = Trajectory.inputs(u)
+    return simulate(sys, np.zeros(2), u).io(u)
+
+
+class TestExactRecoveryCheck:
+    """Exact recovery eliminates the first qL + 2 rows of [H; 1^T]^T and checks
+    the rest with one product, in int64 or in Python integers; every branch
+    must give the null space of the whole matrix."""
+
+    @pytest.mark.parametrize(
+        "offset, quiet, python_ints, missed",
+        [
+            (2**50 - 1, 0, True, False),  # entries near 2**50: the product overflows int64
+            (1, 0, False, False),
+            (1, 12, False, True),  # a block of zero-input windows misses the input's law
+            (2**50 - 1, 12, True, True),
+        ],
+    )
+    def test_matches_the_null_space_of_every_row(self, monkeypatch, offset, quiet, python_ints, missed):
+        depth = 3
+        w = quarter_turn_record(offset, quiet)
+        rows = [[int(v) for v in row] for row in ones_augmented(hankel(w, depth).entries).T]
+        ncols = len(rows[0])
+        _, everything = exactla._null_basis(exactla._integer_rows(rows), ncols)
+        bound = ncols * max(abs(v) for y in everything.values() for v in y) * max(map(abs, sum(rows, [])))
+        assert (bound >= 2**63) == python_ints
+
+        eliminations = []
+        null_basis = exactla._null_basis
+        monkeypatch.setattr(exactla, "_null_basis", lambda M, n: eliminations.append(len(M)) or null_basis(M, n))
+        kernel = recover_kernel(DataDrivenRep(w, depth), n=2, method="exact")
+        assert len(eliminations) == 1 + missed and eliminations[0] == ncols + 1
+
+        expected = datadriven._kernel_from_rows(exactla._integer_rows(exactla.null_space(rows, ncols)), 2, depth)
+        assert kernel == expected
+        assert kernel == datadriven._kernel_from_rows(list(everything.values()), 2, depth)
+        assert kernel.g == 1  # p L - n
+
+    def test_a_product_that_wraps_to_zero_in_int64_still_counts(self):
+        # the block's null vector (-1, 2) meets the last row in -2**64, which
+        # int64 arithmetic wraps to 0; the row leaves no null space
+        M = np.array([[2, 1], [4, 2], [6, 3], [0, -(2**63)]], dtype=np.int64)
+        assert exactla.null_space(M[:3], 2) == [[Fraction(-1, 2), 1]]
+        assert exactla.null_space(M, 2) == []
 
 
 class TestInvariants:

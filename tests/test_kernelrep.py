@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +23,16 @@ from atisys import (
     smith_form,
     syzygy_basis,
 )
-from atisys import exactla, polymatrix
+from atisys import exactla, kernelrep, polymatrix
 from atisys.errors import AtisysError, DimensionMismatch, InconsistentRepresentation, WindowTooShort
-from conftest import left_null_space, random_poly_matrix, random_unimodular, row_hermite
+from conftest import (
+    left_null_space,
+    popov_reduction_reference,
+    random_poly_matrix,
+    random_unimodular,
+    row_hermite,
+    weak_popov_degrees_reference,
+)
 
 X = Poly.x()
 
@@ -423,6 +432,45 @@ class TestReductionMemo:
         assert len(reduced) == len(instances)
         assert all(any(m is instance for m in reduced) for instance in instances)
 
+    def test_one_minimal_form_per_rep(self, monkeypatch):
+        minimized = []
+        body = kernelrep._minimal_form
+
+        def counting(rep):
+            minimized.append(rep)
+            return body(rep)
+
+        monkeypatch.setattr(kernelrep, "_minimal_form", counting)
+        R = deficient_matrix()
+        rep = AffineKernelRep(R, consistent_offset(R, [1, 2, -1]))
+        other = AffineKernelRep(PolyMatrix(R.rows), rep.c)
+        assert minimize(rep) is minimize(rep)
+        assert equivalent(rep, other) and equivalent(other, rep)
+        assert lag_of(rep) == lag_of(other) == 1
+        assert controllable_kernel(rep) and controllable_kernel(other)
+        assert [id(r) for r in minimized] == [id(rep), id(other)]
+
+    def test_copies_carry_no_minimal_form(self):
+        R = deficient_matrix()
+        rep = AffineKernelRep(R, consistent_offset(R, [1, 2, -1]))
+        small = minimize(rep)
+        for duplicate in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+            assert duplicate == rep and hash(duplicate) == hash(rep)
+            assert duplicate._minimal is None
+            assert minimize(duplicate) == small and minimize(duplicate) is not small
+        assert repr(rep) == repr(copy.copy(rep))
+
+    def test_inconsistent_rep_raises_on_every_call(self, monkeypatch):
+        calls = []
+        body = kernelrep._minimal_form
+        monkeypatch.setattr(kernelrep, "_minimal_form", lambda rep: calls.append(rep) or body(rep))
+        rep = AffineKernelRep(deficient_matrix(), (0, 1))
+        for _ in range(2):
+            for decision in (minimize, lag_of, controllable_kernel, lambda r: equivalent(r, r)):
+                with pytest.raises(InconsistentRepresentation):
+                    decision(rep)
+        assert len(calls) == 8 and rep._minimal is None
+
     def test_returned_basis_is_the_callers(self):
         R = deficient_matrix()
         basis = syzygy_basis(R)
@@ -580,6 +628,56 @@ class TestReductionOracles:
         rep = AffineKernelRep(R, consistent_offset(R, [1, -2, 0, 3, 1, -1, 2, 0, -3, 1]))
         assert minimize(rep).g == rank
         assert consistent_constant(rep)
+
+
+def l_times_r(seed: int) -> PolyMatrix:
+    """L R' with L size x (size - 2) and R' (size - 2) x size: rank deficient,
+    with large transforms; size 10 for seed 3 up to 16 for seed 6."""
+    rng = np.random.default_rng(seed)
+    size = 2 * seed + 4
+    return random_poly_matrix(rng, size, size - 2, max_degree=1) @ random_poly_matrix(
+        rng, size - 2, size, max_degree=2
+    )
+
+
+class TestIntegerRowReduction:
+    """The integer-row reduction against the reduction on rows of rational polynomials."""
+
+    @staticmethod
+    def assert_matches_reference(R: PolyMatrix):
+        assert R.popov_reduction() == popov_reduction_reference(R)
+        for M in (R, R.transpose()):
+            assert M.weak_popov_degrees() == weak_popov_degrees_reference(M)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(small_matrices(), kernels.map(lambda rep: rep.R)))
+    def test_matches_reference_on_small_matrices(self, R):
+        self.assert_matches_reference(R)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernels)
+    def test_matches_reference_on_minimal_forms(self, rep):
+        if consistent_constant(rep):
+            self.assert_matches_reference(minimize(rep).R)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_matches_reference_on_products(self, seed):
+        self.assert_matches_reference(l_times_r(seed))
+
+    def test_matches_reference_on_ten_by_ten_probe(self):
+        rng = np.random.default_rng(3)
+        R = random_poly_matrix(rng, 10, 8, max_degree=1) @ random_poly_matrix(rng, 8, 10, max_degree=2)
+        self.assert_matches_reference(R)
+
+    def test_rational_rows_and_empty_shapes(self):
+        for R in (
+            PolyMatrix([[Poly(["1/2", 1]), Poly(["-2/3"])], [Poly([1, 2]), Poly([0, "3/4"])]]),
+            PolyMatrix([[Poly(["1/2"]), Poly([1, "1/3"])], [Poly([1]), Poly([2, "2/3"])]]),
+            PolyMatrix.zeros(2, 3),
+            PolyMatrix([], ncols=2),
+            PolyMatrix.zeros(2, 0),
+        ):
+            self.assert_matches_reference(R)
 
 
 class TestBehaviorApply:

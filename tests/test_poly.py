@@ -17,7 +17,7 @@ from atisys import (
     io_formats,
     poly_gcd,
 )
-from atisys.errors import InvalidArgument, NonFiniteEntry
+from atisys.errors import AtisysError, InvalidArgument, NonFiniteEntry, ZeroDivisor
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=6)
 
@@ -46,6 +46,24 @@ def test_divmod_known_case():
     q, r = divmod(num, den)
     assert q == Poly([-1, 1]) and r.is_zero
     assert num.exact_div(den) == q
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [divmod, lambda a, b: a // b, lambda a, b: a % b, lambda a, b: a.exact_div(b)],
+    ids=["divmod", "floordiv", "mod", "exact_div"],
+)
+def test_division_by_the_zero_polynomial_is_typed(operation):
+    for dividend in (Poly([1, 2]), Poly.zero()):
+        with pytest.raises(ZeroDivisor) as raised:
+            operation(dividend, Poly.zero())
+        assert isinstance(raised.value, AtisysError) and isinstance(raised.value, ZeroDivisionError)
+
+
+def test_the_zero_polynomial_divides_only_zero():
+    # divides is a test, not a division: 0 | b exactly when b = 0
+    assert Poly.zero().divides(Poly.zero())
+    assert not Poly.zero().divides(Poly([1, 2]))
 
 
 def test_exact_div_rejects_remainder():
