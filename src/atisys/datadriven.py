@@ -29,6 +29,7 @@ from .errors import (
     ExcitationDeficient,
     Infeasible,
     InvalidArgument,
+    NonFiniteEntry,
     NotConverged,
     _count,
     check_tolerance,
@@ -125,12 +126,15 @@ def membership(rep: DataDrivenRep, window, tol: float = DEFAULT_RESIDUAL_TOL) ->
 
     Solves min ||H g - w|| subject to 1^T g = 1 in the coordinates y = Q^T g;
     the window is a member when the optimal residual is below
-    ``tol * (1 + ||w||)``.  ``tol`` must be positive and finite.
+    ``tol * (1 + ||w||)``.  ``tol`` must be positive and finite, and a
+    window with a NaN or infinite entry raises :class:`NonFiniteEntry`.
     """
     check_tolerance(tol)
     w = np.asarray(getattr(window, "data", window), dtype=float).ravel()
     if w.size != rep.q * rep.depth:
         raise DimensionMismatch(f"window has {w.size} entries, expected {rep.q * rep.depth}")
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteEntry("window contains non-finite entries")
     _, g, residual = _affine_solve(rep, rep._qr[1][:, 1:].T, w)
     with np.errstate(over="ignore"):  # a bound past the float range admits any residual
         return MembershipResult(residual <= tol * (1 + np.linalg.norm(w)), g, residual)

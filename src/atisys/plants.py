@@ -10,6 +10,9 @@ and a node is written as its tag followed by its fields: ``["const", c]``,
 and ``true`` are refused).  A plant is linearized at the stacked point
 z = (x, u) through one Jacobian of each map with respect to z, analytic or by
 central differences; its first n columns give A (or C), the rest B (or D).
+The analytic Jacobian is forward mode (Griewank & Walther, *Evaluating
+Derivatives*, SIAM, 2nd ed., 2008): the walk that evaluates a map returns
+each node's value together with its gradient over z.
 """
 
 from __future__ import annotations
@@ -26,14 +29,16 @@ from .errors import check_tolerance
 class Expr:
     """Base node.  A subclass is a frozen dataclass whose fields are its
     operands and payload, in JSON order; it names its JSON ``tag`` and
-    implements ``evaluate`` and ``differentiate``."""
+    implements ``_forward``."""
 
     tag: str
 
     def evaluate(self, env: dict[str, float]) -> float:
-        raise NotImplementedError
+        return self._forward(env, {}, [])[0]
 
-    def differentiate(self, name: str) -> "Expr":
+    def _forward(self, env: dict[str, float], seeds: dict[str, list], zero: list) -> tuple:
+        """The value at ``env`` and the gradient, a list of floats, over the
+        variables' ``seeds`` (``zero`` for a constant or an unseeded variable)."""
         raise NotImplementedError
 
     def _fields(self) -> list:
@@ -81,11 +86,8 @@ class Const(Expr):
     value: float
     tag = "const"
 
-    def evaluate(self, env):
-        return self.value
-
-    def differentiate(self, name):
-        return Const(0.0)
+    def _forward(self, env, seeds, zero):
+        return self.value, zero
 
 
 @dataclass(frozen=True)
@@ -93,14 +95,11 @@ class Var(Expr):
     name: str
     tag = "var"
 
-    def evaluate(self, env):
+    def _forward(self, env, seeds, zero):
         try:
-            return env[self.name]
+            return env[self.name], seeds.get(self.name, zero)
         except KeyError:
             raise NonFiniteEvaluation(f"unknown variable {self.name!r}") from None
-
-    def differentiate(self, name):
-        return Const(1.0 if name == self.name else 0.0)
 
     def variables(self):
         return {self.name}
@@ -112,11 +111,10 @@ class Add(Expr):
     right: Expr
     tag = "+"
 
-    def evaluate(self, env):
-        return self.left.evaluate(env) + self.right.evaluate(env)
-
-    def differentiate(self, name):
-        return Add(self.left.differentiate(name), self.right.differentiate(name))
+    def _forward(self, env, seeds, zero):
+        a, da = self.left._forward(env, seeds, zero)
+        b, db = self.right._forward(env, seeds, zero)
+        return a + b, [x + y for x, y in zip(da, db)]
 
 
 @dataclass(frozen=True)
@@ -125,11 +123,10 @@ class Sub(Expr):
     right: Expr
     tag = "-"
 
-    def evaluate(self, env):
-        return self.left.evaluate(env) - self.right.evaluate(env)
-
-    def differentiate(self, name):
-        return Sub(self.left.differentiate(name), self.right.differentiate(name))
+    def _forward(self, env, seeds, zero):
+        a, da = self.left._forward(env, seeds, zero)
+        b, db = self.right._forward(env, seeds, zero)
+        return a - b, [x - y for x, y in zip(da, db)]
 
 
 @dataclass(frozen=True)
@@ -138,14 +135,10 @@ class Mul(Expr):
     right: Expr
     tag = "*"
 
-    def evaluate(self, env):
-        return self.left.evaluate(env) * self.right.evaluate(env)
-
-    def differentiate(self, name):
-        return Add(
-            Mul(self.left.differentiate(name), self.right),
-            Mul(self.left, self.right.differentiate(name)),
-        )
+    def _forward(self, env, seeds, zero):
+        a, da = self.left._forward(env, seeds, zero)
+        b, db = self.right._forward(env, seeds, zero)
+        return a * b, [x * b + a * y for x, y in zip(da, db)]
 
 
 @dataclass(frozen=True)
@@ -153,11 +146,9 @@ class Neg(Expr):
     operand: Expr
     tag = "neg"
 
-    def evaluate(self, env):
-        return -self.operand.evaluate(env)
-
-    def differentiate(self, name):
-        return Neg(self.operand.differentiate(name))
+    def _forward(self, env, seeds, zero):
+        a, da = self.operand._forward(env, seeds, zero)
+        return -a, [-x for x in da]
 
 
 @dataclass(frozen=True)
@@ -169,16 +160,13 @@ class Pow(Expr):
     def __post_init__(self):
         object.__setattr__(self, "exponent", _count(self.exponent, "exponent"))
 
-    def evaluate(self, env):
-        return self.base.evaluate(env) ** self.exponent
-
-    def differentiate(self, name):
-        if self.exponent == 0:
-            return Const(0.0)
-        return Mul(
-            Mul(Const(float(self.exponent)), Pow(self.base, self.exponent - 1)),
-            self.base.differentiate(name),
-        )
+    def _forward(self, env, seeds, zero):
+        a, da = self.base._forward(env, seeds, zero)
+        k = self.exponent
+        if k == 0:
+            return a**k, zero
+        slope = float(k) * a ** (k - 1)
+        return a**k, [slope * x for x in da]
 
 
 _NODES = {cls.tag: cls for cls in (Const, Var, Add, Sub, Mul, Neg, Pow)}
@@ -252,17 +240,24 @@ class NonlinearPlant:
     def p(self) -> int:
         return len(self.h)
 
-    def _eval(self, exprs, z, what: str = "plant map") -> np.ndarray:
+    def _eval(self, exprs, z, jacobian: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The maps at z and, from the same walk, their Jacobian ∂exprs/∂z,
+        which has no columns unless ``jacobian``."""
         if len(z) != len(self._names):
             raise DimensionMismatch(f"point has {len(z)} coordinates, the plant has {len(self._names)}")
         env = dict(zip(self._names, map(float, z)))
+        width = len(self._names) if jacobian else 0
+        # coordinate i is seeded with the i-th unit row
+        seeds = {name: [float(i == j) for j in range(width)] for i, name in enumerate(self._names)}
         try:
-            values = np.array([e.evaluate(env) for e in exprs], dtype=float)
+            walks = [e._forward(env, seeds, [0.0] * width) for e in exprs]
+            values = np.array([value for value, _ in walks], dtype=float)
+            J = np.array([gradient for _, gradient in walks], dtype=float).reshape(len(exprs), width)
         except OverflowError:
-            raise NonFiniteEvaluation(f"{what} overflowed") from None
-        if not np.all(np.isfinite(values)):
-            raise NonFiniteEvaluation(f"{what} evaluated to a non-finite value")
-        return values
+            raise NonFiniteEvaluation("plant map overflowed") from None
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(J))):
+            raise NonFiniteEvaluation("plant map or its Jacobian evaluated to a non-finite value")
+        return values, J
 
 
 def _check_point(plant: NonlinearPlant, xbar, ubar, ybar):
@@ -277,11 +272,10 @@ def _check_point(plant: NonlinearPlant, xbar, ubar, ybar):
     return xbar, ubar, ybar
 
 
-def _jacobian(plant: NonlinearPlant, exprs, z, mode: str, step: float) -> np.ndarray:
-    """∂exprs/∂z at z = (x, u): one row per expression, one column per coordinate."""
+def _jacobian(plant: NonlinearPlant, exprs, z, mode: str, step: float):
+    """exprs at z = (x, u), and ∂exprs/∂z: one row per expression, one column per coordinate."""
     if mode == "analytic":
-        derivatives = [e.differentiate(v) for e in exprs for v in plant._names]
-        return plant._eval(derivatives, z, "plant Jacobian").reshape(len(exprs), z.size)
+        return plant._eval(exprs, z, jacobian=True)
     if mode != "fd":
         raise InvalidArgument(f"mode must be 'analytic' or 'fd', got {mode!r}")
     check_tolerance(step, "finite-difference step")
@@ -292,8 +286,8 @@ def _jacobian(plant: NonlinearPlant, exprs, z, mode: str, step: float) -> np.nda
     for j in range(z.size):
         d = np.zeros_like(z)
         d[j] = step
-        J[:, j] = (plant._eval(exprs, z + d) - plant._eval(exprs, z - d)) / (2 * step)
-    return J
+        J[:, j] = (plant._eval(exprs, z + d)[0] - plant._eval(exprs, z - d)[0]) / (2 * step)
+    return plant._eval(exprs, z)[0], J
 
 
 def linearize(
@@ -318,9 +312,8 @@ def linearize(
     """
     xbar, ubar, ybar = _check_point(plant, xbar, ubar, ybar)
     z = np.concatenate([xbar, ubar])
-    n = plant.n
-    A, B = np.hsplit(_jacobian(plant, plant.f, z, mode, step), [n])
-    C, D = np.hsplit(_jacobian(plant, plant.h, z, mode, step), [n])
-    E = plant._eval(plant.f, z) - xbar
-    F = plant._eval(plant.h, z) - ybar
-    return AffineStateSpace(A, B, C, D, E, F)
+    fz, Jf = _jacobian(plant, plant.f, z, mode, step)
+    hz, Jh = _jacobian(plant, plant.h, z, mode, step)
+    A, B = np.hsplit(Jf, [plant.n])
+    C, D = np.hsplit(Jh, [plant.n])
+    return AffineStateSpace(A, B, C, D, fz - xbar, hz - ybar)

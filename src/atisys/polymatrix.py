@@ -1,12 +1,13 @@
 """Matrices over the univariate rational polynomials.
 
-Provides rank and determinant over the rational-function field (Bareiss
+Provides the determinant over the rational-function field (Bareiss
 elimination), the Smith decomposition with its unimodular transforms, which
-the CLI ``smith`` uses, and the weak Popov reduction behind every exact
-kernel decision of :mod:`atisys.kernelrep`.  Each tracks its transform in
-identity columns: it runs on the rows of [M | I] (the Smith form on [M | I]
-over [I | 0], so that its column operations build V below M).  The Smith
-pivot is the first nonzero entry of least degree in row-major order, which
+the CLI ``smith`` uses, and the weak Popov reduction behind the rank, the
+unimodularity test and every exact kernel decision of
+:mod:`atisys.kernelrep`.  Each tracks its transform in identity columns: it
+runs on the rows of [M | I] (the Smith form on [M | I] over [I | 0], so that
+its column operations build V below M).  The Smith pivot is the first
+nonzero entry of least degree in row-major order, which
 keeps intermediate degrees small at the scale these matrices have.  Each
 pivot then repeats the first of three steps that acts, until none does:
 clear its column by division (a nonzero remainder becomes the pivot), clear
@@ -210,8 +211,8 @@ class PolyMatrix:
         return r, sign, prev
 
     def rank(self) -> int:
-        """Rank over the rational-function field."""
-        return self._bareiss()[0]
+        """Rank over the rational-function field: the rows of a weak Popov form that stay nonzero."""
+        return sum(d >= 0 for d in self.weak_popov_degrees())
 
     def determinant(self) -> Poly:
         g, q = self.shape
@@ -223,11 +224,10 @@ class PolyMatrix:
         return last_pivot if sign > 0 else -last_pivot
 
     def is_unimodular(self) -> bool:
+        """Square with every weak Popov row degree 0: the form is then
+        nonsingular, and its determinant has degree the sum of those degrees."""
         g, q = self.shape
-        if g != q:
-            return False
-        d = self.determinant()
-        return d.is_constant and not d.is_zero
+        return g == q and all(d == 0 for d in self.weak_popov_degrees())
 
     def popov_reduction(self) -> "PopovReduction":
         """The weak Popov reduction of [M | I], computed on first use and kept."""

@@ -8,11 +8,13 @@ each sample are inputs, the remaining ``p = q - m`` are outputs.  Time is
 All objects are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 
-The float rank tests, the SVD kernel and the affine solves share one factor
-per depth L: S = [1ᵀ; H_L(w)] (ones row first), Sᵀ = QR.  The trajectory keeps
-R, at most (qL+1) x (qL+1) whatever T, which carries every singular value and
-left singular vector of S.  The memo is write-once (a racing thread computes
-the same R), so sharing a trajectory across threads stays safe.
+The float rank tests and the SVD kernel share one factor per depth L:
+S = [1ᵀ; H_L(w)] (ones row first), Sᵀ = QR.  The trajectory keeps R, at most
+(qL+1) x (qL+1) whatever T, which carries every singular value and left
+singular vector of S.  The affine solves also need Q, so each
+:class:`~atisys.datadriven.DataDrivenRep` factors S once more and keeps both.
+The memo is write-once (a racing thread computes the same R), so sharing a
+trajectory across threads stays safe.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Shared generators for randomized suites, and the references they compare
 against: the exact left null space, the row-Hermite form, the weak Popov
 reduction on rows of rational polynomials that the integer-row reduction
-replaced, and the affine least-squares solve that the data-driven fits
-replaced.
+replaced, the affine least-squares solve that the data-driven fits
+replaced, and the linearization by derivative trees that forward-mode
+differentiation replaced.
 
 All randomness flows through explicitly seeded numpy generators so every
 suite is reproducible run to run.
@@ -28,6 +29,8 @@ from atisys import (
     pe_order_affine,
     simulate,
 )
+from atisys.errors import NonFiniteEvaluation
+from atisys.plants import Add, Const, Mul, Neg, Pow, Sub, Var
 from atisys.polymatrix import PopovReduction
 
 
@@ -311,3 +314,81 @@ def affine_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         g[0] -= z.sum()
         g[1:] = z
     return g
+
+
+# -- plant references ----------------------------------------------------
+
+
+def evaluate_reference(expr, env: dict[str, float]):
+    """An expression's value, one recursive walk per node kind."""
+    match expr:
+        case Const(value):
+            return value
+        case Var(name):
+            return env[name]
+        case Add(a, b):
+            return evaluate_reference(a, env) + evaluate_reference(b, env)
+        case Sub(a, b):
+            return evaluate_reference(a, env) - evaluate_reference(b, env)
+        case Mul(a, b):
+            return evaluate_reference(a, env) * evaluate_reference(b, env)
+        case Neg(a):
+            return -evaluate_reference(a, env)
+        case Pow(a, k):
+            return evaluate_reference(a, env) ** k
+
+
+def differentiate_reference(expr, name: str):
+    """The derivative tree of an expression with respect to one variable."""
+    match expr:
+        case Const():
+            return Const(0.0)
+        case Var(var):
+            return Const(1.0 if var == name else 0.0)
+        case Add(a, b):
+            return Add(differentiate_reference(a, name), differentiate_reference(b, name))
+        case Sub(a, b):
+            return Sub(differentiate_reference(a, name), differentiate_reference(b, name))
+        case Mul(a, b):
+            return Add(Mul(differentiate_reference(a, name), b), Mul(a, differentiate_reference(b, name)))
+        case Neg(a):
+            return Neg(differentiate_reference(a, name))
+        case Pow(_, 0):
+            return Const(0.0)
+        case Pow(a, k):
+            return Mul(Mul(Const(float(k)), Pow(a, k - 1)), differentiate_reference(a, name))
+
+
+def linearize_reference(plant, xbar, ubar, ybar, mode: str = "analytic", step: float = 1e-6):
+    """A..F of :func:`atisys.linearize` with every map and every derivative
+    tree evaluated on its own, each evaluation raising
+    :class:`NonFiniteEvaluation` on overflow or a non-finite value; ``fd``
+    takes central differences of the maps with the given step."""
+    xbar, ubar, ybar = (np.asarray(v, dtype=float) for v in (xbar, ubar, ybar))
+    z = np.concatenate([xbar, ubar])
+    names = plant._names
+
+    def at(exprs, point):
+        env = dict(zip(names, map(float, point)))
+        try:
+            values = np.array([evaluate_reference(e, env) for e in exprs], dtype=float)
+        except OverflowError:
+            raise NonFiniteEvaluation("overflowed") from None
+        if not np.all(np.isfinite(values)):
+            raise NonFiniteEvaluation("evaluated to a non-finite value")
+        return values
+
+    def jacobian(exprs):
+        if mode == "analytic":
+            trees = [differentiate_reference(e, v) for e in exprs for v in names]
+            return at(trees, z).reshape(len(exprs), z.size)
+        J = np.zeros((len(exprs), z.size))
+        for j in range(z.size):
+            d = np.zeros_like(z)
+            d[j] = step
+            J[:, j] = (at(exprs, z + d) - at(exprs, z - d)) / (2 * step)
+        return J
+
+    A, B = np.hsplit(jacobian(plant.f), [plant.n])
+    C, D = np.hsplit(jacobian(plant.h), [plant.n])
+    return A, B, C, D, at(plant.f, z) - xbar, at(plant.h, z) - ybar

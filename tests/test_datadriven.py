@@ -30,6 +30,7 @@ from atisys.errors import (
     DimensionMismatch,
     ExcitationDeficient,
     InvalidArgument,
+    NonFiniteEntry,
     NotConverged,
 )
 from atisys import datadriven, exactla, trajectories
@@ -103,6 +104,15 @@ class TestMembership:
         outside = rng.normal(size=6) * 50
         verdict = membership(rep, outside)
         assert not verdict.is_member
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_window_is_typed(self, bad):
+        # a NaN residual is no verdict, so the window is refused, not judged a non-member
+        _, u, result = reference_data("experiment-1", 9)
+        rep = DataDrivenRep(result.io(u), 2)
+        for window in ([bad] * 6, np.r_[rep.hankel.column(3)[:5], bad]):
+            with pytest.raises(NonFiniteEntry):
+                membership(rep, window)
 
 
 class TestComplete:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from atisys import NonlinearPlant, expr_from_json, input_var, linearize, state_var
 from atisys.errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation, StepTooSmall
 from atisys.plants import Add, Const, Mul, Neg, Pow, Sub, Var
+from conftest import linearize_reference
 
 
 def scalar_square_plant():
@@ -232,3 +235,66 @@ def test_jacobians_match_hand_derivation(name):
 def test_unknown_mode_is_invalid_argument():
     with pytest.raises(InvalidArgument, match="mode must be"):
         linearize(scalar_square_plant(), [2.0], [0.0], [2.0], mode="spline")
+
+
+def inexact(bound):
+    """Floats in [-bound, bound] with full mantissas, so that a reordered
+    product or sum rounds differently."""
+    return st.integers(-1000 * bound, 1000 * bound).map(lambda v: v / 997)
+
+
+def expressions(names):
+    """Trees over every node kind: signed zeros among the constants, and
+    ``pow`` exponents 0 to 4."""
+    constants = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-4, 4) | inexact(4)
+    leaves = constants.map(Const) | st.sampled_from(names).map(Var)
+    return st.recursive(
+        leaves,
+        lambda inner: st.builds(Add, inner, inner)
+        | st.builds(Sub, inner, inner)
+        | st.builds(Mul, inner, inner)
+        | st.builds(Neg, inner)
+        | st.builds(Pow, inner, st.integers(0, 4)),
+        max_leaves=12,
+    )
+
+
+@st.composite
+def plants_at_points(draw):
+    """A plant and an operating point, some of whose coordinates are large
+    enough for a map or a derivative to overflow."""
+    n, m, p = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(1, 2))
+    names = [f"x{i}" for i in range(1, n + 1)] + [f"u{i}" for i in range(1, m + 1)]
+    maps = draw(st.lists(expressions(names), min_size=n + p, max_size=n + p))
+    coordinate = st.floats(-3, 3) | inexact(3) | st.sampled_from([0.0, -0.0, 1e80, -1e155])
+    point = [draw(st.lists(coordinate, min_size=k, max_size=k)) for k in (n, m, p)]
+    return NonlinearPlant(f=maps[:n], h=maps[n:], n=n, m=m), point
+
+
+# the console-script check's plant: every node kind in one map
+u1 = input_var(1)
+EVERY_KIND = NonlinearPlant(f=(-(x1**3) - 2 * u1**0 + x1 * u1,), h=(x1 - u1,), n=1, m=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plants_at_points())
+@example((EVERY_KIND, [[2.0], [0.5], [1.0]]))
+# 3 * a**2 times the base's gradient 0.1 rounds otherwise than 3 * (a**2 * 0.1)
+@example((NonlinearPlant(f=((0.1 * x1) ** 3,), h=(x1,), n=1, m=0), [[1.3], [], [0.0]]))
+def test_forward_mode_matches_derivative_trees(case):
+    """Both modes against the derivative-tree reference, byte for byte (signs
+    of zeros included), and NonFiniteEvaluation exactly where it raises."""
+    plant, point = case
+    z = np.concatenate(point[:2])
+    for mode, step in (("analytic", 1e-6), ("fd", 1e-6), ("fd", 1e-3)):
+        if mode == "fd" and step < 64 * np.finfo(float).eps * max(1.0, *np.abs(z)):
+            continue  # StepTooSmall, tested above
+        try:
+            want = linearize_reference(plant, *point, mode, step)
+        except NonFiniteEvaluation:
+            with pytest.raises(NonFiniteEvaluation):
+                linearize(plant, *point, mode=mode, step=step)
+            continue
+        got = linearize(plant, *point, mode=mode, step=step)
+        for key, M in zip("ABCDEF", want):
+            assert getattr(got, key).shape == M.shape and getattr(got, key).tobytes() == M.tobytes(), (mode, key)

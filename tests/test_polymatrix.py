@@ -2,7 +2,10 @@ import copy
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atisys import (
     AffineKernelRep,
@@ -16,7 +19,7 @@ from atisys import (
 )
 from atisys.errors import DimensionMismatch, ZeroMatrix
 from atisys.scenario import reference_system
-from conftest import random_poly_matrix, random_unimodular, row_hermite
+from conftest import random_poly, random_poly_matrix, random_unimodular, row_hermite
 
 X = Poly.x()
 
@@ -58,7 +61,36 @@ class TestShapes:
         assert PolyMatrix([[1, 2]]).vstack(PolyMatrix.zeros(0, 2)) == PolyMatrix([[1, 2]])
 
 
+@st.composite
+def rank_cases(draw):
+    """A matrix up to 5 x 5 of degree at most 2, a unimodular product, or a
+    singular square whose last row combines the others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g, q = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["random", "unimodular", "singular"]))
+    if kind == "random":
+        return random_poly_matrix(rng, g, q)
+    n = max(g, 1)
+    if kind == "unimodular":
+        return random_unimodular(rng, n, ops=int(rng.integers(1, 6)))
+    rows = [list(row) for row in random_poly_matrix(rng, n - 1, n).rows]
+    last = [Poly.zero()] * n
+    for row in rows:
+        factor = random_poly(rng, 1)
+        last = [a + factor * b for a, b in zip(last, row)]
+    return PolyMatrix(rows + [last])
+
+
 class TestRank:
+    @settings(max_examples=300, deadline=None)
+    @given(rank_cases())
+    def test_weak_popov_degrees_match_bareiss(self, M):
+        """rank and is_unimodular read the weak Popov degrees; Bareiss elimination is the reference."""
+        g, q = M.shape
+        assert M.rank() == M._bareiss()[0]
+        det = M.determinant() if g == q else Poly.zero()
+        assert M.is_unimodular() == (det.is_constant and not det.is_zero)
+
     def test_full_row_rank_case(self):
         R = PolyMatrix([[1, 0, 0], [0, Poly([1, -1]), 0]])
         assert R.rank() == 2
