@@ -99,7 +99,7 @@ class Var(Expr):
         try:
             return env[self.name], seeds.get(self.name, zero)
         except KeyError:
-            raise NonFiniteEvaluation(f"unknown variable {self.name!r}") from None
+            raise DimensionMismatch(f"unknown variable {self.name!r}") from None
 
     def variables(self):
         return {self.name}
@@ -235,6 +235,8 @@ class NonlinearPlant:
         unknown = set().union(*(e.variables() for e in (*self.f, *self.h))) - set(names)
         if unknown:
             raise DimensionMismatch(f"expressions use undeclared variables {sorted(unknown)}")
+        if self.m + len(self.h) == 0:
+            raise DimensionMismatch("a plant needs at least one input or output (m + p > 0)")
 
     @property
     def p(self) -> int:

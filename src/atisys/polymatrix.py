@@ -1,32 +1,35 @@
 """Matrices over the univariate rational polynomials.
 
-Provides the determinant over the rational-function field (Bareiss
-elimination), the Smith decomposition with its unimodular transforms, which
-the CLI ``smith`` uses, and the weak Popov reduction behind the rank, the
-unimodularity test and every exact kernel decision of
-:mod:`atisys.kernelrep`.  Each tracks its transform in identity columns: it
-runs on the rows of [M | I] (the Smith form on [M | I] over [I | 0], so that
-its column operations build V below M).  The Smith pivot is the first
-nonzero entry of least degree in row-major order, which
-keeps intermediate degrees small at the scale these matrices have.  Each
-pivot then repeats the first of three steps that acts, until none does:
+Provides the Smith decomposition with its unimodular transforms (for the CLI
+``smith``), the determinant, and the weak Popov reduction behind the rank,
+the unimodularity test and every exact kernel decision of
+:mod:`atisys.kernelrep`.  All three run fraction-free (Beckermann, Labahn &
+Villard, J. Symbolic Comput. 41(6), 2006) on the rows of [M | I] as integer
+coefficient lists over one positive denominator per row (:func:`_augmented`),
+so row operations build their transform in the identity columns.  A step is
+a·row - f·other (a > 0), f from the pseudo-division of
+:meth:`Poly.__divmod__`, and one content division; :class:`Poly` objects are
+built only for the results.
+
+The Smith form keeps each row's denominator, so a row is its rational row in
+lowest terms, and stacks [I | 0] below, so that column operations build V.
+Its pivot is the first nonzero entry of least degree in row-major order,
+which keeps intermediate degrees small at the scale these matrices have.
+Each pivot then repeats the first of three steps that acts, until none does:
 clear its column by division (a nonzero remainder becomes the pivot), clear
 its row the same way by column operations, or add to the pivot row the first
-trailing row holding an entry that the pivot does not divide.
+trailing row holding an entry that the pivot does not divide.  On M alone
+the same steps leave the determinant as the signed product of the pivots.
 
-The weak Popov reduction (Mulders & Storjohann, "On lattice reduction for
-polynomial matrices", J. Symbolic Comput. 35(4), 2003) reduces the rows of
-[M | I] until no two nonzero M parts lead at one position.  The surviving M
-parts are then made Popov, canonical for their row module (Kailath, *Linear
-Systems*, 1980), and the I parts of the rows whose M part vanished span the
-left syzygies of M.  It runs fraction-free (Beckermann, Labahn & Villard,
-J. Symbolic Comput. 41(6), 2006) on integer rows: each row is the primitive
-positive multiple of its rational row, as coefficient lists, a step is
-a·row - f·other (a > 0) and one content division, and :class:`Poly` objects
-are built only for the result.  :meth:`PolyMatrix.popov_reduction` returns it
-as a :class:`PopovReduction` and keeps it with the matrix (``_reduced``,
-private, never compared, hashed or copied), so every exact decision on one
-matrix pays for the reduction once.
+The weak Popov reduction (Mulders & Storjohann, J. Symbolic Comput. 35(4),
+2003) drops the denominators, so each row is the primitive positive multiple
+of its rational row, and reduces until no two nonzero M parts lead at one
+position.  The surviving M parts are then made Popov, canonical for their
+row module (Kailath, *Linear Systems*, 1980), and the I parts of the rows
+whose M part vanished span the left syzygies of M.
+:meth:`PolyMatrix.popov_reduction` returns it as a :class:`PopovReduction`
+and keeps it with the matrix (``_reduced``, private, never compared, hashed
+or copied), so every exact decision on one matrix pays for it once.
 """
 
 from __future__ import annotations
@@ -173,43 +176,6 @@ class PolyMatrix:
 
     # -- exact decisions ----------------------------------------------
 
-    def _bareiss(self) -> tuple[int, int, Poly]:
-        """Fraction-free forward elimination (Bareiss 1968).
-
-        Below and right of a minimum-degree pivot, a_ij becomes
-        (pivot * a_ij - a_ic * a_rj) / previous pivot; every entry is then a
-        minor of the input, so the division is exact.  Returns the rank, the
-        sign of the row permutation and the last pivot (+-det when nonsingular).
-        """
-        g, q = self.shape
-        M = [list(row) for row in self.rows]
-        prev = Poly.one()
-        sign = 1
-        r = 0
-        for col in range(q):
-            if r == g:
-                break
-            candidates = [i for i in range(r, g) if not M[i][col].is_zero]
-            if not candidates:
-                continue
-            best = min(candidates, key=lambda i: M[i][col].degree)
-            if best != r:
-                M[r], M[best] = M[best], M[r]
-                sign = -sign
-            top = M[r]
-            pivot = top[col]
-            for i in range(r + 1, g):
-                row = M[i]
-                factor = row[col]
-                for j in range(col + 1, q):
-                    e = pivot * row[j]
-                    if not factor.is_zero and not top[j].is_zero:
-                        e = e - factor * top[j]
-                    row[j] = e.exact_div(prev)
-            prev = pivot
-            r += 1
-        return r, sign, prev
-
     def rank(self) -> int:
         """Rank over the rational-function field: the rows of a weak Popov form that stay nonzero."""
         return sum(d >= 0 for d in self.weak_popov_degrees())
@@ -218,10 +184,14 @@ class PolyMatrix:
         g, q = self.shape
         if g != q:
             raise DimensionMismatch("determinant requires a square matrix")
-        rank, sign, last_pivot = self._bareiss()
+        rows = [row[:q] + row[-1:] for row in _augmented(self)]
+        rank, sign = _smith(rows, g, q)
         if rank < g:
             return Poly.zero()
-        return last_pivot if sign > 0 else -last_pivot
+        det = Poly.constant(sign)
+        for k, row in enumerate(rows):
+            det = det * Poly.from_numerators(row[k], row[-1][0])
+        return det
 
     def is_unimodular(self) -> bool:
         """Square with every weak Popov row degree 0: the form is then
@@ -237,25 +207,9 @@ class PolyMatrix:
 
     def weak_popov_degrees(self) -> tuple[int, ...]:
         """The row degrees of a weak Popov form of M, -1 for a row that vanished."""
-        rows = [_integer_row(row) for row in self.rows]
+        rows = [_primitive(row[: self._ncols]) for row in _augmented(self)]
         _weak_popov(rows, self._ncols)
         return tuple(max(map(len, row), default=0) - 1 for row in rows)
-
-
-def _identity_augmented(matrix: PolyMatrix) -> list[list[Poly]]:
-    """The rows of [M | I] as lists: row operations on them build, in the
-    identity columns, the transform that applies them to M."""
-    one, zero = Poly.one(), Poly.zero()
-    g = matrix.shape[0]
-    return [
-        [*row, *(one if i == j else zero for j in range(g))]
-        for i, row in enumerate(matrix.rows)
-    ]
-
-
-def _subtract_multiple(row: list[Poly], factor: Poly, other: Sequence[Poly]) -> list[Poly]:
-    """row - factor * other, passing over the entries where other is zero."""
-    return [a - factor * b if b else a for a, b in zip(row, other)]
 
 
 @dataclass(frozen=True)
@@ -288,58 +242,72 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
     if matrix.is_zero:
         raise ZeroMatrix("the zero matrix has no Smith pivots")
     g, q = matrix.shape
-    # [M | I_g] over [I_q | 0]: row operations build U beside M, column
-    # operations build V below it
-    M = _identity_augmented(matrix) + [
-        [*row, *[Poly.zero()] * g] for row in PolyMatrix.identity(q).rows
-    ]
+    # [M | I_g] over [I_q | 0]: rows build U beside M, columns build V below it
+    below = [[[1] if i == j else [] for j in range(q + g)] + [[1]] for i in range(q)]
+    rows = _augmented(matrix) + below
+    rank, _ = _smith(rows, g, q)
+    for k in range(rank):  # monic pivots: each pivot row over its pivot's leading numerator
+        lead = rows[k][k][-1]
+        rows[k] = [[v if lead > 0 else -v for v in e] for e in rows[k][:-1]] + [[abs(lead)]]
+
+    def polys(block, part):
+        return [[Poly.from_numerators(e, row[-1][0]) for e in row[part]] for row in block]
+
+    factors = tuple(Poly.from_numerators(row[k], row[-1][0]) for k, row in enumerate(rows[:rank]))
+    U, V = polys(rows[:g], slice(q, -1)), polys(rows[g:], slice(q))
+    return SmithDecomposition(PolyMatrix(U), PolyMatrix(V), factors, matrix.shape)
+
+
+def _smith(rows: list[list[list[int]]], g: int, q: int) -> tuple[int, int]:
+    """Diagonalize the first g rows and q columns of rows over their
+    denominators in place, by the module's Smith steps; column operations
+    act on every row.  Returns the rank and the sign of the swaps."""
+    sign = 1
 
     def col_swap(i, j):
-        for row in M:
+        for row in rows:
             row[i], row[j] = row[j], row[i]
 
-    rank = 0
     for k in range(min(g, q)):
         # the pivot: the first nonzero entry of least degree, in row-major order
-        nonzero = [(M[i][j].degree, i, j) for i in range(k, g) for j in range(k, q) if M[i][j]]
+        nonzero = [(len(rows[i][j]), i, j) for i in range(k, g) for j in range(k, q) if rows[i][j]]
         if not nonzero:
-            break
+            return k, sign
         _, i, j = min(nonzero)
-        M[k], M[i] = M[i], M[k]
+        rows[k], rows[i] = rows[i], rows[k]
         col_swap(k, j)
+        sign *= (-1) ** ((i != k) + (j != k))
         while True:
-            i = next((i for i in range(g) if i != k and M[i][k]), None)
+            pivot = rows[k]
+            i = next((i for i in range(g) if i != k and rows[i][k]), None)
             if i is not None:  # clear column k; a remainder becomes the pivot
-                quo, rem = divmod(M[i][k], M[k][k])
-                M[i] = _subtract_multiple(M[i], quo, M[k])
-                if rem:
-                    M[k], M[i] = M[i], M[k]
+                s, Q, _ = _pseudo_divide(rows[i][k], pivot[k])
+                rows[i] = _subtract(rows[i], s, Q, pivot[:-1] + [[]])
+                if rows[i][k]:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
                 continue
-            j = next((j for j in range(q) if j != k and M[k][j]), None)
+            j = next((j for j in range(q) if j != k and pivot[j]), None)
             if j is not None:  # clear row k by column operations, likewise
-                quo, rem = divmod(M[k][j], M[k][k])
-                for row in M:
+                s, Q, _ = _pseudo_divide(pivot[j], pivot[k])
+                for r, row in enumerate(rows):
                     if row[k]:
-                        row[j] = row[j] - quo * row[k]
-                if rem:
+                        other = [[]] * len(row)
+                        other[j] = row[k]
+                        rows[r] = _subtract(row, s, Q, other)
+                if rows[k][j]:
                     col_swap(k, j)
+                    sign = -sign
                 continue
-            pivot = M[k][k]
+            if len(pivot[k]) == 1:  # a constant pivot divides every entry
+                break
             trailing = ((a, b) for a in range(k + 1, g) for b in range(k + 1, q))
-            a = next((a for a, b in trailing if not pivot.divides(M[a][b])), None)
+            a = next((a for a, b in trailing if any(_pseudo_divide(rows[a][b], pivot[k])[2])), None)
             if a is None:
                 break
             # pull a non-divisible entry into the pivot row and reduce again
-            M[k] = [e + f for e, f in zip(M[k], M[a])]
-        rank += 1
-
-    for k in range(rank):
-        lead = M[k][k].leading_coefficient
-        if lead != 1:
-            M[k] = [e.scale(1 / lead) for e in M[k]]
-    U = PolyMatrix([row[q:] for row in M[:g]])
-    V = PolyMatrix([row[:q] for row in M[g:]])
-    return SmithDecomposition(U, V, tuple(M[k][k] for k in range(rank)), matrix.shape)
+            rows[k] = _subtract(pivot, rows[a][-1][0], [-pivot[-1][0]], rows[a][:-1] + [[]])
+    return min(g, q), sign
 
 
 class PopovReduction(NamedTuple):
@@ -354,7 +322,7 @@ class PopovReduction(NamedTuple):
 
 def _reduce(matrix: PolyMatrix) -> PopovReduction:
     q = matrix.shape[1]
-    rows = [_integer_row(row) for row in _identity_augmented(matrix)]
+    rows = [_primitive(row[:-1]) for row in _augmented(matrix)]
     _weak_popov(rows, q)
     kept = _popov([row for row in rows if any(row[:q])], q)
     return PopovReduction(
@@ -366,10 +334,16 @@ def _reduce(matrix: PolyMatrix) -> PopovReduction:
     )
 
 
-def _integer_row(polys: Sequence[Poly]) -> list[list[int]]:
-    """A row of polynomials as coefficient lists: its primitive positive integer multiple."""
-    den = lcm(*(p.denominator for p in polys))
-    return _primitive([[n * (den // p.denominator) for n in p.numerators] for p in polys])
+def _augmented(matrix: PolyMatrix) -> list[list[list[int]]]:
+    """The rows of [M | I] as coefficient lists, each followed by its one
+    positive denominator: the rational rows in lowest terms."""
+    g = matrix.shape[0]
+    rows = []
+    for i, polys in enumerate(matrix.rows):
+        den = lcm(*(p.denominator for p in polys))
+        row = [[n * (den // p.denominator) for n in p.numerators] for p in polys]
+        rows.append(row + [[den] if i == j else [] for j in range(g)] + [[den]])
+    return rows
 
 
 def _primitive(row: list[list[int]]) -> list[list[int]]:

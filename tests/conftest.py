@@ -1,9 +1,10 @@
 """Shared generators for randomized suites, and the references they compare
-against: the exact left null space, the row-Hermite form, the weak Popov
-reduction on rows of rational polynomials that the integer-row reduction
-replaced, the affine least-squares solve that the data-driven fits
-replaced, and the linearization by derivative trees that forward-mode
-differentiation replaced.
+against: the exact left null space, the row-Hermite form, Bareiss
+elimination, the Smith form and the weak Popov reduction on rows of rational
+polynomials that the integer-row eliminations replaced, the affine
+least-squares solve that the data-driven fits replaced, and the
+linearization by derivative trees that forward-mode differentiation
+replaced.
 
 All randomness flows through explicitly seeded numpy generators so every
 suite is reproducible run to run.
@@ -31,7 +32,7 @@ from atisys import (
 )
 from atisys.errors import NonFiniteEvaluation
 from atisys.plants import Add, Const, Mul, Neg, Pow, Sub, Var
-from atisys.polymatrix import PopovReduction
+from atisys.polymatrix import PopovReduction, SmithDecomposition
 
 
 @pytest.fixture
@@ -221,6 +222,107 @@ def row_hermite(matrix: PolyMatrix) -> RowHermite:
                 M[i] = _subtract_multiple(M[i], M[i][col] // M[r][col], M[r])
     H = PolyMatrix([row[:q] for row in M])
     return RowHermite(H, PolyMatrix([row[q:] for row in M]), tuple(pivots))
+
+
+def bareiss_reference(matrix: PolyMatrix) -> tuple[int, int, Poly]:
+    """Fraction-free forward elimination (Bareiss 1968) on Poly entries.
+
+    Below and right of a minimum-degree pivot, a_ij becomes
+    (pivot * a_ij - a_ic * a_rj) / previous pivot; every entry is then a
+    minor of the input, so the division is exact.  Returns the rank, the
+    sign of the row permutation and the last pivot (+-det when nonsingular).
+    """
+    g, q = matrix.shape
+    M = [list(row) for row in matrix.rows]
+    prev = Poly.one()
+    sign = 1
+    r = 0
+    for col in range(q):
+        if r == g:
+            break
+        candidates = [i for i in range(r, g) if not M[i][col].is_zero]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: M[i][col].degree)
+        if best != r:
+            M[r], M[best] = M[best], M[r]
+            sign = -sign
+        top = M[r]
+        pivot = top[col]
+        for i in range(r + 1, g):
+            row = M[i]
+            factor = row[col]
+            for j in range(col + 1, q):
+                e = pivot * row[j]
+                if not factor.is_zero and not top[j].is_zero:
+                    e = e - factor * top[j]
+                row[j] = e.exact_div(prev)
+        prev = pivot
+        r += 1
+    return r, sign, prev
+
+
+def determinant_reference(matrix: PolyMatrix) -> Poly:
+    """The determinant of a square matrix from :func:`bareiss_reference`."""
+    rank, sign, last_pivot = bareiss_reference(matrix)
+    if rank < matrix.shape[0]:
+        return Poly.zero()
+    return last_pivot if sign > 0 else -last_pivot
+
+
+def smith_form_reference(matrix: PolyMatrix) -> SmithDecomposition:
+    """:func:`atisys.smith_form` on rows of rational polynomials: the same
+    pivots and steps, with Poly division and Poly row operations on the rows
+    of [M | I] over [I | 0].  The caller rules out the zero matrix."""
+    g, q = matrix.shape
+    zero = Poly.zero()
+    M = [list(row) + list(unit) for row, unit in zip(matrix.rows, PolyMatrix.identity(g).rows)]
+    M += [list(unit) + [zero] * g for unit in PolyMatrix.identity(q).rows]
+
+    def col_swap(i, j):
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+
+    rank = 0
+    for k in range(min(g, q)):
+        nonzero = [(M[i][j].degree, i, j) for i in range(k, g) for j in range(k, q) if M[i][j]]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        M[k], M[i] = M[i], M[k]
+        col_swap(k, j)
+        while True:
+            i = next((i for i in range(g) if i != k and M[i][k]), None)
+            if i is not None:
+                quo, rem = divmod(M[i][k], M[k][k])
+                M[i] = _subtract_multiple(M[i], quo, M[k])
+                if rem:
+                    M[k], M[i] = M[i], M[k]
+                continue
+            j = next((j for j in range(q) if j != k and M[k][j]), None)
+            if j is not None:
+                quo, rem = divmod(M[k][j], M[k][k])
+                for row in M:
+                    if row[k]:
+                        row[j] = row[j] - quo * row[k]
+                if rem:
+                    col_swap(k, j)
+                continue
+            pivot = M[k][k]
+            trailing = ((a, b) for a in range(k + 1, g) for b in range(k + 1, q))
+            a = next((a for a, b in trailing if not pivot.divides(M[a][b])), None)
+            if a is None:
+                break
+            M[k] = [e + f for e, f in zip(M[k], M[a])]
+        rank += 1
+
+    for k in range(rank):
+        lead = M[k][k].leading_coefficient
+        if lead != 1:
+            M[k] = [e.scale(1 / lead) for e in M[k]]
+    U = PolyMatrix([row[q:] for row in M[:g]])
+    V = PolyMatrix([row[:q] for row in M[g:]])
+    return SmithDecomposition(U, V, tuple(M[k][k] for k in range(rank)), matrix.shape)
 
 
 def _leading(row, width):

@@ -69,6 +69,19 @@ class TestExpressions:
         with pytest.raises(DimensionMismatch):
             NonlinearPlant(f=(state_var(2),), h=(), n=1, m=0)
 
+    def test_plant_without_external_variable_rejected(self):
+        # m = p = 0 leaves linearize nothing to serve, so the constructor refuses it
+        for f, n in [((Const(0.0),), 1), ((), 0)]:
+            with pytest.raises(DimensionMismatch):
+                NonlinearPlant(f=f, h=(), n=n, m=0)
+        assert NonlinearPlant(f=(Const(0.0),), h=(), n=1, m=1).p == 0
+
+    def test_unknown_variable_is_a_naming_error(self):
+        with pytest.raises(DimensionMismatch, match="x9"):
+            Var("x9").evaluate({"x1": 1.0})
+        with pytest.raises(DimensionMismatch):
+            (state_var(1) * input_var(2)).evaluate({"x1": 1.0, "u1": 2.0})
+
 
 class TestLinearize:
     def test_scalar_square_away_from_equilibrium(self):

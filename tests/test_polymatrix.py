@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atisys import (
@@ -19,7 +19,15 @@ from atisys import (
 )
 from atisys.errors import DimensionMismatch, ZeroMatrix
 from atisys.scenario import reference_system
-from conftest import random_poly, random_poly_matrix, random_unimodular, row_hermite
+from conftest import (
+    bareiss_reference,
+    determinant_reference,
+    random_poly,
+    random_poly_matrix,
+    random_unimodular,
+    row_hermite,
+    smith_form_reference,
+)
 
 X = Poly.x()
 
@@ -87,7 +95,7 @@ class TestRank:
     def test_weak_popov_degrees_match_bareiss(self, M):
         """rank and is_unimodular read the weak Popov degrees; Bareiss elimination is the reference."""
         g, q = M.shape
-        assert M.rank() == M._bareiss()[0]
+        assert M.rank() == bareiss_reference(M)[0]
         det = M.determinant() if g == q else Poly.zero()
         assert M.is_unimodular() == (det.is_constant and not det.is_zero)
 
@@ -105,6 +113,51 @@ class TestRank:
         row = [X + 1, 2 * X, Poly([1, 0, 3])]
         R = PolyMatrix([row, [X * e for e in row]])
         assert R.rank() == 1
+
+
+@st.composite
+def elimination_cases(draw):
+    """A matrix up to 5 x 5, square half the time, of degree at most 3 with
+    rational coefficients, or only its diagonal, whose pivots need not divide
+    one another; it may have a row scaled by a rational, a last row that
+    combines two others, and a zero row and column."""
+    g = draw(st.integers(0, 5))
+    q = g if draw(st.booleans()) else draw(st.integers(0, 5))
+    coefficient = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    poly = st.lists(coefficient, max_size=4).map(Poly)
+    diagonal = draw(st.booleans())
+    rows = [[draw(poly) if i == j or not diagonal else Poly.zero() for j in range(q)]
+            for i in range(g)]
+    if g and draw(st.booleans()):
+        scale = draw(coefficient.filter(bool))
+        rows[0] = [e.scale(scale) for e in rows[0]]
+    if g >= 3 and draw(st.booleans()):
+        a, b = draw(coefficient), draw(coefficient)
+        rows[-1] = [e.scale(a) + f.scale(b) for e, f in zip(rows[0], rows[1])]
+    if g and q and draw(st.booleans()):
+        i, j = draw(st.integers(0, g - 1)), draw(st.integers(0, q - 1))
+        rows[i] = [Poly.zero()] * q
+        for row in rows:
+            row[j] = Poly.zero()
+    return PolyMatrix(rows, ncols=q)
+
+
+class TestEliminationOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(elimination_cases())
+    @example(PolyMatrix.zeros(0, 0))
+    @example(PolyMatrix([[X, 0], [0, X + 1]]))
+    @example(PolyMatrix([[X.scale(Fraction(1, 2)), 0, 0], [0, X + 1, 0], [0, 0, 3 * X + 6]]))
+    def test_smith_and_determinant_match_poly_row_references(self, M):
+        """The integer-row Smith form equals the Poly-row reference in U, V
+        and the invariant factors, and the determinant equals Bareiss's."""
+        if M.is_zero:
+            with pytest.raises(ZeroMatrix):
+                smith_form(M)
+        else:
+            assert smith_form(M) == smith_form_reference(M)
+        if M.shape[0] == M.shape[1]:
+            assert M.determinant() == determinant_reference(M)
 
 
 class TestSmith:
