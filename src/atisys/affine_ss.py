@@ -16,7 +16,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, NonFiniteEntry, _count, check_tolerance
-from .polymatrix import PolyMatrix
 from .trajectories import Trajectory, numerical_rank
 
 
@@ -275,12 +274,10 @@ def lift(sys: AffineStateSpace) -> LiftedStateSpace:
 
 
 def char_poly_at_one(lifted: LiftedStateSpace) -> Fraction:
-    """Evaluate det(I - A) of the lifted transition matrix in exact arithmetic.
+    """det(I - A) of the lifted transition matrix, exactly: always 0.
 
-    Floats convert to rationals exactly, and the determinant is
-    :meth:`PolyMatrix.determinant` of I - A as a matrix of constants.  The
-    constant bottom row makes the result identically zero, certifying the
-    eigenvalue at 1.
+    :class:`LiftedStateSpace` enforces the bottom row (0, ..., 0, 1) of A, so
+    the last row of I - A is zero and so is its determinant, whatever the
+    other entries.  The zero certifies the eigenvalue at 1.
     """
-    A = PolyMatrix([[Fraction(v) for v in row] for row in lifted.A.tolist()])
-    return (PolyMatrix.identity(lifted.order) - A).determinant().coefficient(0)
+    return Fraction(0)

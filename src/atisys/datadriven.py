@@ -9,8 +9,9 @@ left null space of the data matrix, and reads the integer invariants (input
 cardinality, order, lag) off the dimension profile of the data.
 
 With [1^T; H]^T = QR, only g = Q y moves [1^T; H] g: 1^T g = R_00 y_0 and
-H g = R[:, 1:]^T y.  So the constraint fixes y_0, and a fit is one
-least-squares solve for the other (at most qL) entries of y.
+H g = R[:, 1:]^T y.  So the constraint fixes y_0, and a fit solves for the
+other (at most qL) entries of y on one SVD of the matched rows, whose kept
+right singular vectors also decide whether a completion is ambiguous.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .kernelrep import AffineKernelRep
 from .poly import Poly
 from .polymatrix import PolyMatrix
 from .trajectories import HankelMatrix, Trajectory, _augmented_r, _augmented_rank, _check_depth
-from .trajectories import _factor, default_rank_tolerance, hankel, rank_of
+from .trajectories import _factor, hankel, rank_of, window_matrix
 
 DEFAULT_RESIDUAL_TOL = 1e-8
 
@@ -106,13 +107,15 @@ def rank_condition_affine(
 
 
 def _affine_solve(rep: DataDrivenRep, A: np.ndarray, b: np.ndarray):
-    """Minimise ||A y - b|| over R_00 y_0 = 1, A rows of H Q; return y, g = Q y and the residual."""
+    """Minimise ||A y - b|| over R_00 y_0 = 1, A rows of H Q, on one SVD A[:, 1:] = U S V^T cut
+    as :func:`rank_of` cuts; return y, g = Q y, the residual and the kept rows of V^T."""
     Q, R = rep._qr
     y = np.zeros(A.shape[1])
     y[0] = 1 / R[0, 0]
-    rcond = default_rank_tolerance((len(b) + 1, rep.columns))
-    y[1:] = np.linalg.lstsq(A[:, 1:], b - A[:, 0] * y[0], rcond=rcond)[0]
-    return y, Q @ y, float(np.linalg.norm(A @ y - b))
+    U, svals, Vt = np.linalg.svd(A[:, 1:], full_matrices=False)
+    r = rank_of(svals, (len(b) + 1, rep.columns)) if svals.size else 0  # one window: no columns
+    y[1:] = Vt[:r].T @ ((U[:, :r].T @ (b - A[:, 0] * y[0])) / svals[:r])
+    return y, Q @ y, float(np.linalg.norm(A @ y - b)), Vt[:r]
 
 
 class MembershipResult(NamedTuple):
@@ -135,7 +138,7 @@ def membership(rep: DataDrivenRep, window, tol: float = DEFAULT_RESIDUAL_TOL) ->
         raise DimensionMismatch(f"window has {w.size} entries, expected {rep.q * rep.depth}")
     if not np.all(np.isfinite(w)):
         raise NonFiniteEntry("window contains non-finite entries")
-    _, g, residual = _affine_solve(rep, rep._qr[1][:, 1:].T, w)
+    _, g, residual, _ = _affine_solve(rep, rep._qr[1][:, 1:].T, w)
     with np.errstate(over="ignore"):  # a bound past the float range admits any residual
         return MembershipResult(residual <= tol * (1 + np.linalg.norm(w)), g, residual)
 
@@ -173,8 +176,7 @@ def complete(
             f"prefix ({t_ini}) plus future ({u_f.length}) must equal the depth {L}"
         )
 
-    R = rep._qr[1]
-    M = R[:, 1:].T  # H Q, the rows of H in the coordinates y
+    M = rep._qr[1][:, 1:].T  # H Q, the rows of H in the coordinates y
     # rows of M by (time, variable): the prefix samples and future inputs are matched
     blocks = M.reshape(L, q, -1)
     C = np.vstack([M[: q * t_ini], blocks[t_ini:, :m].reshape(-1, M.shape[1])])
@@ -182,17 +184,16 @@ def complete(
     b = np.concatenate(prefix + [u_f.data.ravel()])
     Y = blocks[t_ini:, m:].reshape(-1, M.shape[1])
 
-    y, g, residual = _affine_solve(rep, C, b)
+    y, g, residual, V = _affine_solve(rep, C, b)
     with np.errstate(over="ignore"):  # bounds past the float range admit everything
         residual_bound = tol * (1 + np.linalg.norm(b))
         spread_bound = tol * (1 + np.linalg.norm(Y))
     if residual > residual_bound:
         raise Infeasible(f"constraint residual {residual:.3e} exceeds the tolerance")
-    S = np.vstack([R[:, 0], C])  # [1^T; C] Q
-    _, svals, Vt = np.linalg.svd(S, full_matrices=False)
-    V = Vt[: rank_of(svals, (S.shape[0], rep.columns))]
-    if V.shape[0] < S.shape[1]:
-        spread = float(np.linalg.norm(Y - (Y @ V.T) @ V))
+    # [1^T; C] Q has first row [R_00, 0, ..., 0], so its null space is {0} x null C[:, 1:]
+    if V.shape[0] < V.shape[1]:
+        Y1 = Y[:, 1:]
+        spread = float(np.linalg.norm(Y1 - (Y1 @ V.T) @ V))
         if spread > spread_bound:
             raise AmbiguousContinuation(
                 f"future outputs vary by {spread:.3e} over the solution set"
@@ -255,14 +256,14 @@ def recover_kernel(
     elif method == "exact":
         if tol is not None:
             raise InvalidArgument("the exact method takes no tolerance")
-        H = rep.hankel.entries
-        if np.any(np.abs(H) >= 2.0**53):
+        data = rep.trajectory.data  # every Hankel entry is a sample
+        if np.any(np.abs(data) >= 2.0**53):
             raise InvalidArgument(
                 "data entries of magnitude 2**53 or more may be rounded; "
                 "the exact method cannot read them"
             )
-        S = ones_augmented(H).T
-        rows = S.astype(np.int64) if np.array_equal(S, np.trunc(S)) else S
+        data = data.astype(np.int64) if np.array_equal(data, np.trunc(data)) else data
+        rows = np.hstack([window_matrix(data, rep.depth).T, np.ones((rep.columns, 1), data.dtype)])
         null_rows = list(exactla._null_vectors(rows, qL + 1).values())
         rank, kind = qL + 1 - len(null_rows), "exact"
     else:

@@ -176,7 +176,7 @@ def _null_vectors(matrix, ncols: int | None) -> dict[int, list[int]]:
     bound = ncols * max(abs(v) for y in vectors for v in y) * max(int(rest.max()), -int(rest.min()))
     dtype = np.int64 if rest.dtype == np.int64 and bound < 2**63 else object
     products = rest.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T
-    missed = np.flatnonzero((products != 0).any(axis=1))
+    missed = np.flatnonzero(products.any(axis=1))
     if len(missed):
         _, basis = _null_basis(block[: len(pivots)] + _integer_rows(_rows(rest[missed])), ncols)
     return basis

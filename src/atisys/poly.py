@@ -24,10 +24,10 @@ through ``int()``, ``"num/den"`` strings by Fraction, integer-valued floats as
 those integers.  NaN and infinity raise :class:`NonFiniteEntry`; other floats,
 malformed strings and other types raise :class:`InvalidArgument`.  Points of
 evaluation are read by the same rule as coefficients, so evaluating a
-polynomial always gives an exact Fraction.  The float
-bridges, which read a binary float as the rational it encodes, are the float
-rows of ``exactla._integer_rows`` (exact recovery's data under its 2**53 rule,
-and the SVD route's null rows) and ``affine_ss.char_poly_at_one``.
+polynomial always gives an exact Fraction.  The one float
+bridge, which reads a binary float as the rational it encodes, is the float
+rows of ``exactla._integer_rows``: exact recovery's record under its 2**53
+rule, and the SVD route's null rows.
 """
 
 from __future__ import annotations

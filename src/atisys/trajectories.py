@@ -244,14 +244,15 @@ def numerical_rank(matrix, tol: float | None = None) -> RankResult:
     ``tol`` defaults to ``max(rows, cols) * eps``.  The full singular-value
     list is returned for diagnostics.  An explicit ``tol`` must be positive
     and finite: NaN or infinity would cut every singular value and report
-    rank 0 as if it were measured.
+    rank 0 as if it were measured.  A wide matrix is decomposed as its
+    transpose, which has the same singular values and factors faster.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.size == 0:
         raise DimensionMismatch(f"expected a nonempty matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise NonFiniteEntry("matrix contains non-finite entries")
-    svals = np.linalg.svd(M, compute_uv=False)
+    svals = np.linalg.svd(M.T if M.shape[0] < M.shape[1] else M, compute_uv=False)
     return RankResult(rank_of(svals, M.shape, tol), svals)
 
 

@@ -2,7 +2,8 @@
 against: the exact left null space, the row-Hermite form, Bareiss
 elimination, the Smith form and the weak Popov reduction on rows of rational
 polynomials that the integer-row eliminations replaced, the affine
-least-squares solve that the data-driven fits replaced, and the
+least-squares solve that the data-driven fits replaced, the two-decomposition
+completion that the one-SVD completion replaced, and the
 linearization by derivative trees that forward-mode differentiation
 replaced.
 
@@ -30,9 +31,10 @@ from atisys import (
     pe_order_affine,
     simulate,
 )
-from atisys.errors import NonFiniteEvaluation
+from atisys.errors import AmbiguousContinuation, Infeasible, NonFiniteEvaluation
 from atisys.plants import Add, Const, Mul, Neg, Pow, Sub, Var
 from atisys.polymatrix import PopovReduction, SmithDecomposition
+from atisys.trajectories import default_rank_tolerance, rank_of
 
 
 @pytest.fixture
@@ -416,6 +418,41 @@ def affine_lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         g[0] -= z.sum()
         g[1:] = z
     return g
+
+
+def complete_reference(rep, w_ini, u_f, tol: float = 1e-8):
+    """``datadriven.complete`` as it stood with two decompositions per query.
+
+    The fit is ``np.linalg.lstsq`` on the matched rows C of H Q, with the rank
+    cut of ``numerical_rank``; the ambiguity test then takes a second SVD, of
+    the stacked [1^T; C] Q, and cuts it against its own largest singular value.
+    Returns the future outputs, g and the residual, or raises ``Infeasible`` or
+    ``AmbiguousContinuation`` as the solver does.
+    """
+    q, m, L = rep.q, rep.m, rep.depth
+    t_ini = 0 if w_ini is None else w_ini.length
+    Q, R = rep._qr
+    M = R[:, 1:].T
+    blocks = M.reshape(L, q, -1)
+    C = np.vstack([M[: q * t_ini], blocks[t_ini:, :m].reshape(-1, M.shape[1])])
+    prefix = [] if w_ini is None else [w_ini.data.ravel()]
+    b = np.concatenate(prefix + [u_f.data.ravel()])
+    Y = blocks[t_ini:, m:].reshape(-1, M.shape[1])
+    y = np.zeros(C.shape[1])
+    y[0] = 1 / R[0, 0]
+    rcond = default_rank_tolerance((len(b) + 1, rep.columns))
+    y[1:] = np.linalg.lstsq(C[:, 1:], b - C[:, 0] * y[0], rcond=rcond)[0]
+    residual = float(np.linalg.norm(C @ y - b))
+    if residual > tol * (1 + np.linalg.norm(b)):
+        raise Infeasible(f"constraint residual {residual:.3e} exceeds the tolerance")
+    S = np.vstack([R[:, 0], C])
+    _, svals, Vt = np.linalg.svd(S, full_matrices=False)
+    V = Vt[: rank_of(svals, (S.shape[0], rep.columns))]
+    if V.shape[0] < S.shape[1]:
+        spread = float(np.linalg.norm(Y - (Y @ V.T) @ V))
+        if spread > tol * (1 + np.linalg.norm(Y)):
+            raise AmbiguousContinuation(f"future outputs vary by {spread:.3e} over the solution set")
+    return (M @ y).reshape(L, q)[t_ini:, m:], Q @ y, residual
 
 
 # -- plant references ----------------------------------------------------

@@ -29,6 +29,7 @@ from atisys.errors import (
     AmbiguousContinuation,
     DimensionMismatch,
     ExcitationDeficient,
+    Infeasible,
     InvalidArgument,
     NonFiniteEntry,
     NotConverged,
@@ -38,6 +39,7 @@ from atisys.excitation import ones_augmented
 from atisys.scenario import reference_input, reference_system
 from conftest import (
     affine_lstsq,
+    complete_reference,
     experiment,
     pe_affine_input,
     random_minimal_integer_system,
@@ -105,6 +107,19 @@ class TestMembership:
         verdict = membership(rep, outside)
         assert not verdict.is_member
 
+    def test_a_small_singular_value_above_the_cut_counts(self, rng):
+        """Noise of 1e-11 on a record leaves singular values near 1e-12
+        sigma_1, far above the cut at max(rows, cols) * eps: they count, so
+        the noisy H has full row rank and a window 1e-6 off the behavior is
+        a member of its span, though not of the noise-free record's."""
+        sys = random_system(rng, 2, 1, 1)
+        w, _ = experiment(sys, rng, Trajectory.inputs(rng.normal(size=(200, 1))))
+        noisy = Trajectory(w.data + 1e-11 * rng.normal(size=w.data.shape), m=1)
+        window = w.data[:4].ravel() + 1e-6 * rng.normal(size=8)
+        assert not membership(DataDrivenRep(w, 4), window).is_member
+        verdict = membership(DataDrivenRep(noisy, 4), window)
+        assert verdict.is_member and verdict.residual < 1e-10
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_window_is_typed(self, bad):
         # a NaN residual is no verdict, so the window is refused, not judged a non-member
@@ -135,6 +150,16 @@ class TestComplete:
         outcome = complete(rep, restrict(w, 1, 2), Trajectory.inputs(fresh_u.data[2:]))
         assert np.allclose(outcome.y_f.data, fresh.y.data[2:], atol=1e-8)
 
+    def test_a_single_window_continues_itself(self):
+        # one window leaves g = [1] alone, and nothing to decompose after y_0
+        w = Trajectory(np.arange(6.0).reshape(3, 2) ** 2, m=1)
+        rep = DataDrivenRep(w, 3)
+        assert membership(rep, w.data).is_member
+        outcome = complete(rep, restrict(w, 1, 1), Trajectory.inputs(w.data[1:, :1]))
+        assert np.allclose(outcome.y_f.data, w.data[1:, 1:]) and np.allclose(outcome.g, [1.0])
+        with pytest.raises(Infeasible):
+            complete(rep, restrict(w, 1, 1), Trajectory.inputs([[1.0], [2.0]]))
+
     def test_empty_prefix_is_ambiguous(self):
         sys, u, result = reference_data("experiment-1", 9)
         rep = DataDrivenRep(result.io(u), 2)
@@ -142,8 +167,6 @@ class TestComplete:
             complete(rep, None, Trajectory.inputs([[0.1], [0.2]]))
 
     def test_prefix_outside_the_behavior_is_infeasible(self):
-        from atisys.errors import Infeasible
-
         _, u, result = reference_data("experiment-1", 9)
         w = result.io(u)
         rep = DataDrivenRep(w, 3)
@@ -188,9 +211,9 @@ class TestCompleteAmbiguityOracle:
         """
         tol = 1e-8
         verdicts = []
-        for _ in range(8):
+        for _ in range(40):
             n, m, p = (int(v) for v in rng.integers(1, 3, size=3))
-            q, L = m + p, n + 2
+            q, L = m + p, int(rng.integers(1, n + 3))
             T = (m + 1) * L + n + 4
             w, _ = experiment(random_system(rng, n, m, p), rng, Trajectory.inputs(rng.normal(size=(T, m))))
             rep = DataDrivenRep(w, L)
@@ -201,6 +224,7 @@ class TestCompleteAmbiguityOracle:
                 prefix = restrict(window, 1, t_ini) if t_ini else None
                 u_f = Trajectory.inputs(window.data[t_ini:, :m])
                 matched = list(range(q * t_ini)) + [t * q + i for t in range(t_ini, L) for i in range(m)]
+                assert len(matched) < q * L
                 outputs = [t * q + i for t in range(t_ini, L) for i in range(m, q)]
                 S = np.vstack([H[matched], np.ones(H.shape[1])])
                 null = np.linalg.svd(S)[2][np.linalg.matrix_rank(S) :]
@@ -214,6 +238,44 @@ class TestCompleteAmbiguityOracle:
                     assert np.allclose(outcome.y_f.data, window.data[t_ini:, m:], atol=1e-6)
                 verdicts.append(ambiguous)
         assert any(verdicts) and not all(verdicts)
+
+
+@st.composite
+def completion_queries(draw):
+    """A representation and a completion query on it: records of random
+    systems or of noise, short ones down to a single window, long ones, and
+    windows moved off the record by a small or a large perturbation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m, p = draw(st.integers(0, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    L = draw(st.integers(1, n + 3))
+    T = draw(st.one_of(st.integers(L, (m + 1) * L + n + 7), st.integers(L + 1, 300)))
+    if draw(st.booleans()):
+        w = experiment(random_system(rng, n, m, p), rng, Trajectory.inputs(rng.normal(size=(T, m))))[0]
+    else:
+        w = Trajectory(rng.normal(size=(T, m + p)), m=m)
+    t_ini, start = draw(st.integers(0, L - 1)), draw(st.integers(0, T - L))
+    window = w.data[start : start + L] + draw(st.sampled_from([0.0, 1e-9, 1e-3])) * rng.normal(size=(L, m + p))
+    prefix = Trajectory(window[:t_ini], m=m) if t_ini else None
+    return DataDrivenRep(w, L), prefix, Trajectory.inputs(window[t_ini:, :m])
+
+
+class TestOneDecompositionCompletion:
+    @settings(max_examples=200, deadline=None)
+    @given(completion_queries())
+    def test_matches_the_two_decomposition_reference(self, query):
+        """The same outcome as the lstsq solve followed by a second SVD of
+        [1^T; C] Q, and the same continuation to 1e-12 relative."""
+        rep, prefix, u_f = query
+        try:
+            y_f, g, residual = complete_reference(rep, prefix, u_f)
+        except (Infeasible, AmbiguousContinuation) as error:
+            with pytest.raises(type(error)):
+                complete(rep, prefix, u_f)
+            return
+        outcome = complete(rep, prefix, u_f)
+        assert np.linalg.norm(outcome.y_f.data - y_f) <= 1e-12 * (1 + np.linalg.norm(y_f))
+        assert np.linalg.norm(outcome.g - g) <= 1e-12 * (1 + np.linalg.norm(g))
+        assert abs(outcome.residual - residual) <= 1e-12 * (1 + np.linalg.norm(u_f.data))
 
 
 class TestRecoverKernel:
@@ -508,8 +570,9 @@ class TestSharedFactor:
         _, u, result = reference_data("experiment-1", 9)
         w = Trajectory(np.round(result.io(u).data * 8), m=1)
         calls = self.count_long_factorizations(monkeypatch, w.length - 1)
-        recover_kernel(DataDrivenRep(w, 2), method="exact")
-        assert calls == [] and not w._factors
+        rep = DataDrivenRep(w, 2)
+        recover_kernel(rep, method="exact")
+        assert calls == [] and not w._factors and "hankel" not in rep.__dict__
 
 
 class TestLstsqReference:

@@ -24,6 +24,7 @@ from conftest import (
     determinant_reference,
     random_poly,
     random_poly_matrix,
+    random_system,
     random_unimodular,
     row_hermite,
     smith_form_reference,
@@ -375,3 +376,14 @@ class TestPinnedTransforms:
         for lifted in (lift(model), lift(reference_system())):
             value = char_poly_at_one(lifted)
             assert value == 0 and type(value) is Fraction
+
+    def test_char_poly_at_one_matches_the_determinant(self):
+        """The structural zero against det(I - A), computed exactly from the
+        rationals the floats encode, on lifts of order 2 to 6."""
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n, m, p = int(rng.integers(1, 6)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            lifted = lift(random_system(rng, n, m, p))
+            A = PolyMatrix([[Fraction(v) for v in row] for row in lifted.A.tolist()])
+            determinant = (PolyMatrix.identity(lifted.order) - A).determinant()
+            assert char_poly_at_one(lifted) == determinant.coefficient(0) == 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atisys import DataDrivenRep, Trajectory, hankel, numerical_rank, restrict, shift
-from atisys import exactla
+from atisys import exactla, trajectories
 from conftest import left_null_space
 from atisys.errors import (
     DepthExceedsLength,
@@ -178,6 +178,26 @@ class TestNumericalRank:
         for L in range(1, 11):
             H = hankel(w, L)
             assert numerical_rank(H.entries).rank <= min(w.q * L, w.length - L + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 25), st.integers(1, 400), st.booleans(), st.integers(0, 2))
+    def test_either_orientation_gives_the_same_spectrum(self, seed, short, long, wide, kind):
+        """A wide matrix is decomposed as its transpose: the rank and, to
+        1e-13 sigma_1, the singular values of an SVD of the matrix itself, on
+        wide and tall matrices of full rank and of products of thin factors."""
+        rng = np.random.default_rng(seed)
+        rows, cols = (short, long) if wide else (long, short)
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        if kind == 0:
+            M = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-5, 6)
+        elif kind == 1:
+            M = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols))
+        else:
+            M = (rng.integers(-3, 4, (rows, r)) @ rng.integers(-3, 4, (r, cols))).astype(float)
+        got = numerical_rank(M)
+        svals = np.linalg.svd(M, compute_uv=False)
+        assert got.rank == trajectories.rank_of(svals, M.shape)
+        assert np.max(np.abs(got.singular_values - svals)) <= 1e-13 * svals[0]
 
 
 small_entry = st.integers(-3, 3)
