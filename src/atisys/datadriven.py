@@ -11,7 +11,8 @@ cardinality, order, lag) off the dimension profile of the data.
 With [1^T; H]^T = QR, only g = Q y moves [1^T; H] g: 1^T g = R_00 y_0 and
 H g = R[:, 1:]^T y.  So the constraint fixes y_0, and a fit solves for the
 other (at most qL) entries of y on one SVD of the matched rows, whose kept
-right singular vectors also decide whether a completion is ambiguous.
+right singular vectors also decide whether a completion is ambiguous;
+membership matches every row, so its SVD is kept with the representation.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ class DataDrivenRep:
     def _qr(self) -> tuple[np.ndarray, np.ndarray]:
         return _factor(self.trajectory, self.depth, "reduced")
 
+    @cached_property
+    def _member_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.linalg.svd(self._qr[1][1:, 1:].T, full_matrices=False)
+
     @property
     def q(self) -> int:
         return self.trajectory.q
@@ -106,13 +111,13 @@ def rank_condition_affine(
     return rank_condition_affine_report(x_d, u_d, depth, tol).ok
 
 
-def _affine_solve(rep: DataDrivenRep, A: np.ndarray, b: np.ndarray):
-    """Minimise ||A y - b|| over R_00 y_0 = 1, A rows of H Q, on one SVD A[:, 1:] = U S V^T cut
-    as :func:`rank_of` cuts; return y, g = Q y, the residual and the kept rows of V^T."""
+def _affine_solve(rep: DataDrivenRep, A: np.ndarray, b: np.ndarray, svd):
+    """Minimise ||A y - b|| over R_00 y_0 = 1, A rows of H Q, on the SVD A[:, 1:] = U S V^T
+    cut as :func:`rank_of` cuts; return y, g = Q y, the residual and the kept rows of V^T."""
     Q, R = rep._qr
     y = np.zeros(A.shape[1])
     y[0] = 1 / R[0, 0]
-    U, svals, Vt = np.linalg.svd(A[:, 1:], full_matrices=False)
+    U, svals, Vt = svd
     r = rank_of(svals, (len(b) + 1, rep.columns)) if svals.size else 0  # one window: no columns
     y[1:] = Vt[:r].T @ ((U[:, :r].T @ (b - A[:, 0] * y[0])) / svals[:r])
     return y, Q @ y, float(np.linalg.norm(A @ y - b)), Vt[:r]
@@ -138,7 +143,7 @@ def membership(rep: DataDrivenRep, window, tol: float = DEFAULT_RESIDUAL_TOL) ->
         raise DimensionMismatch(f"window has {w.size} entries, expected {rep.q * rep.depth}")
     if not np.all(np.isfinite(w)):
         raise NonFiniteEntry("window contains non-finite entries")
-    _, g, residual, _ = _affine_solve(rep, rep._qr[1][:, 1:].T, w)
+    _, g, residual, _ = _affine_solve(rep, rep._qr[1][:, 1:].T, w, rep._member_svd)
     with np.errstate(over="ignore"):  # a bound past the float range admits any residual
         return MembershipResult(residual <= tol * (1 + np.linalg.norm(w)), g, residual)
 
@@ -184,7 +189,7 @@ def complete(
     b = np.concatenate(prefix + [u_f.data.ravel()])
     Y = blocks[t_ini:, m:].reshape(-1, M.shape[1])
 
-    y, g, residual, V = _affine_solve(rep, C, b)
+    y, g, residual, V = _affine_solve(rep, C, b, np.linalg.svd(C[:, 1:], full_matrices=False))
     with np.errstate(over="ignore"):  # bounds past the float range admit everything
         residual_bound = tol * (1 + np.linalg.norm(b))
         spread_bound = tol * (1 + np.linalg.norm(Y))

@@ -3,10 +3,11 @@
 A pair (R(x), c) represents the trajectory set {w : R(sigma) w = c}, where
 sigma is the time shift.  Unlike the offset-free case, such a set can be
 empty: every polynomial row dependency (syzygy) of R imposes a constraint on
-c, and consistency holds exactly when all of them are met.  Every decision
-reads one weak Popov reduction of [R | I], kept with R
-(:meth:`PolyMatrix.popov_reduction`, described in :mod:`atisys.polymatrix`),
-and each representation keeps the minimal form that :func:`minimize` builds.
+c, and consistency holds exactly when all of them are met.  R w = c is the
+slice v = 1 of the linear laws (sigma - 1) v = 0 and R w - c v = 0, so every
+decision on a constant offset reads one weak Popov reduction
+(:mod:`atisys.polymatrix`) of [sigma - 1, 0; -c, R | I], v first, kept as the
+minimal form of :func:`minimize`; a consistent pair also leaves R its syzygies.
 Everything here runs in exact rational arithmetic; floating point enters
 only when a representation is applied to measured data windows.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,11 +24,12 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InconsistentRepresentation,
+    NonFiniteEntry,
     WindowTooShort,
     _count,
 )
 from .poly import Poly, _fraction
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, PopovReduction
 from .trajectories import window_matrix
 
 OffsetVector = tuple[Fraction, ...]
@@ -122,13 +124,11 @@ def consistent_constant(rep: AffineKernelRep) -> bool:
     """Whether a constant offset is attainable: lambda(1) c = 0 for all syzygies.
 
     A constant sequence is fixed by the shift, so each syzygy constraint
-    lambda(sigma) c = 0 collapses to the scalar test at 1, and lambda(1) c is
-    linear in lambda, so it suffices that the generators of
-    :func:`syzygy_basis` pass; they are integral, so c is put over one denominator.
+    lambda(sigma) c = 0 collapses to the scalar test at 1.  The laws of the
+    module docstring hold [-lambda(1) c, 0] modulo sigma - 1 for every syzygy,
+    so their Popov row leading at v is sigma - 1 exactly when all of these vanish.
     """
-    scale = lcm(*(v.denominator for v in rep.c))
-    c = [v.numerator * (scale // v.denominator) for v in rep.c]
-    return not any(sum(sum(e.numerators) * v for e, v in zip(lam, c)) for lam in syzygy_basis(rep.R))
+    return _minimal_form(rep) is not None
 
 
 def consistent_sequence(R: PolyMatrix, c: OffsetSequence) -> bool:
@@ -195,24 +195,37 @@ def _filter(lam: Sequence[Poly], columns: list[list[int]], T: int) -> list[int]:
 def minimize(rep: AffineKernelRep) -> AffineKernelRep:
     """Equivalent representation with full-row-rank R in canonical (Popov) form.
 
-    The reduction U [R | I] of :meth:`PolyMatrix.popov_reduction` sends the
-    offset to U(1) c; the entries against the rows whose R part vanished,
-    lambda(1) c, must vanish, or the representation was inconsistent to begin
-    with.  The result is kept with ``rep``; an inconsistent ``rep`` raises on every call.
+    The Popov rows of the laws (module docstring) other than sigma - 1 are
+    [-c_min, R_min]: each v entry lies below the degree of sigma - 1.  The
+    result is kept with ``rep``; an inconsistent ``rep`` raises on every call.
     """
-    if rep._minimal is None:
-        object.__setattr__(rep, "_minimal", _minimal_form(rep))
+    if (minimal := _minimal_form(rep)) is None:
+        raise InconsistentRepresentation("zero rows of the reduced matrix carry nonzero offsets")
+    return minimal
+
+
+def _minimal_form(rep: AffineKernelRep) -> AffineKernelRep | None:
+    """The kept minimal form, else None for an inconsistent ``rep``, which keeps
+    nothing; computing it also writes R's reduction when R has none."""
+    if rep._minimal is not None:
+        return rep._minimal
+    laws = [[Poly([-1, 1])] + [0] * rep.q] + [[-v, *row] for v, row in zip(rep.c, rep.R.rows)]
+    (v_law, *rows), syzygies = PolyMatrix(laws).popov_reduction()
+    if v_law[0].is_constant:  # [k, 0, ..., 0] with k = -lambda(1) c for some syzygy lambda
+        return None
+    R = PolyMatrix([row[1:] for row in rows], ncols=rep.q)
+    if rep.R._reduced is None:
+        # a row leads at v only when its R part is gone or of lower degree, and is then
+        # reduced by sigma - 1 alone: R parts and lambda take the steps of [R | I]
+        kept = tuple(_primitive(lam[1:]) for lam in syzygies)
+        object.__setattr__(rep.R, "_reduced", PopovReduction(R.rows, kept))
+    object.__setattr__(rep, "_minimal", AffineKernelRep(R, tuple(-row[0].coefficient(0) for row in rows)))
     return rep._minimal
 
 
-def _minimal_form(rep: AffineKernelRep) -> AffineKernelRep:
-    if not consistent_constant(rep):
-        raise InconsistentRepresentation(
-            "zero rows of the reduced matrix carry nonzero offsets"
-        )
-    reduction = rep.R.popov_reduction()
-    offset = tuple(sum(u * v for u, v in zip(row, rep.c)) for row in reduction.at_one)
-    return AffineKernelRep(PolyMatrix(reduction.popov, ncols=rep.q), offset)
+def _primitive(lam: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    k = gcd(*(n for e in lam for n in e.numerators))
+    return lam if k == 1 else tuple(Poly.from_numerators([n // k for n in e.numerators]) for e in lam)
 
 
 def equivalent(rep1: AffineKernelRep, rep2: AffineKernelRep) -> bool:
@@ -221,44 +234,43 @@ def equivalent(rep1: AffineKernelRep, rep2: AffineKernelRep) -> bool:
     Both are reduced to the canonical minimal (Popov) form; the canonical
     matrices are equal exactly when the offset-free row modules agree, and
     then the connecting unimodular transform is the identity, so the offsets
-    must match entrywise.  :func:`minimize` rejects inconsistent inputs.
+    must match entrywise.  Inconsistent inputs raise :class:`InconsistentRepresentation`.
     """
-    try:
-        min1 = minimize(rep1)
-        min2 = minimize(rep2)
-    except InconsistentRepresentation:
-        raise InconsistentRepresentation(
-            "equivalence is defined for consistent representations"
-        ) from None
-    return rep1.q == rep2.q and min1.R == min2.R and min1.c == min2.c
+    if (min1 := _minimal_form(rep1)) is None or (min2 := _minimal_form(rep2)) is None:
+        raise InconsistentRepresentation("equivalence is defined for consistent representations")
+    return min1 == min2
 
 
 def behavior_apply(rep: AffineKernelRep, window) -> np.ndarray:
     """Residuals of a data window against the representation, in floats.
 
     For a window w(1..L) with L >= deg R + 1, returns the (L - deg R) x g
-    array with row t holding sum_k R_k w(t+k) - c.
+    array with row t holding sum_k R_k w(t+k) - c.  Non-finite window entries
+    and coefficients or offsets beyond the float range raise :class:`NonFiniteEntry`.
     """
     w = np.asarray(getattr(window, "data", window), dtype=float)
     if w.ndim == 1:
-        if rep.q != 1 and w.size % rep.q == 0:
-            w = w.reshape(-1, rep.q)
-        else:
-            w = w.reshape(-1, 1)
+        w = w.reshape(-1, rep.q if rep.q and w.size % rep.q == 0 else 1)
     if w.shape[1] != rep.q:
         raise DimensionMismatch(f"window has {w.shape[1]} variables, expected {rep.q}")
     d = rep.degree
     L = w.shape[0]
     if L < d + 1:
         raise WindowTooShort(f"window {L} shorter than degree bound {d + 1}")
+    if not np.all(np.isfinite(w)):
+        raise NonFiniteEntry("window contains non-finite entries")
     # [R_0 ... R_d] @ (column t: w(t), ..., w(t+d) stacked) - c; each
     # coefficient is its numerator over the entry's denominator, rounded once
     blocks = np.zeros((rep.g, d + 1, rep.q))
-    for i, row in enumerate(rep.R.rows):
-        for j, e in enumerate(row):
-            blocks[i, : len(e.numerators), j] = [n / e.denominator for n in e.numerators]
+    try:
+        for i, row in enumerate(rep.R.rows):
+            for j, e in enumerate(row):
+                blocks[i, : len(e.numerators), j] = [n / e.denominator for n in e.numerators]
+        offsets = rep.offset_floats()
+    except OverflowError:
+        raise NonFiniteEntry("a coefficient or offset lies beyond the float range") from None
     stacked = blocks.reshape(rep.g, (d + 1) * rep.q)
-    return (stacked @ window_matrix(w, d + 1)).T - rep.offset_floats()
+    return (stacked @ window_matrix(w, d + 1)).T - offsets
 
 
 def controllable_kernel(rep: AffineKernelRep) -> bool:

@@ -29,7 +29,8 @@ row module (Kailath, *Linear Systems*, 1980), and the I parts of the rows
 whose M part vanished span the left syzygies of M.
 :meth:`PolyMatrix.popov_reduction` returns it as a :class:`PopovReduction`
 and keeps it with the matrix (``_reduced``, private, never compared, hashed
-or copied), so every exact decision on one matrix pays for it once.
+or copied, also written by :mod:`atisys.kernelrep`), so every exact decision
+on one matrix pays for it once.
 """
 
 from __future__ import annotations
@@ -312,11 +313,10 @@ def _smith(rows: list[list[list[int]]], g: int, q: int) -> tuple[int, int]:
 
 class PopovReduction(NamedTuple):
     """The weak Popov reduction U [M | I] (module docstring): the nonzero rows
-    of U M in Popov form, their rows of U(1), and the rows of U against the
-    zero rows of U M (the syzygies), integral with content one."""
+    of U M in Popov form, and the rows of U against the zero rows of U M
+    (the syzygies), integral with content one."""
 
     popov: tuple[tuple[Poly, ...], ...]
-    at_one: tuple[tuple[Fraction, ...], ...]
     syzygies: tuple[tuple[Poly, ...], ...]
 
 
@@ -327,7 +327,6 @@ def _reduce(matrix: PolyMatrix) -> PopovReduction:
     kept = _popov([row for row in rows if any(row[:q])], q)
     return PopovReduction(
         popov=tuple(tuple(Poly.from_numerators(e, lead) for e in row[:q]) for lead, row in kept),
-        at_one=tuple(tuple(Fraction(sum(e), lead) for e in row[q:]) for lead, row in kept),
         syzygies=tuple(
             tuple(Poly.from_numerators(e) for e in row[q:]) for row in rows if not any(row[:q])
         ),
@@ -347,8 +346,11 @@ def _augmented(matrix: PolyMatrix) -> list[list[list[int]]]:
 
 
 def _primitive(row: list[list[int]]) -> list[list[int]]:
-    content = gcd(*(v for e in row for v in e))
-    return [[v // content for v in e] for e in row] if content > 1 else row
+    content = 0
+    for e in row:  # most rows reach content one within a few entries
+        if (content := gcd(content, *e)) == 1:
+            return row
+    return [[v // content for v in e] for e in row] if content else row
 
 
 def _subtract(row: list[list[int]], a: int, factor: list[int], other: list[list[int]]) -> list[list[int]]:
@@ -372,10 +374,10 @@ def _subtract(row: list[list[int]], a: int, factor: list[int], other: list[list[
 def _leading(row: list[list[int]], width: int) -> tuple[int, int] | None:
     """Degree and position of the rightmost entry of maximal degree among the
     first ``width`` entries, or among the rest once those are zero."""
-    for part in (range(width), range(width, len(row))):
-        size = max((len(row[j]) for j in part), default=0)
-        if size:
-            return size - 1, max(j for j in part if len(row[j]) == size)
+    for start, stop in ((0, width), (width, len(row))):
+        sizes = list(map(len, row[start:stop]))
+        if size := max(sizes, default=0):
+            return size - 1, stop - 1 - sizes[::-1].index(size)
     return None
 
 

@@ -1,7 +1,8 @@
 """Shared generators for randomized suites, and the references they compare
 against: the exact left null space, the row-Hermite form, Bareiss
 elimination, the Smith form and the weak Popov reduction on rows of rational
-polynomials that the integer-row eliminations replaced, the affine
+polynomials that the integer-row eliminations replaced, the minimal form
+with offsets U(1) c that the homogenized reduction replaced, the affine
 least-squares solve that the data-driven fits replaced, the two-decomposition
 completion that the one-SVD completion replaced, and the
 linearization by derivative trees that forward-mode differentiation
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from atisys import (
+    AffineKernelRep,
     AffineStateSpace,
     Poly,
     PolyMatrix,
@@ -29,6 +31,7 @@ from atisys import (
     exactla,
     numerical_rank,
     pe_order_affine,
+    polymatrix,
     simulate,
 )
 from atisys.errors import AmbiguousContinuation, Infeasible, NonFiniteEvaluation
@@ -389,9 +392,32 @@ def popov_reduction_reference(matrix: PolyMatrix) -> PopovReduction:
     kept = _popov([row for row in rows if any(row[:q])], q)
     return PopovReduction(
         popov=tuple(tuple(row[:q]) for row in kept),
-        at_one=tuple(tuple(e(1) for e in row[q:]) for row in kept),
         syzygies=tuple(tuple(_clear_denominators(row[q:])) for row in rows if not any(row[:q])),
     )
+
+
+def minimal_form_reference(rep: AffineKernelRep):
+    """Consistency, R's syzygies and the minimal form, as ``kernelrep`` read
+    them off the integer-row reduction of [R | I] alone.
+
+    The Popov rows of U R are the minimal R, the offsets are U(1) c on their
+    transform rows, and the verdict is lambda(1) c = 0 for every generator
+    lambda, with c put over one denominator.  Returns (consistent, syzygies,
+    minimal form), the minimal form None when inconsistent.
+    """
+    q = rep.q
+    rows = [polymatrix._primitive(row[:-1]) for row in polymatrix._augmented(rep.R)]
+    polymatrix._weak_popov(rows, q)
+    kept = polymatrix._popov([row for row in rows if any(row[:q])], q)
+    syzygies = [tuple(Poly.from_numerators(e) for e in row[q:]) for row in rows if not any(row[:q])]
+    scale = lcm(*(v.denominator for v in rep.c))
+    c = [v.numerator * (scale // v.denominator) for v in rep.c]
+    if any(sum(sum(e.numerators) * v for e, v in zip(lam, c)) for lam in syzygies):
+        return False, syzygies, None
+    at_one = [[Fraction(sum(e), lead) for e in row[q:]] for lead, row in kept]
+    R = PolyMatrix([[Poly.from_numerators(e, lead) for e in row[:q]] for lead, row in kept], ncols=q)
+    offset = tuple(sum(u * v for u, v in zip(row, rep.c)) for row in at_one)
+    return True, syzygies, AffineKernelRep(R, offset)
 
 
 def weak_popov_degrees_reference(matrix: PolyMatrix) -> tuple[int, ...]:

@@ -120,6 +120,21 @@ class TestMembership:
         verdict = membership(DataDrivenRep(noisy, 4), window)
         assert verdict.is_member and verdict.residual < 1e-10
 
+    def test_windows_of_one_rep_share_one_decomposition(self, monkeypatch, rng):
+        sys = random_system(rng, 2, 1, 1)
+        w, _ = experiment(sys, rng, Trajectory.inputs(rng.normal(size=(120, 1))))
+        rep = DataDrivenRep(w, 4)
+        windows = [w.data[s : s + 4].ravel() for s in (0, 37, 90)] + [rng.normal(size=8)]
+        # the verdicts of fresh representations, each decomposing its rows anew
+        fresh = [membership(DataDrivenRep(w, 4), window) for window in windows]
+        svd, calls = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a[0].shape) or svd(*a, **k))
+        for window, expected in zip(windows, fresh):
+            verdict = membership(rep, window)
+            assert verdict.is_member == expected.is_member and verdict.residual == expected.residual
+            assert np.array_equal(verdict.g, expected.g)
+        assert calls == [(8, 8)] and [v.is_member for v in fresh] == [True, True, True, False]
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_window_is_typed(self, bad):
         # a NaN residual is no verdict, so the window is refused, not judged a non-member
