@@ -10,16 +10,14 @@ infinite entries raise :class:`NonFiniteEntry`.
 Each row is multiplied by the lcm of its denominators and divided by the
 gcd of the result, so elimination runs on Python integers.  One forward
 elimination to row echelon form sits behind every routine (pivot rows are
-neither normalised nor used to clear the entries above them): a row with
-entry f under the pivot p becomes (p/g) row - (f/g) top, g = gcd(p, f),
-with the sign taken so that the multiplier p/g is positive, and is then
-divided by its content.  Rows with a zero under the pivot are not touched.
-Every row therefore stays a positive rational multiple of the row that
-elimination over the rationals would give, so the zero pattern, the pivot
-rows and the swaps are the rational ones.  Content removal makes each row
-the primitive integer multiple of its rational row, whose entries divide
-minors of the input, so the integers grow no faster than in Bareiss's
-fraction-free elimination.
+neither normalised nor used to clear the entries above them).  It is
+Bareiss's fraction-free elimination (Math. Comp. 22, 1968): under pivot p,
+with prev the previous pivot (1 at first), each lower row's entry x becomes
+(p x - f y) / prev, with f its entry under the pivot and y the pivot row's.
+By Sylvester's identity every entry is then a minor of the input, so the
+division is exact, and each row is a nonzero multiple of the row that
+elimination over the rationals would give: the zero pattern, the pivot rows
+and the swaps are the rational ones.
 
 ``solve`` and ``null_space`` back-substitute in integers, with the free
 variables set to zero or to a unit vector: the solution is kept as an
@@ -34,7 +32,8 @@ transposed data matrix of exact kernel recovery) reads only its first
 block's basis against the other rows with one product: in int64 when the
 matrix is an int64 array and ncols·max|y|·max|entry| < 2**63, so that no
 partial sum overflows, and in Python integers (an object array) otherwise.
-Rows it misses join the block's echelon rows for one more elimination, whose
+Rows it misses join the block's echelon rows, each divided by its content
+so that minors of minors do not compound, for one more elimination, whose
 null space lies inside the first and so annihilates every row.  Either way
 the null space is the whole matrix's, and the canonical basis it returns
 depends on nothing else, so the result is identical to eliminating every
@@ -80,14 +79,16 @@ def _integer_rows(rows) -> Matrix:
 
 
 def _echelon(M: Matrix) -> list[int]:
-    """Reduce the integer rows M in place to row echelon form.
+    """Reduce the integer rows M in place to row echelon form by Bareiss elimination.
 
     Returns the pivot columns (pivot k sits in row k).  Each pivot clears the
-    entries below it, touching only the columns from the pivot column on.
+    entries below it and scales every lower row, dividing exactly by the
+    previous pivot, on the columns after the pivot column.
     """
     nrows = len(M)
     ncols = len(M[0]) if M else 0
     pivots: list[int] = []
+    prev = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -101,16 +102,9 @@ def _echelon(M: Matrix) -> list[int]:
         for i in range(r + 1, nrows):
             row = M[i]
             f = row[c]
-            if not f:
-                continue
-            g = gcd(p, f)
-            a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
-            new = [a * x - b * y if y else a * x for x, y in zip(row[c + 1 :], top)]
-            content = gcd(*new)
-            if content > 1:
-                new = [v // content for v in new]
             row[c] = 0
-            row[c + 1 :] = new
+            row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], top)]
+        prev = p
         pivots.append(c)
     return pivots
 
@@ -178,7 +172,7 @@ def _null_vectors(matrix, ncols: int | None) -> dict[int, list[int]]:
     products = rest.astype(dtype, copy=False) @ np.array(vectors, dtype=dtype).T
     missed = np.flatnonzero(products.any(axis=1))
     if len(missed):
-        _, basis = _null_basis(block[: len(pivots)] + _integer_rows(_rows(rest[missed])), ncols)
+        _, basis = _null_basis(_integer_rows(block[: len(pivots)] + _rows(rest[missed])), ncols)
     return basis
 
 

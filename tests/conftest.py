@@ -1,5 +1,6 @@
 """Shared generators for randomized suites, and the references they compare
-against: the exact left null space, the row-Hermite form, Bareiss
+against: the exact left null space, the content-gcd integer elimination that
+exactla's Bareiss elimination replaced, the row-Hermite form, Bareiss
 elimination, the Smith form and the weak Popov reduction on rows of rational
 polynomials that the integer-row eliminations replaced, the minimal form
 with offsets U(1) c that the homogenized reduction replaced, the affine
@@ -164,6 +165,44 @@ def left_null_space(matrix, nrows: int | None = None) -> list[list[Fraction]]:
     if nrows is None:
         nrows = len(rows)
     return exactla.null_space(list(zip(*rows)), ncols=nrows)
+
+
+def echelon_reference(M: list[list[int]]) -> list[int]:
+    """The content-gcd elimination that Bareiss elimination replaced in exactla.
+
+    A row with entry f under the pivot p becomes (p/g) row - (f/g) top,
+    g = gcd(p, f), with the multiplier p/g positive, and is then divided by
+    its content; rows with a zero under the pivot are not touched.  Every row
+    stays the primitive positive multiple of its rational row.
+    """
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if M[i][c]), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        p = M[r][c]
+        top = M[r][c + 1 :]
+        for i in range(r + 1, nrows):
+            row = M[i]
+            f = row[c]
+            if not f:
+                continue
+            g = gcd(p, f)
+            a, b = (p // g, f // g) if p > 0 else (-p // g, -f // g)
+            new = [a * x - b * y if y else a * x for x, y in zip(row[c + 1 :], top)]
+            content = gcd(*new)
+            if content > 1:
+                new = [v // content for v in new]
+            row[c] = 0
+            row[c + 1 :] = new
+        pivots.append(c)
+    return pivots
 
 
 @dataclass(frozen=True)

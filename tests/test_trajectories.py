@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from atisys import DataDrivenRep, Trajectory, hankel, numerical_rank, restrict, shift
 from atisys import exactla, trajectories
-from conftest import left_null_space
+from conftest import echelon_reference, left_null_space
 from atisys.errors import (
     DepthExceedsLength,
     DimensionMismatch,
@@ -464,3 +464,81 @@ class TestIntegerRowElimination:
         ):
             with pytest.raises(NonFiniteEntry):
                 call()
+
+
+rational_entry = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """M (up to 8 x 8, possibly 0 x n) and b of rational entries.
+
+    M is drawn whole, as a rank-deficient product L R', or sparse, so that
+    rows often have a zero under a pivot; then zero rows and columns are
+    written in.  Half the right-hand sides are M x, the rest mostly
+    inconsistent when M is rank deficient.  The column count comes along,
+    since a 0 x n list of rows does not carry it.
+    """
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["whole", "product", "sparse"]))
+    if shape == "product":
+        k = draw(st.integers(0, max(min(nrows, ncols) - 1, 0)))
+        L = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) for _ in range(nrows)]
+        R = [draw(st.lists(rational_entry, min_size=ncols, max_size=ncols)) for _ in range(k)]
+        M = [[sum((a * R[t][j] for t, a in enumerate(row)), Fraction(0)) for j in range(ncols)] for row in L]
+    else:
+        entry = rational_entry if shape == "whole" else st.one_of(st.just(Fraction(0)), rational_entry)
+        M = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in draw(st.lists(st.integers(0, max(nrows - 1, 0)), max_size=2)) if nrows else ():
+        M[i] = [Fraction(0)] * ncols
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in M:
+            row[j] = Fraction(0)
+    if draw(st.booleans()):
+        x = draw(st.lists(rational_entry, min_size=ncols, max_size=ncols))
+        b = [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in M]
+    else:
+        b = draw(st.lists(rational_entry, min_size=nrows, max_size=nrows))
+    return M, b, ncols
+
+
+class TestBareissElimination:
+    """Bareiss elimination against the content-gcd elimination it replaced:
+    integer rows differ, but every rank, pivot and canonical basis agrees."""
+
+    @staticmethod
+    def answers(M, b, ncols):
+        return exactla.rank(M), exactla.null_space(M, ncols), exactla.solve(M, b)
+
+    def test_matches_the_content_gcd_elimination(self, monkeypatch):
+        seen = set()
+
+        @settings(max_examples=400, deadline=None)
+        @given(rational_systems())
+        def check(case):
+            bareiss = self.answers(*case)
+            with monkeypatch.context() as patched:
+                patched.setattr(exactla, "_echelon", echelon_reference)
+                assert self.answers(*case) == bareiss
+            M, _, ncols = case
+            rank, _, x = bareiss
+            seen.add("empty" if not M else "deficient" if rank < min(len(M), ncols) else "full")
+            if x is None:
+                seen.add("inconsistent")
+            if len(M) > ncols + 1:
+                seen.add("tall")
+
+        check()
+        assert {"empty", "deficient", "full", "inconsistent", "tall"} <= seen
+
+    def test_rows_are_scaled_under_a_zero(self):
+        # row 1 has a zero under the first pivot, yet it is scaled by that pivot,
+        # and the second step divides by it: the last pivot is the determinant
+        M = [[2, 1, 0], [0, 3, 1], [4, 0, 5]]
+        reference = [list(row) for row in M]
+        assert exactla._echelon(M) == echelon_reference(reference) == [0, 1, 2]
+        assert M == [[2, 1, 0], [0, 6, 2], [0, 0, 34]]
+        assert reference == [[2, 1, 0], [0, 3, 1], [0, 0, 1]]  # primitive rows
+
