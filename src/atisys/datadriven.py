@@ -313,14 +313,21 @@ def invariants_from_data(
 
     The affine dimension at depth t is the rank of the ones-augmented
     depth-t Hankel matrix minus one.  Requires the data to be exciting
-    enough that these dimensions match the behavior's up to ``t_max``; the
-    increments must have stabilized by then or :class:`NotConverged` is
-    raised.
+    enough that these dimensions match the behavior's up to ``t_max``: a
+    dimension that falls with depth, where the T - t + 1 windows of depth t
+    are too few, raises :class:`ExcitationDeficient`, and increments not
+    stabilized by then raise :class:`NotConverged`.
     """
     t_max = _count(t_max, "t_max", 2)
     q = w_d.q
     # every depth reads the one factor at t_max
     d = [_augmented_rank(w_d, t, tol, t_max).rank - 1 for t in range(1, t_max + 1)]
+    fall = next((t for t in range(2, t_max + 1) if d[t - 1] < d[t - 2]), None)
+    if fall is not None:
+        raise ExcitationDeficient(
+            f"dimension falls from {d[fall - 2]} to {d[fall - 1]} at depth {fall}, "
+            f"where {w_d.length - fall + 1} windows cannot span the window set"
+        )
     rho = [d[0]] + [d[t] - d[t - 1] for t in range(1, t_max)]
     if rho[-1] != rho[-2]:
         raise NotConverged(

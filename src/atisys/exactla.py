@@ -19,25 +19,27 @@ division is exact, and each row is a nonzero multiple of the row that
 elimination over the rationals would give: the zero pattern, the pivot rows
 and the swaps are the rational ones.
 
-``solve`` and ``null_space`` back-substitute in integers, with the free
-variables set to zero or to a unit vector: the solution is kept as an
-integer vector whose free entry is the common denominator, and divided out
-once at the end.  ``solve`` takes M x = b as the null vector of [M | b]
-with -1 in b's column; a scaled row and its scaled right-hand side give the
-same solution.  Every returned entry is a :class:`fractions.Fraction`.
+``rank``, ``null_space`` and ``solve`` read one null space, found as
+below, on the column count of a 2-D array's shape, else of the first row,
+else 0 (so a 0 x n array has n unknowns).  Each null vector is
+back-substituted in integers over its free entry, set to 1, and divided
+out once at the end.  ``rank`` is the column count less the number of null
+vectors; ``solve`` takes x = -y[:n] / y[n] from the null vector y of
+[M | b] keyed by b's column n, which exists exactly when the system is
+consistent.  Every returned entry is a :class:`fractions.Fraction`.
 
-``null_space`` of a tall matrix (more than ``ncols + 1`` rows, such as the
-transposed data matrix of exact kernel recovery) reads only its first
-``ncols + 1`` rows into Python integers and eliminates them.  It checks that
-block's basis against the other rows with one product: in int64 when the
-matrix is an int64 array and ncols·max|y|·max|entry| < 2**63, so that no
-partial sum overflows, and in Python integers (an object array) otherwise.
-Rows it misses join the block's echelon rows, each divided by its content
-so that minors of minors do not compound, for one more elimination, whose
-null space lies inside the first and so annihilates every row.  Either way
-the null space is the whole matrix's, and the canonical basis it returns
-depends on nothing else, so the result is identical to eliminating every
-row; the worst case costs one small elimination more.
+A tall matrix (more than ``ncols + 1`` rows, such as the transposed data
+matrix of exact kernel recovery) has only its first ``ncols + 1`` rows read
+into Python integers and eliminated.  That block's basis is checked against
+the other rows with one product: in int64 when the matrix is an int64 array
+and ncols·max|y|·max|entry| < 2**63, so that no partial sum overflows, and
+in Python integers (an object array) otherwise.  Rows it misses join the
+block's echelon rows, each divided by its content so that minors of minors
+do not compound, for one more elimination, whose null space lies inside
+the first and so annihilates every row.  Either way the null space is the
+whole matrix's, and the canonical basis it returns depends on nothing
+else, so the result is identical to eliminating every row; the worst case
+costs one small elimination more.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from math import gcd, isfinite, lcm
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .poly import _ratio
 
 Matrix = list[list[int]]
@@ -136,8 +139,15 @@ def _null_vector(R: Matrix, pivots: list[int], free: int, width: int) -> list[in
     return y
 
 
+def _width(matrix) -> int:
+    shape = getattr(matrix, "shape", ())
+    return shape[1] if len(shape) == 2 else len(matrix[0]) if len(matrix) else 0
+
+
 def rank(matrix) -> int:
-    return len(_echelon(_integer_rows(_rows(matrix))))
+    """The rank: the column count less the number of null vectors."""
+    ncols = _width(matrix)
+    return ncols - len(_null_vectors(matrix, ncols))
 
 
 def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
@@ -151,15 +161,12 @@ def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
 
     A tall matrix is eliminated in two steps (module docstring).
     """
+    ncols = _width(matrix) if ncols is None else ncols
     return [[Fraction(v, y[free]) for v in y] for free, y in _null_vectors(matrix, ncols).items()]
 
 
-def _null_vectors(matrix, ncols: int | None) -> dict[int, list[int]]:
+def _null_vectors(matrix, ncols: int) -> dict[int, list[int]]:
     """:func:`null_space`'s basis as integer vectors y over y[free], keyed by free."""
-    if ncols is None:
-        if not len(matrix):
-            raise ValueError("column count required for an empty matrix")
-        ncols = len(_rows(matrix[:1])[0])
     block, rest = _integer_rows(_rows(matrix[: ncols + 1])), matrix[ncols + 1 :]
     pivots, basis = _null_basis(block, ncols)
     if not basis or not len(rest):
@@ -188,19 +195,12 @@ def _null_basis(M: Matrix, ncols: int) -> tuple[list[int], dict[int, list[int]]]
 def solve(matrix, rhs) -> list[Fraction] | None:
     """Solve M x = b exactly; ``None`` when the system is inconsistent.
 
-    One elimination of [M | b]: the system is inconsistent exactly when an
-    echelon pivot lies in b's column.  For underdetermined systems the free
-    variables are set to zero.
+    x is read off the null space of [M | b] (module docstring), so its free
+    variables are zero; b's column is a pivot when the system is inconsistent.
     """
-    rows = _rows(matrix)
-    b = _rows(rhs)
+    rows, b = _rows(matrix), _rows(rhs)
     if len(rows) != len(b):
-        raise ValueError("row count of matrix and rhs differ")
-    ncols = len(rows[0]) if len(rows) else 0
-    M = _integer_rows([[*row, v] for row, v in zip(rows, b)])
-    pivots = _echelon(M)
-    if pivots and pivots[-1] == ncols:
-        return None
-    # [M | b] [x; -1] = 0, with the free variables of x at zero
-    y = _null_vector(M, pivots, ncols, ncols + 1)
-    return [Fraction(-v, y[ncols]) for v in y[:ncols]]
+        raise DimensionMismatch(f"matrix has {len(rows)} rows, rhs {len(b)}")
+    n = _width(matrix)
+    y = _null_vectors([[*row, v] for row, v in zip(rows, b)], n + 1).get(n)
+    return None if y is None else [Fraction(-v, y[n]) for v in y[:n]]

@@ -26,15 +26,18 @@ from hypothesis import strategies as st
 
 import atisys
 from atisys import (
+    AffineKernelRep,
     AffineStateSpace,
     DataDrivenRep,
     HankelMatrix,
+    IntegerInvariants,
     NonlinearPlant,
     OffsetSequence,
     Poly,
     PolyMatrix,
     Trajectory,
     complete,
+    consistent_sequence_report,
     controllable,
     expr_from_json,
     gape_check,
@@ -63,7 +66,7 @@ from atisys import (
     state_var,
 )
 from atisys.cli import main
-from atisys.errors import AtisysError, InvalidArgument
+from atisys.errors import AtisysError, DimensionMismatch, InvalidArgument, ZeroMatrix
 from atisys.scenario import reference_input, reference_system
 
 SYS = reference_system()
@@ -369,3 +372,78 @@ def test_cli_count_and_tolerance_tokens_exit_cleanly(cli_files, data):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+
+
+# -- typed raises on shapes and structure ---------------------------------
+
+ONE = PolyMatrix([[Poly([1])]])
+TYPED_RAISES = {
+    "AffineStateSpace: A not a matrix": (
+        lambda: AffineStateSpace(np.zeros((1, 1, 1)), [[1.0]], [[1.0]], [[0.0]], [0.0], [0.0]),
+        DimensionMismatch,
+    ),
+    "AffineStateSpace: C columns": (
+        lambda: AffineStateSpace([[0.5]], [[1.0]], [[1.0, 2.0]], [[0.0]], [0.0], [0.0]),
+        DimensionMismatch,
+    ),
+    "AffineStateSpace: A not square": (
+        lambda: AffineStateSpace(np.zeros((1, 2)), [[1.0]], [[1.0]], [[0.0]], [0.0], [0.0]),
+        DimensionMismatch,
+    ),
+    "AffineStateSpace: no external variable": (
+        lambda: AffineStateSpace([[0.5]], np.zeros((1, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [0.0], []),
+        DimensionMismatch,
+    ),
+    "SimulationResult.io: input length": (lambda: SIM.io(Trajectory.inputs(U.data[:3])), DimensionMismatch),
+    "membership: window size": (lambda: membership(REP, np.zeros(2)), DimensionMismatch),
+    "complete: prefix width": (
+        lambda: complete(REP, Trajectory(np.zeros((1, 2))), Trajectory.inputs([0.5, 0.5])),
+        DimensionMismatch,
+    ),
+    "complete: future input width": (
+        lambda: complete(REP, None, Trajectory.inputs(np.zeros((3, 2)))), DimensionMismatch
+    ),
+    "recover_kernel: method": (lambda: recover_kernel(REP, method="qr"), InvalidArgument),
+    "IntegerInvariants: falling profile": (
+        lambda: IntegerInvariants(1, 0, 0, (2, 1), (2, -1), 0, 0), DimensionMismatch
+    ),
+    "AffineKernelRep: offset length": (lambda: AffineKernelRep(ONE, (0, 0)), DimensionMismatch),
+    "OffsetSequence: ragged rows": (lambda: OffsetSequence(((1,), (1, 2))), DimensionMismatch),
+    "consistent_sequence_report: offset width": (
+        lambda: consistent_sequence_report(ONE, OffsetSequence(((1, 2),))), DimensionMismatch
+    ),
+    "Trajectory: data not a matrix": (lambda: Trajectory(np.zeros((2, 2, 2))), DimensionMismatch),
+    "Trajectory: no variable": (lambda: Trajectory(np.zeros((2, 0))), DimensionMismatch),
+    "Trajectory: labels": (lambda: Trajectory(W.data, m=1, labels=("u",)), DimensionMismatch),
+    "HankelMatrix: entries not a matrix": (lambda: HankelMatrix(np.ones(3), 1, 1), DimensionMismatch),
+    "numerical_rank: empty matrix": (lambda: numerical_rank(np.zeros((0, 2))), DimensionMismatch),
+    "PolyMatrix: ragged rows": (lambda: PolyMatrix([[1], [1, 2]]), DimensionMismatch),
+    "PolyMatrix.from_coefficient_blocks: no block": (lambda: PolyMatrix.from_coefficient_blocks([]), ZeroMatrix),
+    "PolyMatrix: add shapes": (lambda: PolyMatrix.zeros(1, 1) + PolyMatrix.zeros(1, 2), DimensionMismatch),
+    "PolyMatrix: multiply shapes": (lambda: PolyMatrix.zeros(1, 2) @ PolyMatrix.zeros(1, 2), DimensionMismatch),
+    "PolyMatrix.determinant: not square": (lambda: PolyMatrix.zeros(1, 2).determinant(), DimensionMismatch),
+    "expr_from_json: constant not a number": (lambda: expr_from_json(["const", "abc"]), InvalidArgument),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TYPED_RAISES))
+def test_shape_and_structure_errors_are_typed(label):
+    call, error = TYPED_RAISES[label]
+    with pytest.raises(AtisysError) as raised:
+        call()
+    assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("command", ["equiv with an offset window", "linearize at two groups"])
+def test_cli_structure_errors_exit_cleanly(tmp_path, command):
+    window = {"rows": 1, "cols": 1, "entries": [[["1", "1"]]], "c": [["0"], ["1"]]}
+    (tmp_path / "window.json").write_text(json.dumps(window))
+    (tmp_path / "plant.json").write_text(json.dumps(PLANT_DOC))
+    argv = {
+        "equiv with an offset window": ["equiv", str(tmp_path / "window.json"), str(tmp_path / "window.json")],
+        "linearize at two groups": ["linearize", "--plant", str(tmp_path / "plant.json"), "--at", "2;0"],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(argv) == 1
+    assert err.getvalue().startswith("error:") and out.getvalue() == ""

@@ -494,6 +494,15 @@ class TestInvariants:
         with pytest.raises(NotConverged):
             invariants_from_data(result.io(u), 2)
 
+    def test_falling_dimension_names_the_depth(self):
+        # 20 - t + 1 windows span at most 20 - t affine dimensions: d = [1, ..., 10, 9, 8]
+        w = Trajectory(np.random.default_rng(0).normal(size=(20, 1)), m=1)
+        with pytest.raises(ExcitationDeficient, match="falls from 10 to 9 at depth 11, where 10 windows"):
+            invariants_from_data(w, 12)
+        # its increments 1, ..., 1, -1 differ at the end, which was NotConverged before
+        with pytest.raises(ExcitationDeficient, match="falls from 10 to 9 at depth 11"):
+            invariants_from_data(w, 11)
+
     def test_matches_minimal_realization_and_kernel_lag(self, rng):
         for _ in range(5):
             sys = random_minimal_integer_system(rng)

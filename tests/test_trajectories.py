@@ -432,7 +432,7 @@ class TestIntegerRowElimination:
                 # the leading block's basis either covered every row or missed some
                 seen.add("missed" if len(passes) == 2 else "verified" if null else "full rank")
             # each integer null vector comes out primitive, with no division
-            assert all(gcd(*y) == 1 for y in exactla._null_vectors(M, None).values())
+            assert all(gcd(*y) == 1 for y in exactla._null_vectors(M, ncols).values())
             left = left_null_space(M)
             assert left == ref_left_null_space(M) and all_fractions(left)
             x = exactla.solve(M, b)
@@ -442,6 +442,45 @@ class TestIntegerRowElimination:
 
         check()
         assert {"missed", "verified"} <= seen
+
+    def test_tall_rank_and_solve_take_the_block_route(self, monkeypatch):
+        # zero leading rows leave the block's basis everything, so the rows
+        # after it are missed and a second elimination settles the answer
+        passes = []
+        null_basis = exactla._null_basis
+
+        def counting(M, ncols):
+            passes.append(len(M))
+            return null_basis(M, ncols)
+
+        monkeypatch.setattr(exactla, "_null_basis", counting)
+        rng = np.random.default_rng(3)
+        for ncols in (1, 2, 3, 4):
+            for _ in range(5):
+                A = rng.integers(-BIG, BIG, size=(ncols, ncols))
+                if ncols > 1 and rng.integers(2):
+                    A[-1] = A[0]  # rank deficient
+                M = np.vstack([np.zeros((ncols + 2, ncols), np.int64), A, A])
+                consistent = M @ rng.integers(-3, 4, size=ncols)
+                inconsistent = consistent + (np.arange(len(M)) == len(M) - 1)
+                for call, reference in (
+                    (lambda: exactla.rank(M), lambda: ref_rank(M)),
+                    (lambda: exactla.solve(M, consistent), lambda: ref_solve(M, consistent)),
+                    (lambda: exactla.solve(M, inconsistent), lambda: ref_solve(M, inconsistent)),
+                ):
+                    passes.clear()
+                    assert call() == reference()
+                    assert len(passes) == 2
+                assert exactla.solve(M, inconsistent) is None
+
+    def test_column_count_comes_from_the_shape(self):
+        # a 0 x n array has n unknowns; a shapeless empty list is 0 x 0
+        empty = np.zeros((0, 3))
+        assert exactla.solve(empty, np.zeros(0)) == [0, 0, 0]
+        assert exactla.rank(empty) == 0 and len(exactla.null_space(empty)) == 3
+        assert exactla.solve([], []) == [] and exactla.null_space([]) == [] and exactla.rank([]) == 0
+        with pytest.raises(DimensionMismatch):
+            exactla.solve([[1, 2], [3, 4]], [1])
 
     def test_numpy_int64_entries_do_not_overflow(self):
         # eliminating either system forms BIG * BIG - 1, beyond int64
