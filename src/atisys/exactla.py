@@ -19,24 +19,23 @@ division is exact, and each row is a nonzero multiple of the row that
 elimination over the rationals would give: the zero pattern, the pivot rows
 and the swaps are the rational ones.
 
-``rank``, ``null_space`` and ``solve`` read one null space, found as
+``rank`` is the column count less the number of null vectors, found as
 below, on the column count of a 2-D array's shape, else of the first row,
-else 0 (so a 0 x n array has n unknowns).  Each null vector is
-back-substituted in integers over its free entry, set to 1, and divided
-out once at the end.  ``rank`` is the column count less the number of null
-vectors; ``solve`` takes x = -y[:n] / y[n] from the null vector y of
-[M | b] keyed by b's column n, which exists exactly when the system is
-consistent.  Every returned entry is a :class:`fractions.Fraction`.
+else 0 (so a 0 x n array has n unknowns).  A wide matrix is ranked as its
+transpose, which has few free columns.  Each null vector is
+back-substituted in integers over its free entry, set to 1; exact recovery
+reads the integer vectors themselves.
 
 A tall matrix (more than ``ncols + 1`` rows, such as the transposed data
-matrix of exact kernel recovery) has only its first ``ncols + 1`` rows read
-into Python integers and eliminated.  That block's basis is checked against
-the other rows with one product: in int64 when the matrix is an int64 array
+matrix of exact kernel recovery) has only its first ``ncols + 1`` rows
+eliminated.  Every other row is read too, into an object array of Python
+integers unless the matrix is an int64 array, and checked against the
+block's basis with one product: in int64 when the matrix is an int64 array
 and ncols·max|y|·max|entry| < 2**63, so that no partial sum overflows, and
-in Python integers (an object array) otherwise.  Rows it misses join the
-block's echelon rows, each divided by its content so that minors of minors
-do not compound, for one more elimination, whose null space lies inside
-the first and so annihilates every row.  Either way the null space is the
+in Python integers otherwise.  Rows it misses join the block's echelon
+rows, each divided by its content so that minors of minors do not
+compound, for one more elimination, whose null space lies inside the first
+and so annihilates every row.  Either way the null space is the
 whole matrix's, and the canonical basis it returns depends on nothing
 else, so the result is identical to eliminating every row; the worst case
 costs one small elimination more.
@@ -44,12 +43,10 @@ costs one small elimination more.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isfinite, lcm
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .poly import _ratio
 
 Matrix = list[list[int]]
@@ -146,33 +143,27 @@ def _width(matrix) -> int:
 
 def rank(matrix) -> int:
     """The rank: the column count less the number of null vectors."""
+    if len(matrix) < _width(matrix):
+        matrix = matrix.T if isinstance(matrix, np.ndarray) else list(zip(*matrix))
     ncols = _width(matrix)
     return ncols - len(_null_vectors(matrix, ncols))
 
 
-def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right null space, one vector per free column.
-
-    Vector k has a 1 in the k-th free column, zeros in the other free
-    columns, and the pivot entries that back-substitution forces.  That
-    basis depends only on the null space: equal null spaces have equal row
-    spaces, hence the same pivot columns and the same vectors, whatever the
-    order or number of the rows that produced them.
-
-    A tall matrix is eliminated in two steps (module docstring).
-    """
-    ncols = _width(matrix) if ncols is None else ncols
-    return [[Fraction(v, y[free]) for v in y] for free, y in _null_vectors(matrix, ncols).items()]
-
-
 def _null_vectors(matrix, ncols: int) -> dict[int, list[int]]:
-    """:func:`null_space`'s basis as integer vectors y over y[free], keyed by free."""
+    """The right null space as integer vectors y over y[free], keyed by free.
+
+    y[free] = 1 among the free columns, and back-substitution forces the
+    pivot entries.  This basis depends only on the null space (equal null
+    spaces have equal row spaces, so the same pivots), whatever the order or
+    number of the rows; a tall matrix is eliminated in two steps (module
+    docstring).
+    """
     block, rest = _integer_rows(_rows(matrix[: ncols + 1])), matrix[ncols + 1 :]
+    if not (isinstance(rest, np.ndarray) and rest.dtype == np.int64):
+        rest = np.array(_integer_rows(_rows(rest)), dtype=object)
     pivots, basis = _null_basis(block, ncols)
     if not basis or not len(rest):
         return basis
-    if not (isinstance(rest, np.ndarray) and rest.dtype == np.int64):
-        rest = np.array(_integer_rows(_rows(rest)), dtype=object)
     vectors = list(basis.values())
     bound = ncols * max(abs(v) for y in vectors for v in y) * max(int(rest.max()), -int(rest.min()))
     dtype = np.int64 if rest.dtype == np.int64 and bound < 2**63 else object
@@ -190,17 +181,3 @@ def _null_basis(M: Matrix, ncols: int) -> tuple[list[int], dict[int, list[int]]]
     pivot_set = set(pivots)
     free = (c for c in range(ncols) if c not in pivot_set)
     return pivots, {c: _null_vector(M, pivots, c, ncols) for c in free}
-
-
-def solve(matrix, rhs) -> list[Fraction] | None:
-    """Solve M x = b exactly; ``None`` when the system is inconsistent.
-
-    x is read off the null space of [M | b] (module docstring), so its free
-    variables are zero; b's column is a pivot when the system is inconsistent.
-    """
-    rows, b = _rows(matrix), _rows(rhs)
-    if len(rows) != len(b):
-        raise DimensionMismatch(f"matrix has {len(rows)} rows, rhs {len(b)}")
-    n = _width(matrix)
-    y = _null_vectors([[*row, v] for row, v in zip(rows, b)], n + 1).get(n)
-    return None if y is None else [Fraction(-v, y[n]) for v in y[:n]]

@@ -274,6 +274,8 @@ def kernel_rep_from_json(doc: dict) -> tuple[PolyMatrix, object]:
         return R, tuple(_fraction(v) for v in raw)
     except (TypeError, ValueError, NonFiniteEntry) as exc:
         raise FormatError(f"bad rational offset: {exc}") from None
+    except DimensionMismatch as exc:  # a ragged window
+        raise FormatError(f"kernel JSON offset window: {exc}") from None
 
 
 def read_kernel_json(path):

@@ -1,15 +1,14 @@
 """Matrices over the univariate rational polynomials.
 
 Provides the Smith decomposition with its unimodular transforms (for the CLI
-``smith``), the determinant, and the weak Popov reduction behind the rank,
-the unimodularity test and every exact kernel decision of
-:mod:`atisys.kernelrep`.  All three run fraction-free (Beckermann, Labahn &
-Villard, J. Symbolic Comput. 41(6), 2006) on the rows of [M | I] as integer
-coefficient lists over one positive denominator per row (:func:`_augmented`),
-so row operations build their transform in the identity columns.  A step is
-a·row - f·other (a > 0), f from the pseudo-division of
-:meth:`Poly.__divmod__`, and one content division; :class:`Poly` objects are
-built only for the results.
+``smith``) and the weak Popov reduction behind the rank, the unimodularity
+test and every exact kernel decision of :mod:`atisys.kernelrep`.  Both run
+fraction-free (Beckermann, Labahn & Villard, J. Symbolic Comput. 41(6),
+2006) on the rows of [M | I] as integer coefficient lists over one positive
+denominator per row (:func:`_augmented`), so row operations build their
+transform in the identity columns.  A step is a·row - f·other (a > 0), f
+from the pseudo-division of :meth:`Poly.__divmod__`, and one content
+division; :class:`Poly` objects are built only for the results.
 
 The Smith form keeps each row's denominator, so a row is its rational row in
 lowest terms, and stacks [I | 0] below, so that column operations build V.
@@ -18,8 +17,7 @@ which keeps intermediate degrees small at the scale these matrices have.
 Each pivot then repeats the first of three steps that acts, until none does:
 clear its column by division (a nonzero remainder becomes the pivot), clear
 its row the same way by column operations, or add to the pivot row the first
-trailing row holding an entry that the pivot does not divide.  On M alone
-the same steps leave the determinant as the signed product of the pivots.
+trailing row holding an entry that the pivot does not divide.
 
 The weak Popov reduction (Mulders & Storjohann, J. Symbolic Comput. 35(4),
 2003) drops the denominators, so each row is the primitive positive multiple
@@ -181,19 +179,6 @@ class PolyMatrix:
         """Rank over the rational-function field: the rows of a weak Popov form that stay nonzero."""
         return sum(d >= 0 for d in self.weak_popov_degrees())
 
-    def determinant(self) -> Poly:
-        g, q = self.shape
-        if g != q:
-            raise DimensionMismatch("determinant requires a square matrix")
-        rows = [row[:q] + row[-1:] for row in _augmented(self)]
-        rank, sign = _smith(rows, g, q)
-        if rank < g:
-            return Poly.zero()
-        det = Poly.constant(sign)
-        for k, row in enumerate(rows):
-            det = det * Poly.from_numerators(row[k], row[-1][0])
-        return det
-
     def is_unimodular(self) -> bool:
         """Square with every weak Popov row degree 0: the form is then
         nonsingular, and its determinant has degree the sum of those degrees."""
@@ -246,7 +231,7 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
     # [M | I_g] over [I_q | 0]: rows build U beside M, columns build V below it
     below = [[[1] if i == j else [] for j in range(q + g)] + [[1]] for i in range(q)]
     rows = _augmented(matrix) + below
-    rank, _ = _smith(rows, g, q)
+    rank = _smith(rows, g, q)
     for k in range(rank):  # monic pivots: each pivot row over its pivot's leading numerator
         lead = rows[k][k][-1]
         rows[k] = [[v if lead > 0 else -v for v in e] for e in rows[k][:-1]] + [[abs(lead)]]
@@ -259,11 +244,10 @@ def smith_form(matrix: PolyMatrix) -> SmithDecomposition:
     return SmithDecomposition(PolyMatrix(U), PolyMatrix(V), factors, matrix.shape)
 
 
-def _smith(rows: list[list[list[int]]], g: int, q: int) -> tuple[int, int]:
+def _smith(rows: list[list[list[int]]], g: int, q: int) -> int:
     """Diagonalize the first g rows and q columns of rows over their
     denominators in place, by the module's Smith steps; column operations
-    act on every row.  Returns the rank and the sign of the swaps."""
-    sign = 1
+    act on every row.  Returns the rank."""
 
     def col_swap(i, j):
         for row in rows:
@@ -273,11 +257,10 @@ def _smith(rows: list[list[list[int]]], g: int, q: int) -> tuple[int, int]:
         # the pivot: the first nonzero entry of least degree, in row-major order
         nonzero = [(len(rows[i][j]), i, j) for i in range(k, g) for j in range(k, q) if rows[i][j]]
         if not nonzero:
-            return k, sign
+            return k
         _, i, j = min(nonzero)
         rows[k], rows[i] = rows[i], rows[k]
         col_swap(k, j)
-        sign *= (-1) ** ((i != k) + (j != k))
         while True:
             pivot = rows[k]
             i = next((i for i in range(g) if i != k and rows[i][k]), None)
@@ -286,7 +269,6 @@ def _smith(rows: list[list[list[int]]], g: int, q: int) -> tuple[int, int]:
                 rows[i] = _subtract(rows[i], s, Q, pivot[:-1] + [[]])
                 if rows[i][k]:
                     rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
                 continue
             j = next((j for j in range(q) if j != k and pivot[j]), None)
             if j is not None:  # clear row k by column operations, likewise
@@ -298,7 +280,6 @@ def _smith(rows: list[list[list[int]]], g: int, q: int) -> tuple[int, int]:
                         rows[r] = _subtract(row, s, Q, other)
                 if rows[k][j]:
                     col_swap(k, j)
-                    sign = -sign
                 continue
             if len(pivot[k]) == 1:  # a constant pivot divides every entry
                 break
@@ -308,7 +289,7 @@ def _smith(rows: list[list[list[int]]], g: int, q: int) -> tuple[int, int]:
                 break
             # pull a non-divisible entry into the pivot row and reduce again
             rows[k] = _subtract(pivot, rows[a][-1][0], [-pivot[-1][0]], rows[a][:-1] + [[]])
-    return min(g, q), sign
+    return min(g, q)
 
 
 class PopovReduction(NamedTuple):

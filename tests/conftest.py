@@ -1,13 +1,13 @@
 """Shared generators for randomized suites, and the references they compare
-against: the exact left null space, the content-gcd integer elimination that
-exactla's Bareiss elimination replaced, the row-Hermite form, Bareiss
-elimination, the Smith form and the weak Popov reduction on rows of rational
-polynomials that the integer-row eliminations replaced, the minimal form
-with offsets U(1) c that the homogenized reduction replaced, the affine
-least-squares solve that the data-driven fits replaced, the two-decomposition
-completion that the one-SVD completion replaced, and the
-linearization by derivative trees that forward-mode differentiation
-replaced.
+against: exactla's null spaces and solvability test, the content-gcd
+integer elimination that exactla's Bareiss elimination replaced, the
+row-Hermite form, Bareiss elimination, the Smith form and the weak Popov
+reduction on rows of rational polynomials that the integer-row eliminations
+replaced, the minimal form with offsets U(1) c that the homogenized
+reduction replaced, the affine least-squares solve that the data-driven
+fits replaced, the two-decomposition completion that the one-SVD completion
+replaced, and the linearization by derivative trees that forward-mode
+differentiation replaced.
 
 All randomness flows through explicitly seeded numpy generators so every
 suite is reproducible run to run.
@@ -159,12 +159,26 @@ def random_unimodular(rng, size, ops=4, factor_degree=1) -> PolyMatrix:
 # -- exact references ----------------------------------------------------
 
 
+def null_space(matrix, ncols: int | None = None) -> list[list[Fraction]]:
+    """exactla's canonical basis of the right null space, as Fractions: each
+    vector has a 1 in its free column and 0 in the other free columns."""
+    ncols = exactla._width(matrix) if ncols is None else ncols
+    return [[Fraction(v, y[free]) for v in y] for free, y in exactla._null_vectors(matrix, ncols).items()]
+
+
 def left_null_space(matrix, nrows: int | None = None) -> list[list[Fraction]]:
     """Basis of the left null space (row vectors v with v @ M = 0)."""
-    rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix
+    rows = exactla._rows(matrix)
     if nrows is None:
         nrows = len(rows)
-    return exactla.null_space(list(zip(*rows)), ncols=nrows)
+    return null_space(list(zip(*rows)), ncols=nrows)
+
+
+def solvable(matrix, rhs) -> bool:
+    """Whether M x = b has a solution: b's column is free in [M | b]."""
+    n = exactla._width(matrix)
+    augmented = [[*row, v] for row, v in zip(exactla._rows(matrix), exactla._rows(rhs))]
+    return n in exactla._null_vectors(augmented, n + 1)
 
 
 def echelon_reference(M: list[list[int]]) -> list[int]:

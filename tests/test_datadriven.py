@@ -41,6 +41,7 @@ from conftest import (
     affine_lstsq,
     complete_reference,
     experiment,
+    null_space,
     pe_affine_input,
     random_minimal_integer_system,
     random_system,
@@ -293,6 +294,49 @@ class TestOneDecompositionCompletion:
         assert abs(outcome.residual - residual) <= 1e-12 * (1 + np.linalg.norm(u_f.data))
 
 
+def translated_record(a: float) -> Trajectory:
+    """A 200-sample record of A = [[.5, .2], [0, .7]], B = [0; 1], C = [1 0],
+    E = [1, 1], F = .3 from rest, N(0, 1) input (seed 0), every variable
+    translated by a."""
+    sys = AffineStateSpace([[0.5, 0.2], [0, 0.7]], [[0], [1]], [[1, 0]], [[0]], [1, 1], [0.3])
+    u = Trajectory.inputs(np.random.default_rng(0).normal(size=(200, 1)))
+    w = simulate(sys, np.zeros(2), u).io(u)
+    return Trajectory(w.data + a, m=1)
+
+
+class TestCombinationOnTranslatedRecords:
+    """The g that membership and complete return is an affine combination,
+    and H g is what they report, to rounding, however far the data sit from
+    the origin.  Only g is checked: the verdicts on translated data are
+    outside this test.  Solving 1^T g = 1 through R alone (seminormal
+    equations) loses this accuracy (Bjorck, Linear Algebra Appl. 88/89, 1987)."""
+
+    STARTS = (11, 51, 121)
+
+    @pytest.mark.parametrize("a", [0.0, 1e2, 1e4, 1e6])
+    def test_membership(self, a):
+        rep = DataDrivenRep(translated_record(a), 4)
+        H = rep.hankel.entries
+        for start in self.STARTS:
+            w = rep.trajectory.data[start : start + 4].ravel()
+            result = membership(rep, w)
+            assert abs(result.g.sum() - 1) <= 1e-12
+            misfit = np.linalg.norm(H @ result.g - w)
+            assert abs(misfit - result.residual) <= 1e-10 * (1 + np.linalg.norm(w))
+
+    @pytest.mark.parametrize("a", [0.0, 1e2, 1e4, 1e6])
+    def test_complete(self, a):
+        rep = DataDrivenRep(translated_record(a), 6)
+        H = rep.hankel.entries
+        for start in self.STARTS:
+            window = rep.trajectory.data[start : start + 6]
+            result = complete(rep, Trajectory(window[:3], m=1), Trajectory.inputs(window[3:, :1]))
+            y_f = result.y_f.data
+            assert abs(result.g.sum() - 1) <= 1e-12
+            future = (H @ result.g).reshape(6, 2)[3:, 1:]
+            assert np.linalg.norm(future - y_f) <= 1e-10 * (1 + np.linalg.norm(y_f))
+
+
 class TestRecoverKernel:
     def test_exact_route_refuses_rounded_data(self):
         # the states of some integer systems grow until simulate rounds the
@@ -454,7 +498,7 @@ class TestExactRecoveryCheck:
         kernel = recover_kernel(DataDrivenRep(w, depth), n=2, method="exact")
         assert len(eliminations) == 1 + missed and eliminations[0] == ncols + 1
 
-        expected = datadriven._kernel_from_rows(exactla._integer_rows(exactla.null_space(rows, ncols)), 2, depth)
+        expected = datadriven._kernel_from_rows(exactla._integer_rows(null_space(rows, ncols)), 2, depth)
         assert kernel == expected
         assert kernel == datadriven._kernel_from_rows(list(everything.values()), 2, depth)
         assert kernel.g == 1  # p L - n
@@ -463,8 +507,8 @@ class TestExactRecoveryCheck:
         # the block's null vector (-1, 2) meets the last row in -2**64, which
         # int64 arithmetic wraps to 0; the row leaves no null space
         M = np.array([[2, 1], [4, 2], [6, 3], [0, -(2**63)]], dtype=np.int64)
-        assert exactla.null_space(M[:3], 2) == [[Fraction(-1, 2), 1]]
-        assert exactla.null_space(M, 2) == []
+        assert null_space(M[:3], 2) == [[Fraction(-1, 2), 1]]
+        assert null_space(M, 2) == []
 
 
 class TestInvariants:

@@ -38,6 +38,7 @@ from conftest import (
     random_poly_matrix,
     random_unimodular,
     row_hermite,
+    solvable,
     weak_popov_degrees_reference,
 )
 
@@ -163,11 +164,6 @@ def block_toeplitz(R: PolyMatrix, window: int) -> list[list[Fraction]]:
                 for j in range(q):
                     M[t * g + i][(t + k) * q + j] = block[i][j]
     return M
-
-
-def solvable(matrix, rhs) -> bool:
-    """Whether M x = b has a solution: the Toeplitz-solve oracle."""
-    return exactla.solve(matrix, rhs) is not None
 
 
 small_int = st.integers(-3, 3)

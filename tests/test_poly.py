@@ -17,6 +17,7 @@ from atisys import (
     io_formats,
     poly_gcd,
 )
+from conftest import null_space
 from atisys.errors import AtisysError, InvalidArgument, NonFiniteEntry, ZeroDivisor
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=6)
@@ -296,7 +297,8 @@ def _evaluated(value) -> tuple:
 
 def _exactla(value) -> tuple:
     assert exactla.rank([[value]]) == 1
-    return _fraction(exactla.solve([[1]], [value])[0])
+    (y,) = null_space([[1, value]])  # (-value, 1)
+    return _fraction(-y[0])
 
 
 READERS = {

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from atisys import DataDrivenRep, Trajectory, hankel, numerical_rank, restrict, shift
 from atisys import exactla, trajectories
-from conftest import echelon_reference, left_null_space
+from conftest import echelon_reference, left_null_space, null_space, solvable
 from atisys.errors import (
     DepthExceedsLength,
     DimensionMismatch,
@@ -243,7 +243,7 @@ class TestExactElimination:
         nrows, ncols = len(M), len(M[0])
         r = float_rank(M)
         assert exactla.rank(M) == r
-        null = exactla.null_space(M)
+        null = null_space(M)
         assert len(null) == ncols - r
         for v in null:
             assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in M)
@@ -251,10 +251,7 @@ class TestExactElimination:
         assert len(left) == nrows - r
         for v in left:
             assert all(sum(v[i] * M[i][j] for i in range(nrows)) == 0 for j in range(ncols))
-        x = exactla.solve(M, b)
-        assert (x is None) == (float_rank([row + [v] for row, v in zip(M, b)]) != r)
-        if x is not None:
-            assert all(sum(a * xi for a, xi in zip(row, x)) == v for row, v in zip(M, b))
+        assert solvable(M, b) == (float_rank([row + [v] for row, v in zip(M, b)]) == r)
 
     def test_integer_rows_read_like_integer_floats_and_stay_unchanged(self):
         # Python ints skip the float bridge; the elimination must still work on copies
@@ -264,7 +261,7 @@ class TestExactElimination:
         assert exactla._integer_rows(M) == exactla._integer_rows(floats) == [
             [1, 2, 3], [0, 0, 0], [1, -3, 0], [1, 2, 3]
         ]
-        assert exactla.rank(M) == 2 and exactla.null_space(M) == exactla.null_space(floats)
+        assert exactla.rank(M) == 2 and null_space(M) == null_space(floats)
         assert M == given_rows
 
 
@@ -368,7 +365,7 @@ def mixed_systems(draw):
     """M and b of one entry kind, as nested lists or numpy arrays.
 
     Shapes are square, tall or wide, and half are very tall (at least three
-    rows per column), where ``null_space`` eliminates a leading block first.
+    rows per column), where ``_null_vectors`` eliminates a leading block first.
     Copied and negated rows and columns make many of them rank deficient,
     and zero or repeated leading rows make the leading block miss rows.
     """
@@ -426,7 +423,7 @@ class TestIntegerRowElimination:
             nrows, ncols = len(M), len(M[0])
             assert exactla.rank(M) == ref_rank(M)
             passes.clear()
-            null = exactla.null_space(M)
+            null = null_space(M)
             assert null == ref_null_space(M) and all_fractions(null)
             if nrows > ncols + 1:
                 # the leading block's basis either covered every row or missed some
@@ -435,17 +432,18 @@ class TestIntegerRowElimination:
             assert all(gcd(*y) == 1 for y in exactla._null_vectors(M, ncols).values())
             left = left_null_space(M)
             assert left == ref_left_null_space(M) and all_fractions(left)
-            x = exactla.solve(M, b)
-            assert x == ref_solve(M, b)
-            if x is not None:
-                assert all_fractions([x])
+            # [M | b]'s basis holds (-x, 1) when M x = b is consistent
+            augmented = [[*row, v] for row, v in zip(exactla._rows(M), exactla._rows(b))]
+            assert null_space(augmented, ncols + 1) == ref_null_space(augmented, ncols + 1)
+            assert solvable(M, b) == (ref_solve(M, b) is not None)
 
         check()
         assert {"missed", "verified"} <= seen
 
     def test_tall_rank_and_solve_take_the_block_route(self, monkeypatch):
         # zero leading rows leave the block's basis everything, so the rows
-        # after it are missed and a second elimination settles the answer
+        # after it are missed and a second elimination settles the answer,
+        # for M and for [M | b]
         passes = []
         null_basis = exactla._null_basis
 
@@ -465,41 +463,59 @@ class TestIntegerRowElimination:
                 inconsistent = consistent + (np.arange(len(M)) == len(M) - 1)
                 for call, reference in (
                     (lambda: exactla.rank(M), lambda: ref_rank(M)),
-                    (lambda: exactla.solve(M, consistent), lambda: ref_solve(M, consistent)),
-                    (lambda: exactla.solve(M, inconsistent), lambda: ref_solve(M, inconsistent)),
+                    (lambda: solvable(M, consistent), lambda: ref_solve(M, consistent) is not None),
+                    (lambda: solvable(M, inconsistent), lambda: ref_solve(M, inconsistent) is not None),
                 ):
                     passes.clear()
                     assert call() == reference()
                     assert len(passes) == 2
-                assert exactla.solve(M, inconsistent) is None
+                assert not solvable(M, inconsistent)
+
+    def test_a_wide_matrix_is_ranked_as_its_transpose(self, monkeypatch):
+        # the ones-augmented depth-6 window matrix of a 2000-sample integer
+        # record with two channels: as given, 1982 of its 1995 columns are
+        # free and each would be back-substituted; its transpose has none
+        data = np.random.default_rng(0).integers(-3, 4, size=(2000, 2))
+        H = trajectories.window_matrix(data, 6)
+        M = np.vstack([H, np.ones((1, H.shape[1]), np.int64)])
+        assert M.shape == (13, 1995) and M.dtype == np.int64
+        free = []
+        null_vector = exactla._null_vector
+        monkeypatch.setattr(exactla, "_null_vector", lambda R, p, c, w: free.append(c) or null_vector(R, p, c, w))
+        assert exactla.rank(M) == exactla.rank(M[:, :40].tolist()) == 13
+        assert free == []
 
     def test_column_count_comes_from_the_shape(self):
         # a 0 x n array has n unknowns; a shapeless empty list is 0 x 0
         empty = np.zeros((0, 3))
-        assert exactla.solve(empty, np.zeros(0)) == [0, 0, 0]
-        assert exactla.rank(empty) == 0 and len(exactla.null_space(empty)) == 3
-        assert exactla.solve([], []) == [] and exactla.null_space([]) == [] and exactla.rank([]) == 0
-        with pytest.raises(DimensionMismatch):
-            exactla.solve([[1, 2], [3, 4]], [1])
+        assert solvable(empty, np.zeros(0))
+        assert exactla.rank(empty) == 0 and len(null_space(empty)) == 3
+        assert solvable([], []) and null_space([]) == [] and exactla.rank([]) == 0
 
     def test_numpy_int64_entries_do_not_overflow(self):
         # eliminating either system forms BIG * BIG - 1, beyond int64
         M = np.array([[BIG, 1], [1, BIG]], dtype=np.int64)
         assert exactla.rank(M) == exactla.rank([list(row) for row in M]) == 2
-        assert exactla.solve(M, np.array([BIG + 1, BIG + 1])) == [1, 1]
+        # the null vector keyed by b's column is (-x, 1)
+        assert null_space(np.column_stack([M, [BIG + 1, BIG + 1]])) == [[-1, -1, 1]]
         scalars = [list(row) for row in M]  # numpy scalars
-        assert exactla.solve(scalars, [np.int64(BIG - 1), np.int64(1 - BIG)]) == [1, -1]
+        assert null_space([[*row, v] for row, v in zip(scalars, [np.int64(BIG - 1), np.int64(1 - BIG)])]) == [
+            [-1, 1, 1]
+        ]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_entry_is_typed(self, bad):
         M = [[1.0, bad], [0.0, 2.0]]
         for call in (
             lambda: exactla.rank(M),
-            lambda: exactla.solve(M, [1, 1]),
-            lambda: exactla.solve([[1, 0], [0, 1]], [bad, 1]),
-            lambda: exactla.null_space(M),
+            lambda: solvable(M, [1, 1]),
+            lambda: solvable([[1, 0], [0, 1]], [bad, 1]),
+            lambda: null_space(M),
             lambda: left_null_space(M),
             lambda: exactla.rank(np.array(M)),
+            # past the leading block, whose basis is empty: read, not eliminated
+            lambda: exactla.rank(np.array([[1.0], [0.0], [0.0], [bad]])),
+            lambda: exactla.rank([[1.0, 0.0, 0.0, bad]]),  # ranked as its transpose
         ):
             with pytest.raises(NonFiniteEntry):
                 call()
@@ -549,7 +565,9 @@ class TestBareissElimination:
 
     @staticmethod
     def answers(M, b, ncols):
-        return exactla.rank(M), exactla.null_space(M, ncols), exactla.solve(M, b)
+        # [M | b]'s basis holds (-x, 1) when M x = b is consistent
+        augmented = [[*row, v] for row, v in zip(M, b)]
+        return exactla.rank(M), null_space(M, ncols), null_space(augmented, ncols + 1), solvable(M, b)
 
     def test_matches_the_content_gcd_elimination(self, monkeypatch):
         seen = set()
@@ -562,9 +580,9 @@ class TestBareissElimination:
                 patched.setattr(exactla, "_echelon", echelon_reference)
                 assert self.answers(*case) == bareiss
             M, _, ncols = case
-            rank, _, x = bareiss
+            rank, _, _, consistent = bareiss
             seen.add("empty" if not M else "deficient" if rank < min(len(M), ncols) else "full")
-            if x is None:
+            if not consistent:
                 seen.add("inconsistent")
             if len(M) > ncols + 1:
                 seen.add("tall")
