@@ -55,7 +55,8 @@ class AffineStateSpace:
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatch(f"A must be square, got {A.shape}")
         n = A.shape[0]
-        B = _as_matrix(self.B, n, None, "B")
+        # with n = 0 a bare [] for B carries no column count; D still carries m
+        B = _as_matrix(self.B, n, np.shape(self.D)[1] if n == 0 and np.ndim(self.D) == 2 else None, "B")
         m = B.shape[1]
         C = _as_matrix(self.C, None, n, "C")
         p = C.shape[0]

@@ -34,6 +34,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,10 +95,6 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(doc):
-    print(json.dumps(_jsonable(doc), indent=2))
-
-
 def _num(value) -> str:
     if isinstance(value, float):
         formatted = _fmt(value)
@@ -125,20 +122,35 @@ def _read_traj(args, attr="trajectory", all_inputs=False) -> Trajectory:
     return io_formats.read_trajectory_csv(path, m=m, all_inputs=all_inputs and m is None)
 
 
-def _verdict(args, doc, rows: list[dict], ok: bool) -> int:
-    """Print a verdict as JSON, or with ``--table`` as one table row per dict."""
-    if args.table:
-        print(format_table(list(rows[0]), [list(row.values()) for row in rows]))
+class _Output(NamedTuple):
+    """A subcommand's JSON document, whether its checked condition holds, its
+    ``--table`` rows (one dict per verdict) and its ``--out`` files as name -> (writer, value)."""
+
+    doc: object
+    ok: bool = True
+    rows: tuple = ()
+    files: dict = {}
+
+
+def _print_and_write(args, out: _Output) -> int:
+    """Print the document, or its table under ``--table``; write the files into ``--out``."""
+    if getattr(args, "table", False):
+        print(format_table(list(out.rows[0]), [list(row.values()) for row in out.rows]))
     else:
-        _emit(doc)
-    return 0 if ok else 2
+        print(json.dumps(_jsonable(out.doc), indent=2))
+    if getattr(args, "out", None):
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, (write, value) in out.files.items():
+            write(outdir / name, value)
+    return 0 if out.ok else 2
 
 
 def _pass_fail(ok) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _report_verdict(args, report, extra: dict, lead: dict) -> int:
+def _report_verdict(report, extra: dict, lead: dict) -> _Output:
     """One rank verdict: ``extra`` leads the JSON document, ``lead`` the table row."""
     doc = dict(
         extra,
@@ -148,16 +160,16 @@ def _report_verdict(args, report, extra: dict, lead: dict) -> int:
         singular_values=[_fmt(float(s)) for s in report.singular_values],
     )
     row = dict(lead, rank=report.rank, target=report.target, verdict=_pass_fail(report.ok))
-    return _verdict(args, doc, [row], report.ok)
+    return _Output(doc, report.ok, (row,))
 
 
 # -- subcommand handlers -----------------------------------------------
 
 
-def _cmd_hankel(args) -> int:
+def _cmd_hankel(args) -> _Output:
     w = _read_traj(args)
     H = hankel(w, args.depth)
-    _emit(
+    return _Output(
         {
             "depth": H.depth,
             "block_rows": H.block_rows,
@@ -165,47 +177,43 @@ def _cmd_hankel(args) -> int:
             "entries": H.entries,
         }
     )
-    return 0
 
 
-def _cmd_pe(args) -> int:
+def _cmd_pe(args) -> _Output:
     u = _read_traj(args, all_inputs=True)
     report_fn = (
         pe_order_linear_report if args.model_class == "linear" else pe_order_affine_report
     )
     report = report_fn(u, args.order, args.tol)
     return _report_verdict(
-        args,
         report,
         {"condition": "persistence-of-excitation", "model_class": args.model_class, "order": args.order},
         {"class": args.model_class, "order": args.order},
     )
 
 
-def _cmd_gape(args) -> int:
+def _cmd_gape(args) -> _Output:
     w = _read_traj(args)
     report = gape_report(w, args.order, args.n, args.tol, d_L=args.d_l)
     return _report_verdict(
-        args,
         report,
         {"condition": "generalized-affine-excitation", "order": args.order, "n": args.n, "m": w.m},
         {"order": args.order, "n": args.n},
     )
 
 
-def _cmd_rank_check(args) -> int:
+def _cmd_rank_check(args) -> _Output:
     u = _read_traj(args, attr="inputs", all_inputs=True)
     x = io_formats.read_trajectory_csv(args.states)
     report = rank_condition_affine_report(x, u, args.depth, args.tol)
     return _report_verdict(
-        args,
         report,
         {"condition": "data-driven-rank", "depth": args.depth, "n": x.q, "m": u.q},
         {"L": args.depth, "n": x.q},
     )
 
 
-def _cmd_complete(args) -> int:
+def _cmd_complete(args) -> _Output:
     data = _read_traj(args, attr="data")
     prefix = None
     if _count(args.tini, "--tini") == 0:
@@ -220,37 +228,30 @@ def _cmd_complete(args) -> int:
     u_f = io_formats.read_trajectory_csv(args.future_inputs, all_inputs=True)
     rep = DataDrivenRep(data, args.depth)
     result = complete(rep, prefix, u_f, DEFAULT_RESIDUAL_TOL if args.tol is None else args.tol)
-    _emit(
+    return _Output(
         {
             "y_f": result.y_f.data,
             "residual": float(result.residual),
             "combination_sum": float(result.g.sum()),
-        }
+        },
+        files={"y_f.csv": (io_formats.write_trajectory_csv, result.y_f)},
     )
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        io_formats.write_trajectory_csv(outdir / "y_f.csv", result.y_f)
-    return 0
 
 
-def _cmd_ident_kernel(args) -> int:
+def _cmd_ident_kernel(args) -> _Output:
     data = _read_traj(args, attr="data")
     rep = DataDrivenRep(data, args.depth)
     kernel = recover_kernel(rep, tol=args.tol, n=args.n, method=args.method)
-    doc = io_formats.kernel_rep_to_json(kernel)
-    _emit(doc)
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        io_formats.write_kernel_json(outdir / "kernel.json", kernel)
-    return 0
+    return _Output(
+        io_formats.kernel_rep_to_json(kernel),
+        files={"kernel.json": (io_formats.write_kernel_json, kernel)},
+    )
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> _Output:
     data = _read_traj(args, attr="data")
     inv = invariants_from_data(data, args.tmax, args.tol)
-    _emit(
+    return _Output(
         {
             "m": inv.m,
             "n": inv.n,
@@ -260,10 +261,9 @@ def _cmd_invariants(args) -> int:
             "diagnostics": {"n_verbatim": inv.n_verbatim, "ell_verbatim": inv.ell_verbatim},
         }
     )
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Output:
     sys_model = io_formats.read_system_json(args.system)
     x0 = np.zeros(sys_model.n) if args.x0 is None else args.x0
     u = None if args.inputs is None else io_formats.read_trajectory_csv(args.inputs, all_inputs=True)
@@ -273,21 +273,15 @@ def _cmd_simulate(args) -> int:
         "y": result.y.data if result.y is not None else [],
         "final_state": result.final_state,
     }
-    _emit(doc)
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        if result.x is not None:
-            io_formats.write_trajectory_csv(outdir / "states.csv", result.x)
-        if result.y is not None:
-            io_formats.write_trajectory_csv(outdir / "outputs.csv", result.y)
-    return 0
+    signals = {"states.csv": result.x, "outputs.csv": result.y}
+    files = {name: (io_formats.write_trajectory_csv, w) for name, w in signals.items() if w is not None}
+    return _Output(doc, files=files)
 
 
-def _cmd_lift(args) -> int:
+def _cmd_lift(args) -> _Output:
     sys_model = io_formats.read_system_json(args.system)
     lifted = lift(sys_model)
-    _emit(
+    return _Output(
         {
             "A": lifted.A,
             "B": lifted.B,
@@ -296,65 +290,57 @@ def _cmd_lift(args) -> int:
             "char_poly_at_one": str(char_poly_at_one(lifted)),
         }
     )
-    return 0
 
 
-def _cmd_linearize(args) -> int:
+def _cmd_linearize(args) -> _Output:
     plant = io_formats.read_plant_json(args.plant)
     sys_model = linearize(plant, *args.at, **args.mode)
-    _emit(io_formats.system_to_json(sys_model))
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        io_formats.write_system_json(outdir / "system.json", sys_model)
-    return 0
+    return _Output(
+        io_formats.system_to_json(sys_model),
+        files={"system.json": (io_formats.write_system_json, sys_model)},
+    )
 
 
-def _cmd_consistency(args) -> int:
+def _cmd_consistency(args) -> _Output:
     R, offset = io_formats.read_kernel_json(args.kernel)
     if isinstance(offset, OffsetSequence):
         report = consistent_sequence_report(R, offset)
-        _emit(
-            {
-                "offset_kind": "sequence",
-                "consistent": report.consistent,
-                "certified": report.certified,
-                "syzygy_degree": report.syzygy_degree,
-                "window_length": report.window_length,
-            }
-        )
-        return 0 if report.consistent else 2
+        doc = {
+            "offset_kind": "sequence",
+            "consistent": report.consistent,
+            "certified": report.certified,
+            "syzygy_degree": report.syzygy_degree,
+            "window_length": report.window_length,
+        }
+        return _Output(doc, report.consistent)
     ok = consistent_constant(AffineKernelRep(R, offset))
-    _emit({"offset_kind": "constant", "consistent": bool(ok)})
-    return 0 if ok else 2
+    return _Output({"offset_kind": "constant", "consistent": bool(ok)}, ok)
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> _Output:
     R1, c1 = io_formats.read_kernel_json(args.kernel1)
     R2, c2 = io_formats.read_kernel_json(args.kernel2)
     if isinstance(c1, OffsetSequence) or isinstance(c2, OffsetSequence):
         raise AtisysError("equivalence is defined for constant-offset representations")
     verdict = equivalent(AffineKernelRep(R1, c1), AffineKernelRep(R2, c2))
-    _emit({"equivalent": bool(verdict)})
-    return 0 if verdict else 2
+    return _Output({"equivalent": bool(verdict)}, verdict)
 
 
-def _cmd_syzygy(args) -> int:
+def _cmd_syzygy(args) -> _Output:
     R = io_formats.read_poly_matrix_json(args.matrix)
     basis = syzygy_basis(R)
-    _emit(
+    return _Output(
         {
             "rank": R.shape[0] - len(basis),
             "generators": [[io_formats.poly_to_strings(p) for p in row] for row in basis],
         }
     )
-    return 0
 
 
-def _cmd_smith(args) -> int:
+def _cmd_smith(args) -> _Output:
     R = io_formats.read_poly_matrix_json(args.matrix)
     dec = smith_form(R)
-    _emit(
+    return _Output(
         {
             "rank": dec.rank,
             "invariant_factors": [io_formats.poly_to_strings(d) for d in dec.invariant_factors],
@@ -362,17 +348,16 @@ def _cmd_smith(args) -> int:
             "V": io_formats.poly_matrix_to_json(dec.V),
         }
     )
-    return 0
 
 
-def _cmd_example_sec7(args) -> int:
+def _cmd_example_sec7(args) -> _Output:
     reports = run_reference_experiments(args.tol)
     doc, rows = [], []
     for (name, T), r in zip(EXPERIMENT_LENGTHS.items(), reports):
         lead = {"experiment": name, "T": T, "L": WINDOW_LENGTH, "rank": r.rank, "target": r.target}
         doc.append(dict(lead, gap_ratio=r.gap_ratio, ok=r.ok, singular_values=r.singular_values))
         rows.append(dict(lead, gap=r.gap_ratio, verdict=_pass_fail(r.ok)))
-    return _verdict(args, doc, rows, all(r.ok for r in reports))
+    return _Output(doc, all(r.ok for r in reports), rows)
 
 
 # -- parser --------------------------------------------------------------
@@ -510,7 +495,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        return _print_and_write(args, args.handler(args))
     except io_formats.FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

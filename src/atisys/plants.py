@@ -245,8 +245,6 @@ class NonlinearPlant:
     def _eval(self, exprs, z, jacobian: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The maps at z and, from the same walk, their Jacobian ∂exprs/∂z,
         which has no columns unless ``jacobian``."""
-        if len(z) != len(self._names):
-            raise DimensionMismatch(f"point has {len(z)} coordinates, the plant has {len(self._names)}")
         env = dict(zip(self._names, map(float, z)))
         width = len(self._names) if jacobian else 0
         # coordinate i is seeded with the i-th unit row

@@ -31,6 +31,15 @@ class TestConstruction:
         )
         assert sys.n == 0 and sys.m == 1 and sys.p == 1
 
+    def test_bare_empty_input_matrix_reads_as_no_inputs(self):
+        sys = AffineStateSpace([[0.5]], [], [[1.0]], [[]], [1.0], [0.0])
+        assert sys.B.shape == (1, 0) and sys.m == 0 and sys.p == 1 and sys.q == 1
+
+    def test_order_zero_input_count_comes_from_feedthrough(self):
+        # with n = 0, B = [] carries no column count; D does
+        sys = AffineStateSpace([], [], [[]], [[2.0, 1.0]], [], [3.0])
+        assert sys.B.shape == (0, 2) and sys.m == 2 and sys.q == 3
+
 
 class TestSimulate:
     def test_reference_first_step(self):
@@ -183,6 +192,12 @@ class TestSimulateBlocks:
         assert result.y is None
         x_ref, _ = per_sample_reference(sys, [1.0, 2.0], u)
         assert_close(np.vstack([result.x.data, result.final_state]), x_ref)
+
+    def test_io_without_outputs_is_the_inputs(self, rng):
+        sys = AffineStateSpace(np.eye(2) * 0.5, rng.normal(size=(2, 1)), np.zeros((0, 2)), np.zeros((0, 1)), [1.0, -1.0], [])
+        u = Trajectory.inputs(rng.normal(size=(5, 1)))
+        w = simulate(sys, [1.0, 2.0], u).io(u)
+        assert w.m == 1 and w.p == 0 and np.array_equal(w.data, u.data)
 
     @pytest.mark.parametrize("T", [1, 64, 100])
     def test_no_inputs_with_horizon(self, rng, T):

@@ -157,6 +157,11 @@ class TestComplete:
         outcome = complete(rep, prefix, u_f)
         assert np.allclose(outcome.y_f.data, window.data[2:, w.m :], atol=1e-8)
 
+    def test_rep_keeps_the_record_partition(self):
+        _, u, result = reference_data("experiment-1", 9)
+        rep = DataDrivenRep(result.io(u), 3)
+        assert (rep.m, rep.p, rep.q) == (1, 2, 3)
+
     def test_matches_simulation_oracle(self, rng):
         sys, u1, result1 = reference_data("experiment-1", 9)
         rep = DataDrivenRep(result1.io(u1), 3)

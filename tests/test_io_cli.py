@@ -134,6 +134,16 @@ class TestSystemJson:
         for name in "ABCDEF":
             assert np.array_equal(getattr(back, name), getattr(sys, name))
 
+    def test_order_zero_round_trip_keeps_its_inputs(self, workdir):
+        # B is written as a bare [], so only D still carries m
+        sys = AffineStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.0]], [], [2.0])
+        io_formats.write_system_json("sys.json", sys)
+        back = io_formats.read_system_json("sys.json")
+        assert (back.n, back.m, back.p) == (0, 1, 1)
+        for name in "ABCDEF":
+            assert getattr(back, name).shape == getattr(sys, name).shape
+            assert np.array_equal(getattr(back, name), getattr(sys, name))
+
     def test_missing_field(self, workdir):
         (workdir / "sys.json").write_text('{"A": [[1]]}')
         with pytest.raises(io_formats.FormatError):
@@ -534,6 +544,76 @@ class TestCli:
         for row, line in zip(payload, table[2:]):
             cells = line.split()
             assert int(cells[3]) == row["rank"] and int(cells[4]) == row["target"]
+
+
+# each subcommand that declares --table prints one row per verdict, and each
+# that declares --out writes its files (a CSV with its sidecar)
+OUTPUT_FLAG_CASES = {
+    "pe": (["pe", "--class", "linear", "--order", "2", "--table", "u.csv"], 1),
+    "gape": (["gape", "--order", "2", "--n", "2", "--table", "w.csv"], 1),
+    "rank-check": (["rank-check", "--L", "2", "--table", "u.csv", "x.csv"], 1),
+    "example-sec7": (["example-sec7", "--table"], 3),
+    "complete": (
+        ["complete", "--tini", "2", "--L", "3", "--out", "art", "w.csv", "prefix.csv", "uf.csv"],
+        {"y_f.csv", "y_f.json"},
+    ),
+    "ident-kernel": (["ident-kernel", "--L", "2", "--n", "2", "--out", "art", "w.csv"], {"kernel.json"}),
+    "simulate": (
+        ["simulate", "--system", "sys.json", "--out", "art", "u.csv"],
+        {"states.csv", "states.json", "outputs.csv", "outputs.json"},
+    ),
+    "simulate without outputs": (
+        ["simulate", "--system", "no_outputs.json", "--out", "art", "u.csv"],
+        {"states.csv", "states.json"},
+    ),
+    "simulate of order zero without inputs": (
+        ["simulate", "--system", "order_zero.json", "--horizon", "3", "--out", "art"],
+        {"outputs.csv", "outputs.json"},
+    ),
+    "linearize": (["linearize", "--plant", "plant.json", "--at", "2;0;2", "--out", "art"], {"system.json"}),
+}
+
+
+@pytest.mark.parametrize("argv, expected", OUTPUT_FLAG_CASES.values(), ids=OUTPUT_FLAG_CASES)
+def test_every_output_flag_does_something(workdir, capsys, argv, expected):
+    import argparse
+
+    from atisys import restrict, simulate
+    from atisys.cli import build_parser
+    from atisys.scenario import reference_input
+
+    flag = "--table" if "--table" in argv else "--out"
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    declared = {name for name, p in commands.items() if flag in p._option_string_actions}
+    assert declared == {args[0] for args, _ in OUTPUT_FLAG_CASES.values() if flag in args}
+
+    sys_model = reference_system()
+    u = reference_input("experiment-1")
+    result = simulate(sys_model, np.zeros(2), u)
+    w = result.io(u)
+    for name, record in {"w.csv": w, "u.csv": u, "x.csv": result.x}.items():
+        io_formats.write_trajectory_csv(name, record)
+    window = restrict(w, 3, 5)
+    io_formats.write_trajectory_csv("prefix.csv", restrict(window, 1, 2))
+    io_formats.write_trajectory_csv("uf.csv", Trajectory.inputs(window.data[2:, :1]))
+    io_formats.write_system_json("sys.json", sys_model)
+    no_outputs = AffineStateSpace([[0.5]], [[1.0]], np.zeros((0, 1)), np.zeros((0, 1)), [1.0], [])
+    io_formats.write_system_json("no_outputs.json", no_outputs)
+    order_zero = AffineStateSpace(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((1, 0)), np.zeros((1, 0)), [], [3.0])
+    io_formats.write_system_json("order_zero.json", order_zero)
+    plant = {"n": 1, "m": 1, "f": [["+", ["*", ["var", "x1"], ["var", "x1"]], ["var", "u1"]]], "h": [["var", "x1"]]}
+    (workdir / "plant.json").write_text(json.dumps(plant))
+
+    code = main(argv)
+    out = capsys.readouterr().out
+    if flag == "--table":
+        assert code in (0, 2) and not out.startswith(("{", "["))
+        header, rule, *rows = out.splitlines()
+        assert header.split()[-1] == "verdict" and set(rule) == {"-", " "}
+        assert len(rows) == expected and all(row.split()[-1] in ("PASS", "FAIL") for row in rows)
+    else:
+        assert code == 0 and isinstance(json.loads(out), dict)
+        assert {path.name for path in (workdir / "art").iterdir()} == expected
 
 
 class TestPublishedSchemas:

@@ -82,6 +82,10 @@ class TestExpressions:
         with pytest.raises(DimensionMismatch):
             (state_var(1) * input_var(2)).evaluate({"x1": 1.0, "u1": 2.0})
 
+    def test_a_number_on_the_left_becomes_a_constant(self):
+        for expr, node in ((2 + Var("x1"), Add), (2 - Var("x1"), Sub)):
+            assert type(expr) is node and expr.to_json()[1:] == [["const", 2.0], ["var", "x1"]]
+
 
 class TestLinearize:
     def test_scalar_square_away_from_equilibrium(self):
@@ -156,6 +160,13 @@ class TestLinearize:
         plant = NonlinearPlant(f=((x ** 30) ** 30,), h=(x,), n=1, m=0)
         with pytest.raises(NonFiniteEvaluation):
             linearize(plant, [1e300], [], [0.0])
+
+    def test_product_that_overflows_to_inf_is_non_finite(self):
+        # float multiplication overflows to inf without raising OverflowError
+        x = state_var(1)
+        assert (x * x).evaluate({"x1": 1e200}) == np.inf
+        with pytest.raises(NonFiniteEvaluation):
+            linearize(NonlinearPlant(f=(x * x,), h=(x,), n=1, m=0), [1e200], [], [0.0])
 
 
 def _affine(row_x, row_u, const):

@@ -29,6 +29,21 @@ def test_trailing_zeros_stripped():
     assert Poly([]).degree == -1
 
 
+def test_the_zero_polynomial_leads_with_zero():
+    assert Poly.zero().leading_coefficient == 0 and Poly([0, 2]).leading_coefficient == 2
+
+
+def test_constant_equals_its_number():
+    assert Poly([3]) == 3 and Poly([Fraction(1, 2)]) == Fraction(1, 2)
+    assert Poly([3]) != 4 and Poly([0, 1]) != 0
+
+
+@pytest.mark.parametrize("value", [Poly([1, 2]), PolyMatrix([[Poly([1, 2])]])])
+def test_comparison_with_a_string_is_not_implemented(value):
+    assert value.__eq__("1 + 2x") is NotImplemented
+    assert value != "1 + 2x"
+
+
 def test_float_coercion_is_strict():
     assert Poly([2.0]).coefficients == (2,)
     with pytest.raises(InvalidArgument):

@@ -48,6 +48,10 @@ class TestTrajectory:
         assert w.sample(1).tolist() == [1.0, 10.0]
         assert w.sample(2).tolist() == [2.0, 20.0]
 
+    def test_sample_past_the_end_is_out_of_range(self):
+        with pytest.raises(OutOfRange):
+            Trajectory(np.array([[1.0], [2.0]])).sample(3)
+
 
 class TestHankel:
     def test_scalar_depth_two(self):
