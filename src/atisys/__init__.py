@@ -11,7 +11,6 @@ from .affine_ss import (
     AffineStateSpace,
     LiftedStateSpace,
     SimulationResult,
-    char_poly_at_one,
     controllable,
     difference_system,
     lift,
@@ -81,7 +80,6 @@ __all__ = [
     "SmithDecomposition",
     "Trajectory",
     "behavior_apply",
-    "char_poly_at_one",
     "complete",
     "consistent_constant",
     "consistent_sequence",

@@ -11,7 +11,6 @@ exactly when started from an augmented state with final coordinate 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -273,12 +272,3 @@ def lift(sys: AffineStateSpace) -> LiftedStateSpace:
     C = np.hstack([sys.C, sys.F.reshape(p, 1)])
     return LiftedStateSpace(A, B, C, sys.D)
 
-
-def char_poly_at_one(lifted: LiftedStateSpace) -> Fraction:
-    """det(I - A) of the lifted transition matrix, exactly: always 0.
-
-    :class:`LiftedStateSpace` enforces the bottom row (0, ..., 0, 1) of A, so
-    the last row of I - A is zero and so is its determinant, whatever the
-    other entries.  The zero certifies the eigenvalue at 1.
-    """
-    return Fraction(0)

@@ -22,9 +22,10 @@ a prefix file for ``complete --tini 0``, whose prefix argument must be ``-``.
 ``simulate`` without its length (``--horizon`` of at least 1 on a model
 without inputs, an inputs file on a model with inputs) is an argument error.
 So is a malformed input file (a JSON file that is not a JSON object, or whose
-fields do not parse), and so are ``--at``, ``--mode`` and ``--x0`` values
-that do not parse, which argparse reports as usage errors.  ``rank-check``
-has no ``--n``: the width of its state file fixes n.
+fields do not parse), and so are ``--at`` and ``--x0`` values that do not
+parse and a ``--mode`` other than ``analytic``, which argparse reports as
+usage errors.  ``rank-check`` has no ``--n``: the width of its state file
+fixes n.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io_formats
-from .affine_ss import char_poly_at_one, lift, simulate
+from .affine_ss import lift, simulate
 from .datadriven import (
     DEFAULT_RESIDUAL_TOL,
     DataDrivenRep,
@@ -133,16 +134,17 @@ class _Output(NamedTuple):
 
 
 def _print_and_write(args, out: _Output) -> int:
-    """Print the document, or its table under ``--table``; write the files into ``--out``."""
-    if getattr(args, "table", False):
-        print(format_table(list(out.rows[0]), [list(row.values()) for row in out.rows]))
-    else:
-        print(json.dumps(_jsonable(out.doc), indent=2))
+    """Write the files into ``--out``, then print the document, or its table
+    under ``--table``: a failed write prints nothing."""
     if getattr(args, "out", None):
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for name, (write, value) in out.files.items():
             write(outdir / name, value)
+    if getattr(args, "table", False):
+        print(format_table(list(out.rows[0]), [list(row.values()) for row in out.rows]))
+    else:
+        print(json.dumps(_jsonable(out.doc), indent=2))
     return 0 if out.ok else 2
 
 
@@ -281,20 +283,12 @@ def _cmd_simulate(args) -> _Output:
 def _cmd_lift(args) -> _Output:
     sys_model = io_formats.read_system_json(args.system)
     lifted = lift(sys_model)
-    return _Output(
-        {
-            "A": lifted.A,
-            "B": lifted.B,
-            "C": lifted.C,
-            "D": lifted.D,
-            "char_poly_at_one": str(char_poly_at_one(lifted)),
-        }
-    )
+    return _Output({"A": lifted.A, "B": lifted.B, "C": lifted.C, "D": lifted.D})
 
 
 def _cmd_linearize(args) -> _Output:
     plant = io_formats.read_plant_json(args.plant)
-    sys_model = linearize(plant, *args.at, **args.mode)
+    sys_model = linearize(plant, *args.at)
     return _Output(
         io_formats.system_to_json(sys_model),
         files={"system.json": (io_formats.write_system_json, sys_model)},
@@ -385,18 +379,6 @@ def _point(text: str) -> tuple[list[float], ...]:
     return tuple(_floats(g) for g in groups)
 
 
-def _mode(text: str) -> dict:
-    """The keyword arguments of :func:`linearize` for 'analytic' or 'fd:<step>'."""
-    if text == "analytic":
-        return {"mode": "analytic"}
-    if text.startswith("fd:"):
-        try:
-            return {"mode": "fd", "step": float(text[3:])}
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"must be 'analytic' or 'fd:<step>', got {text!r}")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="atisys", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -467,7 +449,7 @@ def build_parser() -> _Parser:
     p = add("linearize", _cmd_linearize, "linearize a plant around an operating point", "--out")
     p.add_argument("--plant", required=True)
     p.add_argument("--at", type=_point, required=True, help="operating point 'x1,..;u1,..;y1,..'")
-    p.add_argument("--mode", type=_mode, default="analytic", help="'analytic' or 'fd:<step>'")
+    p.add_argument("--mode", choices=["analytic"], default="analytic", help="exact Jacobians, the only mode")
 
     p = add("consistency", _cmd_consistency, "decide consistency of a kernel representation")
     p.add_argument("kernel")

@@ -6,8 +6,8 @@ problems from conditions that merely evaluate to false.
 
 A count (depth, order, length, horizon, degree, shift, variable count,
 coefficient power) is read by :func:`_count`: a Python or numpy integer, not
-a bool, of at least its minimum.  A tolerance (rank or residual tolerance, finite-difference step) is
-read by :func:`check_tolerance`: a real number, not a bool, positive and
+a bool, of at least its minimum.  A tolerance (rank or residual tolerance)
+is read by :func:`check_tolerance`: a real number, not a bool, positive and
 finite.  Anything else is an :class:`InvalidArgument` (a FormatError when a
 file holds it).  Upper bounds set by the data keep their own types
 (:class:`DepthExceedsLength`, :class:`OutOfRange`, :class:`ShiftTooLarge`,
@@ -60,10 +60,6 @@ class DimensionMismatch(AtisysError):
 
 class NonFiniteEvaluation(AtisysError):
     """A plant expression evaluated to NaN or an infinite value."""
-
-
-class StepTooSmall(AtisysError):
-    """Finite-difference step is below the numerically safe minimum."""
 
 
 class Infeasible(AtisysError):

@@ -155,7 +155,9 @@ def write_trajectory_csv(path, w: Trajectory):
 
 
 def system_to_json(sys: AffineStateSpace) -> dict:
-    return {
+    """The matrices as nested lists, and the input count ``"m"`` when
+    n = p = 0, where B and D are bare ``[]`` and no matrix carries it."""
+    doc = {
         "A": sys.A.tolist(),
         "B": sys.B.tolist(),
         "C": sys.C.tolist(),
@@ -163,17 +165,28 @@ def system_to_json(sys: AffineStateSpace) -> dict:
         "E": sys.E.tolist(),
         "F": sys.F.tolist(),
     }
+    if sys.n == sys.p == 0:
+        doc["m"] = sys.m
+    return doc
 
 
 def system_from_json(doc: dict) -> AffineStateSpace:
+    """The model of :func:`system_to_json`'s document; an ``"m"`` that does
+    not match B and D is a FormatError."""
     try:
-        return AffineStateSpace(
-            doc["A"], doc["B"], doc["C"], doc["D"], doc["E"], doc["F"]
-        )
+        D = doc["D"]
+        if "m" in doc:
+            m = _count(doc["m"], "system JSON 'm'", error=FormatError)
+            if np.shape(D) == (0,):  # a bare []: D takes its columns from m, and B from D
+                D = np.zeros((0, m))
+        sys = AffineStateSpace(doc["A"], doc["B"], doc["C"], D, doc["E"], doc["F"])
     except KeyError as exc:
         raise FormatError(f"system JSON missing field {exc}") from None
     except (DimensionMismatch, TypeError, ValueError) as exc:
         raise FormatError(f"system JSON invalid: {exc}") from None
+    if "m" in doc and sys.m != m:
+        raise FormatError(f"system JSON 'm' is {m}, but B and D have {sys.m} columns")
+    return sys
 
 
 def read_system_json(path) -> AffineStateSpace:

@@ -8,11 +8,11 @@ and a node is written as its tag followed by its fields: ``["const", c]``,
 ``["var", name]``, ``["+", a, b]``, ``["-", a, b]``, ``["*", a, b]``,
 ``["neg", a]`` and ``["pow", a, k]`` with k a nonnegative integer (``2.5``
 and ``true`` are refused).  A plant is linearized at the stacked point
-z = (x, u) through one Jacobian of each map with respect to z, analytic or by
-central differences; its first n columns give A (or C), the rest B (or D).
-The analytic Jacobian is forward mode (Griewank & Walther, *Evaluating
-Derivatives*, SIAM, 2nd ed., 2008): the walk that evaluates a map returns
-each node's value together with its gradient over z.
+z = (x, u) through one exact Jacobian of each map with respect to z; its
+first n columns give A (or C), the rest B (or D).  The Jacobian is forward
+mode (Griewank & Walther, *Evaluating Derivatives*, SIAM, 2nd ed., 2008):
+the walk that evaluates a map returns each node's value together with its
+gradient over z.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .affine_ss import AffineStateSpace
-from .errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation, StepTooSmall, _count
-from .errors import check_tolerance
+from .errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation, _count
 
 
 class Expr:
@@ -242,11 +241,11 @@ class NonlinearPlant:
     def p(self) -> int:
         return len(self.h)
 
-    def _eval(self, exprs, z, jacobian: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """The maps at z and, from the same walk, their Jacobian ∂exprs/∂z,
-        which has no columns unless ``jacobian``."""
+    def _eval(self, exprs, z) -> tuple[np.ndarray, np.ndarray]:
+        """The maps at z and, from the same walk, their Jacobian ∂exprs/∂z:
+        one row per expression, one column per coordinate."""
         env = dict(zip(self._names, map(float, z)))
-        width = len(self._names) if jacobian else 0
+        width = len(self._names)
         # coordinate i is seeded with the i-th unit row
         seeds = {name: [float(i == j) for j in range(width)] for i, name in enumerate(self._names)}
         try:
@@ -272,48 +271,20 @@ def _check_point(plant: NonlinearPlant, xbar, ubar, ybar):
     return xbar, ubar, ybar
 
 
-def _jacobian(plant: NonlinearPlant, exprs, z, mode: str, step: float):
-    """exprs at z = (x, u), and ∂exprs/∂z: one row per expression, one column per coordinate."""
-    if mode == "analytic":
-        return plant._eval(exprs, z, jacobian=True)
-    if mode != "fd":
-        raise InvalidArgument(f"mode must be 'analytic' or 'fd', got {mode!r}")
-    check_tolerance(step, "finite-difference step")
-    scale = max(1.0, float(np.max(np.abs(np.concatenate([z, [0.0]])))))
-    if step < 64 * np.finfo(float).eps * scale:
-        raise StepTooSmall(f"step {step} below the safe minimum for scale {scale}")
-    J = np.zeros((len(exprs), z.size))
-    for j in range(z.size):
-        d = np.zeros_like(z)
-        d[j] = step
-        J[:, j] = (plant._eval(exprs, z + d)[0] - plant._eval(exprs, z - d)[0]) / (2 * step)
-    return plant._eval(exprs, z)[0], J
-
-
-def linearize(
-    plant: NonlinearPlant,
-    xbar,
-    ubar,
-    ybar,
-    mode: str = "analytic",
-    step: float = 1e-6,
-) -> AffineStateSpace:
+def linearize(plant: NonlinearPlant, xbar, ubar, ybar) -> AffineStateSpace:
     """Affine model of a plant around an operating point (not necessarily an
     equilibrium).
 
-    A, B, C, D are the Jacobians of the maps at (xbar, ubar); the offsets are
-    the map residuals E = f(xbar, ubar) - xbar and F = h(xbar, ubar) - ybar,
-    which vanish exactly at an equilibrium.  ``mode`` is either ``analytic``
-    (exact differentiation of the expression trees) or ``fd`` (central
-    differences with the given step); any other mode raises
-    :class:`InvalidArgument`, as does an ``fd`` step that is not positive
-    and finite.  A step below the safe minimum for the point raises
-    :class:`StepTooSmall`.
+    A, B, C, D are the exact Jacobians of the maps at (xbar, ubar); the
+    offsets are the map residuals E = f(xbar, ubar) - xbar and
+    F = h(xbar, ubar) - ybar, which vanish exactly at an equilibrium.  A map
+    or derivative that overflows or is not finite raises
+    :class:`NonFiniteEvaluation`.
     """
     xbar, ubar, ybar = _check_point(plant, xbar, ubar, ybar)
     z = np.concatenate([xbar, ubar])
-    fz, Jf = _jacobian(plant, plant.f, z, mode, step)
-    hz, Jh = _jacobian(plant, plant.h, z, mode, step)
+    fz, Jf = plant._eval(plant.f, z)
+    hz, Jh = plant._eval(plant.h, z)
     A, B = np.hsplit(Jf, [plant.n])
     C, D = np.hsplit(Jh, [plant.n])
     return AffineStateSpace(A, B, C, D, fz - xbar, hz - ybar)

@@ -6,8 +6,9 @@ reduction on rows of rational polynomials that the integer-row eliminations
 replaced, the minimal form with offsets U(1) c that the homogenized
 reduction replaced, the affine least-squares solve that the data-driven
 fits replaced, the two-decomposition completion that the one-SVD completion
-replaced, and the linearization by derivative trees that forward-mode
-differentiation replaced.
+replaced, the linearization by derivative trees that forward-mode
+differentiation replaced, and det(I - A) of a lifted model, the exact
+certificate of its eigenvalue at 1.
 
 All randomness flows through explicitly seeded numpy generators so every
 suite is reproducible run to run.
@@ -328,6 +329,13 @@ def determinant_reference(matrix: PolyMatrix) -> Poly:
     return last_pivot if sign > 0 else -last_pivot
 
 
+def char_poly_at_one_reference(lifted) -> Fraction:
+    """det(I - A) of a lifted model's transition matrix, computed exactly on
+    the rationals its floats encode; 0 certifies the eigenvalue at 1."""
+    A = PolyMatrix([[Fraction(v) for v in row] for row in lifted.A.tolist()])
+    return determinant_reference(PolyMatrix.identity(lifted.order) - A).coefficient(0)
+
+
 def smith_form_reference(matrix: PolyMatrix) -> SmithDecomposition:
     """:func:`atisys.smith_form` on rows of rational polynomials: the same
     pivots and steps, with Poly division and Poly row operations on the rows
@@ -577,11 +585,10 @@ def differentiate_reference(expr, name: str):
             return Mul(Mul(Const(float(k)), Pow(a, k - 1)), differentiate_reference(a, name))
 
 
-def linearize_reference(plant, xbar, ubar, ybar, mode: str = "analytic", step: float = 1e-6):
+def linearize_reference(plant, xbar, ubar, ybar):
     """A..F of :func:`atisys.linearize` with every map and every derivative
     tree evaluated on its own, each evaluation raising
-    :class:`NonFiniteEvaluation` on overflow or a non-finite value; ``fd``
-    takes central differences of the maps with the given step."""
+    :class:`NonFiniteEvaluation` on overflow or a non-finite value."""
     xbar, ubar, ybar = (np.asarray(v, dtype=float) for v in (xbar, ubar, ybar))
     z = np.concatenate([xbar, ubar])
     names = plant._names
@@ -597,15 +604,8 @@ def linearize_reference(plant, xbar, ubar, ybar, mode: str = "analytic", step: f
         return values
 
     def jacobian(exprs):
-        if mode == "analytic":
-            trees = [differentiate_reference(e, v) for e in exprs for v in names]
-            return at(trees, z).reshape(len(exprs), z.size)
-        J = np.zeros((len(exprs), z.size))
-        for j in range(z.size):
-            d = np.zeros_like(z)
-            d[j] = step
-            J[:, j] = (at(exprs, z + d) - at(exprs, z - d)) / (2 * step)
-        return J
+        trees = [differentiate_reference(e, v) for e in exprs for v in names]
+        return at(trees, z).reshape(len(exprs), z.size)
 
     A, B = np.hsplit(jacobian(plant.f), [plant.n])
     C, D = np.hsplit(jacobian(plant.h), [plant.n])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from atisys import (
     AffineStateSpace,
     Trajectory,
-    char_poly_at_one,
     controllable,
     difference_system,
     lift,
@@ -15,7 +14,7 @@ from atisys import (
 from atisys.affine_ss import LiftedStateSpace
 from atisys.errors import DimensionMismatch, InvalidArgument, NonFiniteEntry
 from atisys.scenario import reference_input, reference_system
-from conftest import random_system
+from conftest import char_poly_at_one_reference, random_system
 
 
 class TestConstruction:
@@ -345,7 +344,7 @@ class TestLift:
     def test_eigenvalue_at_one_is_exact(self, rng):
         for _ in range(5):
             sys = random_system(rng, 3, 1, 2)
-            assert char_poly_at_one(lift(sys)) == 0
+            assert char_poly_at_one_reference(lift(sys)) == 0
 
     @pytest.mark.parametrize(
         "A, B",

@@ -2,11 +2,11 @@
 
 A count (depth, order, length, horizon, degree, shift, variable count) is a
 Python or numpy integer, not a bool, of at least its minimum; a tolerance
-(rank or residual tolerance, finite-difference step) is a real number, not a
-bool, positive and finite.  Every other value must raise an AtisysError,
-whichever entry point of ``atisys.__all__`` or ``io_formats`` reader reads
-it.  A library fuzzer draws an argument and a refused value; a CLI twin
-draws argv rows with bad count and tolerance tokens.
+(rank or residual tolerance) is a real number, not a bool, positive and
+finite.  Every other value must raise an AtisysError, whichever entry point
+of ``atisys.__all__`` or ``io_formats`` reader reads it.  A library fuzzer
+draws an argument and a refused value; a CLI twin draws argv rows with bad
+count and tolerance tokens.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from atisys import (
     input_var,
     invariants_from_data,
     io_formats,
-    linearize,
     max_pe_order,
     membership,
     min_data_length,
@@ -76,7 +75,6 @@ W = SIM.io(U)  # T = 9, q = 3, m = 1
 REP = DataDrivenRep(W, 3)
 FREE = AffineStateSpace([[0.5]], np.zeros((1, 0)), [[1.0]], np.zeros((1, 0)), [1.0], [0.0])
 X1 = state_var(1)
-PLANT = NonlinearPlant(f=(X1 * X1 + input_var(1),), h=(X1,), n=1, m=1)
 PLANT_DOC = {"n": 1, "m": 1, "f": [["*", ["var", "x1"], ["var", "x1"]]], "h": [["var", "x1"]]}
 MATRIX_DOC = {"rows": 1, "cols": 1, "entries": [[["1", "1"]]]}
 
@@ -194,9 +192,6 @@ ARGUMENTS = {
     ),
     "controllable(tol)": Tolerance(lambda v: controllable(SYS, v)),
     "controllable(tol) without inputs": Tolerance(lambda v: controllable(FREE, v)),
-    "linearize(step)": Tolerance(
-        lambda v: linearize(PLANT, [2.0], [0.0], [2.0], mode="fd", step=v), optional=False
-    ),
 }
 
 # entry indices are Python indices, and result records hold what a procedure computed
@@ -208,7 +203,7 @@ NOT_READ = {
 COUNT_NAMES = {"depth", "order", "n", "m", "d_L", "t_max", "horizon", "degree", "k", "length", "g", "q",
                "t", "j", "t0", "t1", "i", "ncols", "block_rows", "denominator", "ell", "n_verbatim",
                "ell_verbatim"}
-TOLERANCE_NAMES = {"tol", "step"}
+TOLERANCE_NAMES = {"tol"}
 
 REFUSED_KINDS = [2.5, np.float64(2.0), "3", True, np.bool_(True), [1], math.nan, math.inf]
 

@@ -134,6 +134,29 @@ class TestSystemJson:
         for name in "ABCDEF":
             assert np.array_equal(getattr(back, name), getattr(sys, name))
 
+    @pytest.mark.parametrize(
+        "n, m, p", [(n, m, p) for n in range(3) for m in range(3) for p in range(3) if m + p > 0]
+    )
+    def test_round_trip_keeps_every_shape(self, workdir, n, m, p):
+        rng = np.random.default_rng(n + 3 * m + 9 * p)
+        shapes = {"A": (n, n), "B": (n, m), "C": (p, n), "D": (p, m), "E": (n,), "F": (p,)}
+        sys = AffineStateSpace(*(rng.normal(size=shape) for shape in shapes.values()))
+        io_formats.write_system_json("sys.json", sys)
+        back = io_formats.read_system_json("sys.json")
+        for name, shape in shapes.items():
+            assert getattr(back, name).shape == shape
+            assert np.array_equal(getattr(back, name), getattr(sys, name))
+        # only B and D could carry m, and with n = p = 0 neither has a row
+        assert ("m" in json.loads(Path("sys.json").read_text())) == (n == p == 0)
+
+    def test_input_count_must_match_the_matrices(self):
+        empty = {name: [] for name in "ABCDEF"}
+        one_output = dict(empty, C=[[]], D=[[1]], F=[1])
+        for doc in (dict(empty, m=0), dict(empty, m=True), dict(empty, A=[[1]], B=[[1]], E=[1], m=2),
+                    dict(one_output, m=2)):
+            with pytest.raises(io_formats.FormatError):
+                io_formats.system_from_json(doc)
+
     def test_order_zero_round_trip_keeps_its_inputs(self, workdir):
         # B is written as a bare [], so only D still carries m
         sys = AffineStateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[2.0]], [], [2.0])
@@ -254,6 +277,8 @@ class TestCli:
             ["hankel", "--depth", "1", "t_only.csv"],
             # a plant without its input count
             ["linearize", "--plant", "plant_no_m.json", "--at", "2;0;2"],
+            # exact Jacobians are the only mode
+            ["linearize", "--plant", "plant.json", "--at", "2;0;2", "--mode", "fd:1e-3"],
         ],
     )
     def test_bad_argument_is_exit_one_without_traceback(self, workdir, capsys, argv):
@@ -417,7 +442,7 @@ class TestCli:
         assert main(["lift", "--system", "sys.json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["A"] == [[1, 0, 1], [0, 2, 1], [0, 0, 1]]
-        assert payload["char_poly_at_one"] == "0"
+        assert sorted(payload) == ["A", "B", "C", "D"]
         plant = {
             "n": 1,
             "m": 1,
@@ -429,13 +454,30 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["A"] == [[4]] and payload["E"] == [2]
 
+    def test_failed_out_write_prints_nothing(self, workdir, capsys):
+        plant = {"n": 1, "m": 1, "f": [["var", "x1"]], "h": [["var", "x1"]]}
+        (workdir / "plant.json").write_text(json.dumps(plant))
+        (workdir / "lin").write_text("a file where the directory would go")
+        assert main(["linearize", "--plant", "plant.json", "--at", "2;0;2", "--out", "lin"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
+    def test_model_without_states_or_outputs_simulates_from_its_file(self, workdir, capsys):
+        (workdir / "plant.json").write_text(json.dumps({"n": 0, "m": 1, "f": [], "h": []}))
+        write_inputs("u.csv", [1, 3])
+        assert main(["linearize", "--plant", "plant.json", "--at", ";1;", "--out", "lin"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 1
+        assert main(["simulate", "--system", "lin/system.json", "u.csv"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"x": [], "y": [], "final_state": []}
+
     def test_point_state_and_mode_spellings(self, workdir, capsys):
-        # empty groups and items, the --option=value form and fd:<step> all parse
+        # empty groups and items and the --option=value form all parse
         plant = {"n": 1, "m": 0, "f": [["*", ["var", "x1"], ["var", "x1"]]], "h": [["var", "x1"]]}
         (workdir / "plant.json").write_text(json.dumps(plant))
-        assert main(["linearize", "--plant", "plant.json", "--at=2,;;2", "--mode", "fd:1e-4"]) == 0
+        assert main(["linearize", "--plant", "plant.json", "--at=2,;;2", "--mode=analytic"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["A"] == [[pytest.approx(4.0)]] and payload["B"] == [[]]
+        assert payload["A"] == [[4.0]] and payload["B"] == [[]]
         io_formats.write_system_json("sys.json", reference_system())
         write_inputs("u.csv", [0.5, -0.5])
         assert main(["simulate", "--system", "sys.json", "--x0=1,,0.5,", "u.csv"]) == 0

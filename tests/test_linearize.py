@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atisys import NonlinearPlant, expr_from_json, input_var, linearize, state_var
-from atisys.errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation, StepTooSmall
+from atisys.errors import DimensionMismatch, InvalidArgument, NonFiniteEvaluation
 from atisys.plants import Add, Const, Mul, Neg, Pow, Sub, Var
 from conftest import linearize_reference
 
@@ -120,37 +120,6 @@ class TestLinearize:
         f_val = np.array([2 * 0.7 + 0.3 + 3 * 0.25 + 1, -0.3 + 0.25 - 2])
         assert np.allclose(sys.E, f_val - xbar)
 
-    def test_finite_difference_matches_analytic_quadratically(self):
-        rng = np.random.default_rng(5)
-        x1, x2, u1 = state_var(1), state_var(2), input_var(1)
-        plant = NonlinearPlant(
-            f=(x1 * x1 * x2 + u1 ** 2, x2 ** 3 - x1 * u1),
-            h=(x1 * x2 * u1,),
-            n=2,
-            m=1,
-        )
-        xbar, ubar, ybar = rng.normal(size=2), rng.normal(size=1), np.zeros(1)
-        exact = linearize(plant, xbar, ubar, ybar, mode="analytic")
-        errors = []
-        for h in (1e-2, 1e-3, 1e-4):
-            fd = linearize(plant, xbar, ubar, ybar, mode="fd", step=h)
-            errors.append(
-                max(
-                    np.max(np.abs(fd.A - exact.A)),
-                    np.max(np.abs(fd.B - exact.B)),
-                    np.max(np.abs(fd.C - exact.C)),
-                    np.max(np.abs(fd.D - exact.D)),
-                )
-            )
-        # central differences: error drops by ~100x per 10x step reduction
-        assert errors[1] < errors[0] * 1e-1
-        assert errors[2] < errors[1] * 1e-1
-        assert errors[0] < 1e-2
-
-    def test_step_too_small(self):
-        with pytest.raises(StepTooSmall):
-            linearize(scalar_square_plant(), [2.0], [0.0], [2.0], mode="fd", step=1e-17)
-
     def test_operating_point_sizes_checked(self):
         with pytest.raises(DimensionMismatch):
             linearize(scalar_square_plant(), [1.0, 2.0], [0.0], [0.0])
@@ -250,15 +219,6 @@ def test_jacobians_match_hand_derivation(name):
     exact = linearize(plant, *point)
     for key, want in zip("ABCDEF", expected):
         assert getattr(exact, key).tolist() == want, key
-    for step in (1e-5, 1e-3):
-        fd = linearize(plant, *point, mode="fd", step=step)
-        for key, want in zip("ABCDEF", expected):
-            assert np.allclose(getattr(fd, key), want, rtol=0, atol=1e-6), (key, step)
-
-
-def test_unknown_mode_is_invalid_argument():
-    with pytest.raises(InvalidArgument, match="mode must be"):
-        linearize(scalar_square_plant(), [2.0], [0.0], [2.0], mode="spline")
 
 
 def inexact(bound):
@@ -306,19 +266,16 @@ EVERY_KIND = NonlinearPlant(f=(-(x1**3) - 2 * u1**0 + x1 * u1,), h=(x1 - u1,), n
 # 3 * a**2 times the base's gradient 0.1 rounds otherwise than 3 * (a**2 * 0.1)
 @example((NonlinearPlant(f=((0.1 * x1) ** 3,), h=(x1,), n=1, m=0), [[1.3], [], [0.0]]))
 def test_forward_mode_matches_derivative_trees(case):
-    """Both modes against the derivative-tree reference, byte for byte (signs
-    of zeros included), and NonFiniteEvaluation exactly where it raises."""
+    """The forward-mode Jacobian against the derivative-tree reference, byte
+    for byte (signs of zeros included), and NonFiniteEvaluation exactly where
+    it raises."""
     plant, point = case
-    z = np.concatenate(point[:2])
-    for mode, step in (("analytic", 1e-6), ("fd", 1e-6), ("fd", 1e-3)):
-        if mode == "fd" and step < 64 * np.finfo(float).eps * max(1.0, *np.abs(z)):
-            continue  # StepTooSmall, tested above
-        try:
-            want = linearize_reference(plant, *point, mode, step)
-        except NonFiniteEvaluation:
-            with pytest.raises(NonFiniteEvaluation):
-                linearize(plant, *point, mode=mode, step=step)
-            continue
-        got = linearize(plant, *point, mode=mode, step=step)
-        for key, M in zip("ABCDEF", want):
-            assert getattr(got, key).shape == M.shape and getattr(got, key).tobytes() == M.tobytes(), (mode, key)
+    try:
+        want = linearize_reference(plant, *point)
+    except NonFiniteEvaluation:
+        with pytest.raises(NonFiniteEvaluation):
+            linearize(plant, *point)
+        return
+    got = linearize(plant, *point)
+    for key, M in zip("ABCDEF", want):
+        assert getattr(got, key).shape == M.shape and getattr(got, key).tobytes() == M.tobytes(), key
